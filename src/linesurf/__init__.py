@@ -63,7 +63,6 @@ from .projgeom import (
     ProjPoint,
     line_intersection,
     line_through,
-    normalize_point,
     plucker_pairing,
     point_on_line,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "load_custom_profile",
     "max_lines_bound",
     "miyaoka_check",
-    "normalize_point",
     "nth_roots_of_minus_one",
     "on_surface",
     "plucker_pairing",

@@ -85,8 +85,11 @@ class IncidenceProfile:
             raise ProfileError(f"profile object must carry n, d, t: {exc}") from exc
         if not isinstance(t_raw, dict):
             raise ProfileError("profile field 't' must map multiplicity to count")
+        for k, c in t_raw.items():
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ProfileError(f"count t_{k} must be a JSON integer, got {c!r}")
         try:
-            t = {int(k): int(c) for k, c in t_raw.items()}
+            t = {int(k): c for k, c in t_raw.items()}
         except (TypeError, ValueError) as exc:
             raise ProfileError(f"profile t-vector entries must be integers: {exc}") from exc
         if not isinstance(n, int) or not isinstance(d, int):

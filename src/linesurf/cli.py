@@ -25,7 +25,8 @@ import csv
 import io
 import json
 import sys
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .catalog import (
@@ -46,9 +47,7 @@ from .harbourne import (
     bauer_search,
     extremal_profile_search,
     harbourne_linear,
-    harbourne_lower_bound,
     miyaoka_check,
-    strict_transform_sq_lower,
 )
 from .incidence import (
     incidence_count,
@@ -109,7 +108,7 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         metavar="N",
-        help="parallelize the pair scan over N threads (same output)",
+        help="accepted for compatibility and ignored",
     )
 
 
@@ -149,27 +148,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _common_options(p)
 
-    p = sub.add_parser("profile", help="emit an incidence profile")
-    _surface_options(p, ("fermat", "rams", "schur", "cubic", "custom"))
-    _common_options(p)
-
-    p = sub.add_parser("analyze", help="full exact report")
-    _surface_options(p, ("fermat", "rams", "schur", "cubic", "custom"))
-    _common_options(p)
-
-    p = sub.add_parser("verify", help="identity / valency / on-surface checks")
-    _surface_options(p, ("fermat", "rams", "schur", "cubic", "custom"))
-    p.add_argument(
-        "--valency",
-        type=int,
-        metavar="V",
-        help="check that every line meets exactly V others",
-    )
-    _common_options(p)
-
-    p = sub.add_parser("bound", help="Miyaoka inequality and H_L lower bound")
-    _surface_options(p, ("fermat", "rams", "schur", "cubic", "custom"))
-    _common_options(p)
+    for name, summary in (
+        ("profile", "emit an incidence profile"),
+        ("analyze", "full exact report"),
+        ("verify", "identity / valency / on-surface checks"),
+        ("bound", "Miyaoka inequality and H_L lower bound"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        _surface_options(p, ("fermat", "rams", "schur", "cubic", "custom"))
+        if name == "verify":
+            p.add_argument(
+                "--valency",
+                type=int,
+                metavar="V",
+                help="check that every line meets exactly V others",
+            )
+        _common_options(p)
 
     p = sub.add_parser("sweep", help="one row per parameter in a range")
     p.add_argument("--surface", choices=("fermat", "rams", "cubic"), required=True)
@@ -236,7 +230,7 @@ def resolve_profile(args) -> IncidenceProfile:
     if surface == "fermat":
         n = _need_degree(args, 3)
         if args.from_lines:
-            return profile_from_arrangement(fermat_lines(n), threads=args.threads)
+            return profile_from_arrangement(fermat_lines(n))
         return fermat_profile(n)
     if surface == "rams":
         return rams_profile(_need_degree(args, 6))
@@ -246,15 +240,11 @@ def resolve_profile(args) -> IncidenceProfile:
         if args.eckardt is None:
             raise UsageError("--surface cubic requires --eckardt T")
         return cubic_profile(args.eckardt)
-    if surface == "custom":
-        if args.profile:
-            return load_custom_profile(args.profile)
-        if args.lines:
-            return profile_from_arrangement(
-                load_custom_lines(args.lines), threads=args.threads
-            )
-        raise UsageError("--surface custom needs --profile PATH or --lines PATH")
-    raise UsageError(f"unknown surface {surface}")
+    if args.profile:  # custom
+        return load_custom_profile(args.profile)
+    if args.lines:
+        return profile_from_arrangement(load_custom_lines(args.lines))
+    raise UsageError("--surface custom needs --profile PATH or --lines PATH")
 
 
 def _parse_range(text: str, what: str) -> range:
@@ -298,15 +288,44 @@ def report_row(report: HarbourneReport, places: int) -> list[str]:
     ]
 
 
-def render_csv(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def exact_and_decimal(value, places: int) -> str:
+    return f"{rational_str(value)} ({decimal_str(value, places)})"
 
 
-def render_table(header, rows) -> str:
+@dataclass(frozen=True)
+class Output:
+    """What a command produces, before a format is chosen.
+
+    ``rows`` and ``payload`` are thunks, so only the requested view is
+    built; row cells are rendered with ``str``.  ``table`` gives the table
+    format its own (header, rows) where it differs from the CSV view.
+    ``note`` follows a table and goes to stderr next to CSV; JSON payloads
+    carry it themselves.
+    """
+
+    header: Sequence[str]
+    rows: Callable[[], list[list]]
+    payload: Callable[[], object]
+    table: Optional[Callable[[], tuple[Sequence[str], list[list]]]] = None
+    note: Optional[str] = None
+
+
+def render(out: Output, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(out.payload(), indent=2) + "\n"
+    if fmt == "table" and out.table is not None:
+        header, rows = out.table()
+    else:
+        header, rows = out.header, out.rows()
+    rows = [[str(cell) for cell in row] for row in rows]
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        if out.note:
+            print(f"note: {out.note}", file=sys.stderr)
+        return buffer.getvalue()
     widths = [len(h) for h in header]
     for row in rows:
         for i, cell in enumerate(row):
@@ -315,79 +334,48 @@ def render_table(header, rows) -> str:
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    if out.note:
+        lines.append(f"note: {out.note}")
     return "\n".join(lines) + "\n"
-
-
-def render_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Commands.
 
 
-def cmd_catalog(args) -> str:
+def cmd_catalog(args) -> Output:
     arr = resolve_arrangement(args)
     if args.singular:
-        scan = scan_arrangement(arr, threads=args.threads)
-        if args.format == "json":
-            return render_json(scan_json(scan))
-        header = ["point", "multiplicity", "lines"]
-        rows = [
-            [str(sp.location), str(sp.multiplicity), ";".join(map(str, sp.lines))]
-            for sp in scan.points
-        ]
-        if args.format == "csv":
-            return render_csv(header, rows)
-        return render_table(header, rows)
-    if args.format == "json":
-        return render_json(arrangement_json(arr))
-    header = ["index", "point_1", "point_2", "plucker"]
-    rows = [
-        [
-            str(i),
-            str(line.base[0]),
-            str(line.base[1]),
-            "[" + ", ".join(str(c) for c in line.plucker) + "]",
-        ]
-        for i, line in enumerate(arr.lines)
-    ]
-    if args.format == "csv":
-        return render_csv(header, rows)
-    return render_table(header, rows)
-
-
-def cmd_profile(args) -> str:
-    profile = resolve_profile(args)
-    if args.format == "json":
-        payload = profile_json(profile)
-        payload["incidences"] = incidence_count(profile)
-        return render_json(payload)
-    header = ["n", "d", "s", "t", "incidences"]
-    row = [
-        str(profile.n),
-        str(profile.d),
-        str(profile.s),
-        t_vector_str(profile.t),
-        str(incidence_count(profile)),
-    ]
-    if args.format == "csv":
-        return render_csv(header, [row])
-    return render_table(header, [row])
-
-
-def cmd_analyze(args) -> str:
-    profile = resolve_profile(args)
-    if profile.s == 0:
-        raise UndefinedConstant(
-            "H_L is undefined: the configuration has no singular points (s = 0)"
+        scan = scan_arrangement(arr)
+        return Output(
+            ["point", "multiplicity", "lines"],
+            lambda: [
+                [sp.location, sp.multiplicity, ";".join(map(str, sp.lines))]
+                for sp in scan.points
+            ],
+            lambda: scan_json(scan),
         )
-    report = analyze_profile(profile)
-    if args.format == "json":
-        return render_json(report_json(report, args.places))
-    if args.format == "csv":
-        return render_csv(REPORT_COLUMNS, [report_row(report, args.places)])
-    h = report.h_linear
+    return Output(
+        ["index", "point_1", "point_2", "plucker"],
+        lambda: [
+            [i, *line.base, "[" + ", ".join(map(str, line.plucker)) + "]"]
+            for i, line in enumerate(arr.lines)
+        ],
+        lambda: arrangement_json(arr),
+    )
+
+
+def cmd_profile(args) -> Output:
+    profile = resolve_profile(args)
+    incidences = incidence_count(profile)
+    return Output(
+        ["n", "d", "s", "t", "incidences"],
+        lambda: [[profile.n, profile.d, profile.s, t_vector_str(profile.t), incidences]],
+        lambda: {**profile_json(profile), "incidences": incidences},
+    )
+
+
+def _analyze_table(report: HarbourneReport, places: int):
     rows = [
         ["n", str(report.n)],
         ["d", str(report.d)],
@@ -395,7 +383,7 @@ def cmd_analyze(args) -> str:
         ["t", t_vector_str(report.t)],
         ["incidences", str(report.incidences)],
         ["strict_transform_sq", str(report.strict_transform_sq)],
-        ["h_linear", f"{rational_str(h)} ({decimal_str(h, args.places)})"],
+        ["h_linear", exact_and_decimal(report.h_linear, places)],
     ]
     if report.miyaoka_lhs is None:
         rows.append(["miyaoka", "inapplicable (requires degree n >= 4)"])
@@ -405,211 +393,177 @@ def cmd_analyze(args) -> str:
         rows.append(
             ["miyaoka", f"lhs {report.miyaoka_lhs} <= rhs {report.miyaoka_rhs}: {verdict}"]
         )
-        bound = report.h_lower_bound
         verdict = "satisfied" if report.h_bound_holds else "VIOLATED"
-        rows.append(
-            [
-                "h_lower_bound",
-                f"{rational_str(bound)} ({decimal_str(bound, args.places)}): {verdict}",
-            ]
-        )
+        bound = exact_and_decimal(report.h_lower_bound, places)
+        rows.append(["h_lower_bound", f"{bound}: {verdict}"])
         verdict = "satisfied" if report.strict_bound_holds else "VIOLATED"
-        rows.append(
-            [
-                "strict_sq_lower",
-                f"{report.strict_sq_lower} (strict): {verdict}",
-            ]
+        rows.append(["strict_sq_lower", f"{report.strict_sq_lower} (strict): {verdict}"])
+    return ["quantity", "value"], rows
+
+
+def cmd_analyze(args) -> Output:
+    profile = resolve_profile(args)
+    if profile.s == 0:
+        raise UndefinedConstant(
+            "H_L is undefined: the configuration has no singular points (s = 0)"
         )
-    return render_table(["quantity", "value"], rows)
+    report = analyze_profile(profile)
+    return Output(
+        REPORT_COLUMNS,
+        lambda: [report_row(report, args.places)],
+        lambda: report_json(report, args.places),
+        table=lambda: _analyze_table(report, args.places),
+    )
 
 
-def cmd_verify(args) -> str:
-    checks: list[tuple[str, str, str, bool]] = []
+def cmd_verify(args) -> Output:
+    checks: list[tuple[str, int, int, bool]] = []  # name, lhs, rhs, ok
     explicit = args.surface == "fermat" or (args.surface == "custom" and args.lines)
     if explicit:
         arr = resolve_arrangement(args)
-        identity = verify_identities(arr, threads=args.threads)
-        for check in identity.checks:
-            checks.append((check.name, str(check.lhs), str(check.rhs), check.ok))
+        scan = scan_arrangement(arr)
+        checks += [(c.name, c.lhs, c.rhs, c.ok) for c in verify_identities(scan).checks]
         if args.surface == "fermat":
             good = sum(1 for line in arr.lines if on_surface(line, arr.n))
-            checks.append(("on_surface", str(good), str(arr.d), good == arr.d))
-        profile = profile_from_arrangement(arr, threads=args.threads)
+            checks.append(("on_surface", good, arr.d, good == arr.d))
+        profile = IncidenceProfile(n=arr.n, d=arr.d, t=scan.tally())
     else:
         profile = resolve_profile(args)
-        checks.append(
-            (
-                "pair_count_feasible",
-                str(incidence_count(profile)),
-                str(profile.d * (profile.d - 1)),
-                incidence_count(profile) <= profile.d * (profile.d - 1),
-            )
-        )
+        pairs, budget = incidence_count(profile), profile.d * (profile.d - 1)
+        checks.append(("pair_count_feasible", pairs, budget, pairs <= budget))
         bound = max_lines_bound(profile.n)
-        checks.append(("max_lines_bound", str(profile.d), str(bound), profile.d <= bound))
+        checks.append(("max_lines_bound", profile.d, bound, profile.d <= bound))
     if args.valency is not None:
-        checks.append(
-            (
-                f"valency_{args.valency}",
-                str(incidence_count(profile)),
-                str(profile.d * args.valency),
-                valency_consistent(profile, args.valency),
-            )
-        )
-
-    if args.format == "json":
-        return render_json(
-            {
-                "checks": [
-                    {"name": name, "lhs": lhs, "rhs": rhs, "ok": ok}
-                    for name, lhs, rhs, ok in checks
-                ],
-                "ok": all(ok for *_, ok in checks),
-            }
-        )
-    header = ["check", "lhs", "rhs", "result"]
-    rows = [
-        [name, lhs, rhs, "PASS" if ok else "FAIL"] for name, lhs, rhs, ok in checks
-    ]
-    if args.format == "csv":
-        return render_csv(header, rows)
-    return render_table(header, rows)
+        lhs, rhs = incidence_count(profile), profile.d * args.valency
+        ok = valency_consistent(profile, args.valency)
+        checks.append((f"valency_{args.valency}", lhs, rhs, ok))
+    return Output(
+        ["check", "lhs", "rhs", "result"],
+        lambda: [
+            [name, lhs, rhs, "PASS" if ok else "FAIL"] for name, lhs, rhs, ok in checks
+        ],
+        lambda: {
+            "checks": [
+                {"name": name, "lhs": str(lhs), "rhs": str(rhs), "ok": ok}
+                for name, lhs, rhs, ok in checks
+            ],
+            "ok": all(ok for *_, ok in checks),
+        },
+    )
 
 
-def cmd_bound(args) -> str:
+def cmd_bound(args) -> Output:
     profile = resolve_profile(args)
-    miy = miyaoka_check(profile)  # raises InapplicableDegree for n = 3
-    strict_lower = strict_transform_sq_lower(profile.n, profile.s)
-    h_bound = harbourne_lower_bound(profile) if profile.s > 0 else None
-    h = harbourne_linear(profile) if profile.s > 0 else None
-    payload = {
-        "n": profile.n,
-        "d": profile.d,
-        "s": profile.s,
-        "miyaoka": {"lhs": miy.lhs, "rhs": miy.rhs, "holds": miy.holds},
-        "h_lower_bound": None if h_bound is None else rational_str(h_bound),
-        "h_linear": None if h is None else rational_str(h),
-        "strict_sq_lower": strict_lower,
-    }
-    if args.format == "json":
-        return render_json(payload)
-    rows = [
-        ["n", str(profile.n)],
-        ["d", str(profile.d)],
-        ["s", str(profile.s)],
-        ["miyaoka_lhs", str(miy.lhs)],
-        ["miyaoka_rhs", str(miy.rhs)],
-        ["miyaoka_holds", "yes" if miy.holds else "no"],
-        ["h_lower_bound", "" if h_bound is None else f"{rational_str(h_bound)} ({decimal_str(h_bound, args.places)})"],
-        ["h_linear", "" if h is None else f"{rational_str(h)} ({decimal_str(h, args.places)})"],
-        ["strict_sq_lower", str(strict_lower)],
-    ]
-    if args.format == "csv":
-        return render_csv(["quantity", "value"], rows)
-    return render_table(["quantity", "value"], rows)
+    miyaoka_check(profile)  # raises InapplicableDegree for n = 3
+    report = analyze_profile(profile)
+    h_bound, h = report.h_lower_bound, report.h_linear
+    return Output(
+        ["quantity", "value"],
+        lambda: [
+            ["n", report.n],
+            ["d", report.d],
+            ["s", report.s],
+            ["miyaoka_lhs", report.miyaoka_lhs],
+            ["miyaoka_rhs", report.miyaoka_rhs],
+            ["miyaoka_holds", "yes" if report.miyaoka_holds else "no"],
+            ["h_lower_bound", "" if h_bound is None else exact_and_decimal(h_bound, args.places)],
+            ["h_linear", "" if h is None else exact_and_decimal(h, args.places)],
+            ["strict_sq_lower", report.strict_sq_lower],
+        ],
+        lambda: {
+            "n": report.n,
+            "d": report.d,
+            "s": report.s,
+            "miyaoka": {
+                "lhs": report.miyaoka_lhs,
+                "rhs": report.miyaoka_rhs,
+                "holds": report.miyaoka_holds,
+            },
+            "h_lower_bound": None if h_bound is None else rational_str(h_bound),
+            "h_linear": None if h is None else rational_str(h),
+            "strict_sq_lower": report.strict_sq_lower,
+        },
+    )
 
 
-def cmd_sweep(args) -> str:
-    if args.surface in ("fermat", "rams"):
-        if not args.degrees:
-            raise UsageError(f"sweep --surface {args.surface} requires --degrees A:B")
-        span = _parse_range(args.degrees, "--degrees")
-        if args.surface == "fermat":
-            profiles = [fermat_profile(n) for n in span]
-        else:
-            profiles = [rams_profile(n) for n in span]
-    else:
-        if not args.eckardt_range:
-            raise UsageError("sweep --surface cubic requires --eckardt-range A:B")
-        span = _parse_range(args.eckardt_range, "--eckardt-range")
-        profiles = [cubic_profile(t) for t in span]
-
-    reports = [analyze_profile(p) for p in profiles]
-    if args.format == "json":
-        return render_json([report_json(r, args.places) for r in reports])
-    rows = [report_row(r, args.places) for r in reports]
-    if args.format == "csv":
-        return render_csv(REPORT_COLUMNS, rows)
-    return render_table(list(REPORT_COLUMNS), rows)
+def cmd_sweep(args) -> Output:
+    family, flag, text = {
+        "fermat": (fermat_profile, "--degrees", args.degrees),
+        "rams": (rams_profile, "--degrees", args.degrees),
+        "cubic": (cubic_profile, "--eckardt-range", args.eckardt_range),
+    }[args.surface]
+    if not text:
+        raise UsageError(f"sweep --surface {args.surface} requires {flag} A:B")
+    reports = [analyze_profile(family(x)) for x in _parse_range(text, flag)]
+    return Output(
+        REPORT_COLUMNS,
+        lambda: [report_row(r, args.places) for r in reports],
+        lambda: [report_json(r, args.places) for r in reports],
+    )
 
 
-def cmd_search_bauer(args) -> str:
+def cmd_search_bauer(args) -> Output:
     arr = resolve_arrangement(args)
-    cap = None if args.max_solutions == 0 else args.max_solutions
-    if cap is not None and cap < 1:
+    if args.max_solutions < 0:
         raise UsageError("--max-solutions must be 0 (all) or positive")
-    solutions = bauer_search(arr, args.size, max_solutions=cap, threads=args.threads)
     entries = []
-    for chosen in solutions:
-        sub = arr.subset(chosen)
-        profile = profile_from_arrangement(sub, threads=args.threads)
+    for chosen in bauer_search(arr, args.size, max_solutions=args.max_solutions or None):
+        profile = profile_from_arrangement(arr.subset(chosen))
         entries.append((chosen, profile, harbourne_linear(profile)))
-
-    if args.format == "json":
-        return render_json(
-            {
-                "size": args.size,
-                "solutions": [
-                    {
-                        "lines": list(chosen),
-                        "profile": profile_json(profile),
-                        "h_linear": rational_str(value),
-                    }
-                    for chosen, profile, value in entries
-                ],
-            }
-        )
-    header = ["solution", "lines", "t", "h_exact", "h_decimal"]
-    rows = [
-        [
-            str(i),
-            ";".join(str(idx) for idx in chosen),
-            t_vector_str(profile.t),
-            rational_str(value),
-            decimal_str(value, args.places),
-        ]
-        for i, (chosen, profile, value) in enumerate(entries)
-    ]
-    if args.format == "csv":
-        return render_csv(header, rows)
-    return render_table(header, rows)
+    return Output(
+        ["solution", "lines", "t", "h_exact", "h_decimal"],
+        lambda: [
+            [
+                i,
+                ";".join(map(str, chosen)),
+                t_vector_str(profile.t),
+                rational_str(value),
+                decimal_str(value, args.places),
+            ]
+            for i, (chosen, profile, value) in enumerate(entries)
+        ],
+        lambda: {
+            "size": args.size,
+            "solutions": [
+                {
+                    "lines": list(chosen),
+                    "profile": profile_json(profile),
+                    "h_linear": rational_str(value),
+                }
+                for chosen, profile, value in entries
+            ],
+        },
+    )
 
 
-def cmd_search_extremal(args) -> str:
+def cmd_search_extremal(args) -> Output:
     results = extremal_profile_search(
         args.degree, args.num_lines, args.k_max, limit=args.limit
     )
-    header = ["t", "s", "h_exact", "h_decimal", "miyaoka_lhs", "miyaoka_rhs"]
-    rows = []
-    for profile, value in results:
-        miy = miyaoka_check(profile)
-        rows.append(
+    return Output(
+        ["t", "s", "h_exact", "h_decimal", "miyaoka_lhs", "miyaoka_rhs"],
+        lambda: [
             [
                 t_vector_str(profile.t),
-                str(profile.s),
+                profile.s,
                 exact_cell(value),
                 "" if value is None else decimal_str(value, args.places),
-                str(miy.lhs),
-                str(miy.rhs),
+                *miyaoka_check(profile)[:2],
             ]
-        )
-    if args.format == "json":
-        return render_json(
-            {
-                "note": EXTREMAL_NOTE,
-                "profiles": [
-                    {
-                        "profile": profile_json(profile),
-                        "h_linear": None if value is None else rational_str(value),
-                    }
-                    for profile, value in results
-                ],
-            }
-        )
-    if args.format == "csv":
-        print(f"note: {EXTREMAL_NOTE}", file=sys.stderr)
-        return render_csv(header, rows)
-    return render_table(header, rows) + f"note: {EXTREMAL_NOTE}\n"
+            for profile, value in results
+        ],
+        lambda: {
+            "note": EXTREMAL_NOTE,
+            "profiles": [
+                {
+                    "profile": profile_json(profile),
+                    "h_linear": None if value is None else rational_str(value),
+                }
+                for profile, value in results
+            ],
+        },
+        note=EXTREMAL_NOTE,
+    )
 
 
 COMMANDS = {
@@ -631,7 +585,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse prints its own message (help, usage error)
         return int(exc.code or 0)
     try:
-        payload = COMMANDS[args.command](args)
+        payload = render(COMMANDS[args.command](args), args.format)
     except UsageError as exc:
         print(f"linesurf {args.command}: error: {exc}", file=sys.stderr)
         return 1

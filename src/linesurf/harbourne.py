@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .catalog import Arrangement, IncidenceProfile
+from .catalog import Arrangement, IncidenceProfile, max_lines_bound
 from .incidence import incidence_count, scan_arrangement
 
 
@@ -205,7 +205,6 @@ def bauer_search(
     arr: Arrangement,
     size: int,
     max_solutions: Optional[int] = 1,
-    threads: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
     """Sub-arrangements of ``size`` lines whose singular points are all quadruple.
 
@@ -222,21 +221,19 @@ def bauer_search(
     """
     if size < 2:
         raise ValueError("a subconfiguration needs at least 2 lines")
-    scan = scan_arrangement(arr, threads=threads)
-    quads = [sp for sp in scan.points if sp.multiplicity == 4]
-    if not quads:
+    scan = scan_arrangement(arr)
+    quad_ids = [idx for idx, sp in enumerate(scan.points) if sp.multiplicity == 4]
+    if not quad_ids:
         return []
 
     # Where each pair of lines meets: point index in scan order, or absent.
-    point_index = {sp.location: idx for idx, sp in enumerate(scan.points)}
     pair_point: dict[tuple[int, int], int] = {}
     for idx, sp in enumerate(scan.points):
         for a in range(sp.multiplicity):
             for b in range(a + 1, sp.multiplicity):
                 pair_point[(sp.lines[a], sp.lines[b])] = idx
-    quad_ids = [point_index[sp.location] for sp in quads]
     quad_id_set = set(quad_ids)
-    lines_of_point = {idx: scan.points[idx].lines for idx in range(len(scan.points))}
+    lines_of_point = [sp.lines for sp in scan.points]
 
     solutions: list[tuple[int, ...]] = []
 
@@ -279,8 +276,7 @@ def bauer_search(
                 pid = meeting(chosen[i], chosen[j])
                 if pid is not None:
                     counts[pid] = counts.get(pid, 0) + 1
-        mults = {pid: c for pid, c in counts.items()}
-        for pid, pairs in mults.items():
+        for pairs in counts.values():
             if pairs != 6:  # C(4,2): exactly four chosen lines through the point
                 raise AssertionError("search produced an invalid subconfiguration")
         if chosen not in solutions:
@@ -330,14 +326,13 @@ def extremal_profile_search(
         raise InapplicableDegree("the extremal search is gated on degree n >= 4")
     if d < 1:
         raise ValueError("the search needs at least one line")
-    from .catalog import max_lines_bound
-
-    if d > max_lines_bound(n):
-        raise ValueError(
-            f"d = {d} exceeds the line-count bound {max_lines_bound(n)} for degree {n}"
-        )
+    bound = max_lines_bound(n)
+    if d > bound:
+        raise ValueError(f"d = {d} exceeds the line-count bound {bound} for degree {n}")
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
 
     budget = d * (d - 1)
     ks = [k for k in range(2, min(k_max, d) + 1)]

@@ -10,9 +10,7 @@ point counts and meeting pairs together are checked on top.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 from .catalog import Arrangement, IncidenceProfile
 from .projgeom import ProjPoint, line_intersection, point_on_line
@@ -40,52 +38,29 @@ class ScanResult:
         return out
 
 
-def _scan_pairs(lines, pairs):
-    groups: dict[ProjPoint, set[int]] = {}
-    meeting = 0
-    for i, j in pairs:
-        pt = line_intersection(lines[i], lines[j])
-        if pt is None:
-            continue
-        meeting += 1
-        members = groups.get(pt)
-        if members is None:
-            groups[pt] = {i, j}
-        else:
-            members.add(i)
-            members.add(j)
-    return groups, meeting
-
-
-def scan_arrangement(arr: Arrangement, threads: Optional[int] = None) -> ScanResult:
+def scan_arrangement(arr: Arrangement) -> ScanResult:
     """All distinct singular points of an arrangement, with multiplicities.
 
-    The pair scan may run on several threads; grouping is a keyed merge on
-    canonical point coordinates, so the result is identical for every
-    schedule.  Each grouped point's multiplicity is recounted from scratch
-    via point_on_line over all lines, which also validates the grouping.
+    Pair intersections are grouped by canonical point coordinates.  Each
+    grouped point's multiplicity is recounted from scratch via
+    point_on_line over all lines, which also validates the grouping.
     """
     lines = arr.lines
     d = len(lines)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-
-    if threads and threads > 1 and len(pairs) > 1:
-        chunk = (len(pairs) + threads - 1) // threads
-        batches = [pairs[k : k + chunk] for k in range(0, len(pairs), chunk)]
-        groups: dict[ProjPoint, set[int]] = {}
-        meeting = 0
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for local_groups, local_meeting in pool.map(
-                lambda batch: _scan_pairs(lines, batch), batches
-            ):
-                meeting += local_meeting
-                for pt, members in local_groups.items():
-                    if pt in groups:
-                        groups[pt].update(members)
-                    else:
-                        groups[pt] = members
-    else:
-        groups, meeting = _scan_pairs(lines, pairs)
+    groups: dict[ProjPoint, set[int]] = {}
+    meeting = 0
+    for i in range(d):
+        for j in range(i + 1, d):
+            pt = line_intersection(lines[i], lines[j])
+            if pt is None:
+                continue
+            meeting += 1
+            members = groups.get(pt)
+            if members is None:
+                groups[pt] = {i, j}
+            else:
+                members.add(i)
+                members.add(j)
 
     points = []
     for pt, members in groups.items():
@@ -101,14 +76,14 @@ def scan_arrangement(arr: Arrangement, threads: Optional[int] = None) -> ScanRes
     return ScanResult(tuple(points), meeting)
 
 
-def singular_points(arr: Arrangement, threads: Optional[int] = None) -> tuple[SingularPoint, ...]:
+def singular_points(arr: Arrangement) -> tuple[SingularPoint, ...]:
     """The distinct points where at least two lines meet, in canonical order."""
-    return scan_arrangement(arr, threads=threads).points
+    return scan_arrangement(arr).points
 
 
-def profile_from_arrangement(arr: Arrangement, threads: Optional[int] = None) -> IncidenceProfile:
+def profile_from_arrangement(arr: Arrangement) -> IncidenceProfile:
     """Tally the scanned singular points into an incidence profile."""
-    scan = scan_arrangement(arr, threads=threads)
+    scan = scan_arrangement(arr)
     return IncidenceProfile(n=arr.n, d=arr.d, t=scan.tally())
 
 
@@ -148,15 +123,14 @@ class IdentityReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_identities(arr: Arrangement, threads: Optional[int] = None) -> IdentityReport:
-    """Check the combinatorial identities tying the scan to its own tally.
+def verify_identities(scan: ScanResult) -> IdentityReport:
+    """Check the combinatorial identities tying a scan to its own tally.
 
     On the computed singular points: the multiplicity sum equals
     sum k*t_k, the number of distinct points equals sum t_k, and the
     binomial sum of multiplicities equals the number of meeting line
     pairs seen by the pair scan.
     """
-    scan = scan_arrangement(arr, threads=threads)
     tally = scan.tally()
 
     mult_sum = sum(sp.multiplicity for sp in scan.points)

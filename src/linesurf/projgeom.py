@@ -5,9 +5,6 @@ coordinate is 1; lines carry a base point pair, canonically scaled
 Plucker coordinates, and the two linear forms cutting the line out.  All
 predicates (canonical equality, point-on-line, meet-or-skew) are decided
 by exact field arithmetic, never by tolerances.
-
-Everything is immutable and pure, so independent pair computations can
-run concurrently without synchronization.
 """
 
 from __future__ import annotations
@@ -89,11 +86,6 @@ class ProjPoint:
     @classmethod
     def from_json(cls, obj: list) -> "ProjPoint":
         return cls([CycloNum.from_json(c) for c in obj])
-
-
-def normalize_point(coords: Iterable[CycloNum]) -> ProjPoint:
-    """Canonicalize homogeneous coordinates (first nonzero coordinate 1)."""
-    return ProjPoint(coords)
 
 
 # ---------------------------------------------------------------------------

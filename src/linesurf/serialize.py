@@ -27,10 +27,6 @@ def rational_str(value: Union[int, Fraction]) -> str:
     return str(Fraction(value))
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def decimal_str(value: Union[int, Fraction], places: int = 3) -> str:
     """Fixed-point rendering truncated toward zero at ``places`` digits."""
     if places < 0:
@@ -152,12 +148,18 @@ def _coordinate(value, m: int, where: str) -> CycloNum:
             coeffs = [Fraction(c) for c in value["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: bad cyclotomic coordinate: {exc}") from exc
+        inexact = [c for c in value["coeffs"] if isinstance(c, (bool, float))]
+        if inexact:
+            raise SchemaError(
+                f"{where}: cyclotomic coefficients must be integers or 'p/q' strings, "
+                f"got {inexact[0]!r}"
+            )
         if cm != m:
             raise SchemaError(
                 f"{where}: coordinate conductor {cm} differs from required {m}"
             )
         return CycloNum(m, coeffs)
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return CycloNum.rational(m, value)
     if isinstance(value, str):
         try:

@@ -35,6 +35,7 @@ from linesurf.harbourne import (
 )
 from linesurf.incidence import (
     profile_from_arrangement,
+    scan_arrangement,
     valency_consistent,
     verify_identities,
 )
@@ -199,7 +200,7 @@ def test_criterion_08_bound_soundness():
     assert report(8, ok, f"Miyaoka + both lower bounds on {len(profiles)} profiles with n >= 4")
 
 
-def test_criterion_09_property_suites(fermat_arrs):
+def test_criterion_09_property_suites(fermat_arrs, fermat_scans):
     rng = random.Random(20260809)
     cases = 0
     ok = True
@@ -243,16 +244,16 @@ def test_criterion_09_property_suites(fermat_arrs):
         strict_transform_sq(profile)  # raises when the two forms disagree
         produced += 1
 
-    arrangements = list(fermat_arrs.values())
+    scans = list(fermat_scans.values())
     witness = bauer_search(fermat_arrs[4], 16)
     if witness:
-        arrangements.append(fermat_arrs[4].subset(witness[0]))
-    for arr in arrangements:
-        ok &= verify_identities(arr).ok
+        scans.append(scan_arrangement(fermat_arrs[4].subset(witness[0])))
+    for scan in scans:
+        ok &= verify_identities(scan).ok
 
     assert report(
         9, ok, f"{cases} field-axiom cases, all Plucker relations, "
-        f"{produced} two-form identities, identities on {len(arrangements)} arrangements"
+        f"{produced} two-form identities, identities on {len(scans)} arrangements"
     )
 
 

@@ -178,7 +178,7 @@ class TestBound:
     def test_cubic_is_inapplicable(self, capsys):
         code, _, err = run(capsys, "bound", "--surface", "cubic", "--eckardt", "18")
         assert code == 2
-        assert "n >= 4" in err
+        assert err == "linesurf bound: Miyaoka's inequality requires surface degree n >= 4\n"
 
 
 class TestSweep:
@@ -268,6 +268,14 @@ class TestSearches:
         assert "realizable" in payload["note"]
         assert len(payload["profiles"]) == 5
 
+    def test_search_extremal_negative_limit(self, capsys):
+        argv = ["search-extremal", "--degree", "4", "--num-lines", "6", "--k-max", "3"]
+        code, out, err = run(capsys, *argv, "--format", "csv", "--limit", "-1")
+        assert (code, out) == (2, "")
+        assert "limit must be nonnegative" in err
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 52
+
     def test_search_extremal_degree_gate(self, capsys):
         code, _, err = run(
             capsys, "search-extremal", "--degree", "3", "--num-lines", "5", "--k-max", "3"
@@ -336,6 +344,49 @@ class TestCustomInput:
         with pytest.raises(SchemaError, match="conductor"):
             load_custom_lines(str(path))
 
+    def test_float_coefficient_rejected(self, capsys, tmp_path):
+        # 0.1 is not exact in binary; it must not turn into 3602879701896397/2^55
+        point = [{"m": 8, "coeffs": [0.1, 0, 0, 0]}, 0, 1, 0]
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"n": 4, "lines": [[[0, 1, 0, 0], point]]}))
+        with pytest.raises(SchemaError, match="0.1"):
+            load_custom_lines(str(path))
+        code, out, err = run(
+            capsys, "catalog", "--surface", "custom", "--lines", str(path),
+            "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert "integers or 'p/q' strings" in err
+
+    @pytest.mark.parametrize(
+        "coordinate", (True, False, {"m": 8, "coeffs": [0, True, 0, 0]})
+    )
+    def test_boolean_coordinate_rejected(self, tmp_path, coordinate):
+        path = tmp_path / "bool.json"
+        point = [1, 0, coordinate, 1]
+        path.write_text(json.dumps({"n": 4, "lines": [[[0, 1, 0, 0], point]]}))
+        with pytest.raises(SchemaError):
+            load_custom_lines(str(path))
+
+    def test_exact_coefficients_still_load(self, tmp_path):
+        point = [{"m": 8, "coeffs": [1, "1/10", "-3", 0]}, 0, 1, 0]
+        path = tmp_path / "exact.json"
+        path.write_text(json.dumps({"n": 4, "lines": [[[0, 1, 0, 0], point]]}))
+        assert load_custom_lines(str(path)).d == 1
+
+    @pytest.mark.parametrize("count", (2.7, 2.0, True, "2"))
+    def test_non_integer_count_rejected(self, capsys, tmp_path, count):
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps({"n": 4, "d": 6, "t": {"2": count}}))
+        with pytest.raises(SchemaError, match="t_2"):
+            load_custom_profile(str(path))
+        code, out, err = run(
+            capsys, "profile", "--surface", "custom", "--profile", str(path),
+            "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert "JSON integer" in err
+
     def test_analyze_custom_lines_end_to_end(self, capsys, tmp_path):
         # two meeting lines: one double point, H_L = ((2-4)*2 - 2)/1 = -6
         data = {
@@ -382,6 +433,24 @@ class TestOutputBehavior:
         )
         assert code == 0
         assert plain == threaded
+
+    def test_verify_scans_once(self, capsys, monkeypatch):
+        import linesurf.cli
+        import linesurf.incidence
+
+        calls = []
+        original = linesurf.incidence.scan_arrangement
+
+        def counting(arr):
+            calls.append(arr.d)
+            return original(arr)
+
+        # both bindings, so a scan through incidence helpers is counted too
+        monkeypatch.setattr(linesurf.cli, "scan_arrangement", counting)
+        monkeypatch.setattr(linesurf.incidence, "scan_arrangement", counting)
+        code, out, _ = run(capsys, "verify", "--surface", "fermat", "--degree", "3")
+        assert code == 0 and "FAIL" not in out
+        assert calls == [27]
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "--surface", "fermat", "--nope")

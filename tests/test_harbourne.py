@@ -220,6 +220,11 @@ class TestExtremalSearch:
         with pytest.raises(ValueError):
             extremal_profile_search(4, 65, 3)
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit"):
+            extremal_profile_search(4, 6, 3, limit=-1)
+        assert extremal_profile_search(4, 6, 3, limit=0) == []
+
 
 class TestBoundSoundness:
     def test_family_sweep(self):

@@ -54,8 +54,7 @@ class TestSingularPoints:
         arr = fermat_arrs[3]
         base = scan_arrangement(arr)
         again = scan_arrangement(arr)
-        threaded = scan_arrangement(arr, threads=4)
-        assert base == again == threaded
+        assert base == again
 
 
 class TestProfileFromArrangement:
@@ -97,8 +96,8 @@ class TestValency:
 
 
 class TestVerifyIdentities:
-    def test_fermat_cubic(self, fermat_arrs):
-        report = verify_identities(fermat_arrs[3])
+    def test_fermat_cubic(self, fermat_scans):
+        report = verify_identities(fermat_scans[3])
         assert report.ok
         mult_sum = next(c for c in report.checks if c.name == "multiplicity_sum")
         assert mult_sum.lhs == 2 * 81 + 3 * 18 == 216
@@ -107,7 +106,7 @@ class TestVerifyIdentities:
         arr = simple_arrangement(
             [((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0))]
         )
-        report = verify_identities(arr)
+        report = verify_identities(scan_arrangement(arr))
         assert report.ok
         points = next(c for c in report.checks if c.name == "point_count")
         pairs = next(c for c in report.checks if c.name == "meeting_pairs")

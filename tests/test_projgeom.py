@@ -8,7 +8,6 @@ from linesurf.projgeom import (
     ProjPoint,
     line_intersection,
     line_through,
-    normalize_point,
     plucker_pairing,
     point_on_line,
 )
@@ -58,7 +57,7 @@ class TestNormalization:
 
     def test_idempotent(self):
         p = pt(0, 3, 5, 7)
-        assert normalize_point(p.coords) == p
+        assert ProjPoint(p.coords) == p
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -27,11 +27,6 @@ class TestBauerSearch:
             profile = profile_from_arrangement(fermat_arrs[4].subset(chosen))
             assert set(profile.t) == {4}
 
-    def test_threaded_scan_same_result(self, fermat_arrs):
-        assert bauer_search(fermat_arrs[4], 16) == bauer_search(
-            fermat_arrs[4], 16, threads=4
-        )
-
     def test_fermat_cubic_has_no_quadruple_points(self, fermat_arrs):
         assert bauer_search(fermat_arrs[3], 16) == []
 
