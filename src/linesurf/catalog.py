@@ -92,8 +92,9 @@ class IncidenceProfile:
             t = {int(k): c for k, c in t_raw.items()}
         except (TypeError, ValueError) as exc:
             raise ProfileError(f"profile t-vector entries must be integers: {exc}") from exc
-        if not isinstance(n, int) or not isinstance(d, int):
-            raise ProfileError("profile fields n and d must be integers")
+        for name, value in (("n", n), ("d", d)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ProfileError(f"profile field {name} must be a JSON integer, got {value!r}")
         return cls(n=n, d=d, t=t)
 
 

@@ -585,6 +585,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse prints its own message (help, usage error)
         return int(exc.code or 0)
     try:
+        if args.places < 0:
+            raise ValueError("places must be nonnegative")
         payload = render(COMMANDS[args.command](args), args.format)
     except UsageError as exc:
         print(f"linesurf {args.command}: error: {exc}", file=sys.stderr)

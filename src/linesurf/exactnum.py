@@ -12,8 +12,7 @@ zero-testing are therefore decidable with no tolerance, which is what
 every exact geometric predicate downstream relies on.
 
 No floating point is used anywhere in this module.  Values are immutable
-and all operations are pure, so everything here is safe to share between
-threads.
+and all operations are pure.
 
 Polynomials are represented as dense coefficient sequences, constant term
 first.
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -136,54 +136,26 @@ def _mul_vec(m: int, a: Sequence, b: Sequence) -> tuple:
     return tuple(_qnorm(x) for x in acc[:f])
 
 
-# ---------------------------------------------------------------------------
-# Rational polynomial helpers for inversion (extended Euclid against Phi_m).
+def _combine(coeffs: Sequence, rows: Sequence[Sequence]) -> tuple:
+    """The reduced vector sum of coeffs[i] * rows[i]."""
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for idx, r in enumerate(row):
+                if r:
+                    acc[idx] += c * r
+    return tuple(_qnorm(x) for x in acc)
 
 
-def _trimmed(v: list[Fraction]) -> list[Fraction]:
-    while v and not v[-1]:
-        v.pop()
-    return v
-
-
-def _fpoly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(a)
-    quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(rem) >= len(b) and _trimmed(rem):
-        shift = len(rem) - len(b)
-        c = rem[-1] / lead
-        quot[shift] = c
-        for i, bc in enumerate(b):
-            rem[shift + i] -= c * bc
-        _trimmed(rem)
-    return _trimmed(quot), rem
-
-
-def _fpoly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-
-    def sub_scaled(x, q, y):
-        # x - q*y
-        prod = [Fraction(0)] * (len(q) + len(y) - 1) if q and y else []
-        for i, qc in enumerate(q):
-            if qc:
-                for j, yc in enumerate(y):
-                    prod[i + j] += qc * yc
-        out = list(x) + [Fraction(0)] * max(0, len(prod) - len(x))
-        for i, pc in enumerate(prod):
-            out[i] -= pc
-        return _trimmed(out)
-
-    while _trimmed(r1):
-        q, r = _fpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub_scaled(s0, q, s1)
-        t0, t1 = t1, sub_scaled(t0, q, t1)
-    return r0, s0, t0
+@lru_cache(maxsize=None)
+def _conjugate_rows(m: int) -> tuple:
+    """For each unit k != 1 mod m, the images of zeta^0..zeta^(f-1) under zeta -> zeta^k."""
+    f = len(cyclotomic_polynomial(m)) - 1
+    return tuple(
+        tuple(_zeta_pow_vec(m, i * k % m) for i in range(f))
+        for k in range(2, m)
+        if gcd(k, m) == 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +198,7 @@ class CycloNum:
         f = len(cyclotomic_polynomial(m)) - 1
         vec = [_coeff(c) for c in coeffs]
         if len(vec) > f:
-            _, rem = _fpoly_divmod(
-                [Fraction(c) for c in vec],
-                [Fraction(c) for c in cyclotomic_polynomial(m)],
-            )
-            vec = [_qnorm(c) for c in rem]
+            vec = list(_combine(vec, [_zeta_pow_vec(m, i % m) for i in range(len(vec))]))
         vec.extend([0] * (f - len(vec)))
         self.m = m
         self.coeffs = tuple(vec)
@@ -314,18 +282,23 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """The multiplicative inverse, via extended Euclid against Phi_m.
+        """The multiplicative inverse P / N(a), through the Galois norm.
 
-        Phi_m is irreducible over Q, so every nonzero reduced representative
-        is coprime to it and the gcd is a nonzero constant.
+        P is the product of the conjugates zeta -> zeta^k of a over the
+        units k != 1 mod m, so a * P is the product of all conjugates, the
+        norm N(a): a rational, nonzero because a is.
         """
         if self.is_zero():
             raise ZeroDivisionError(f"inverse of zero in Q(zeta_{self.m})")
-        a = _trimmed([Fraction(c) for c in self.coeffs])
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        g, u, _ = _fpoly_xgcd(a, phi)
-        scale = g[0]
-        return CycloNum(self.m, [c / scale for c in u])
+        m, a = self.m, self.coeffs
+        prod = (1,) + (0,) * (len(a) - 1)
+        for rows in _conjugate_rows(m):
+            prod = _mul_vec(m, prod, _combine(a, rows))
+        norm = _mul_vec(m, a, prod)
+        if any(norm[1:]):
+            raise AssertionError(f"norm of {self!r} is not rational")
+        scale = 1 / Fraction(norm[0])
+        return _raw(m, tuple(_qnorm(c * scale) for c in prod))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -2,13 +2,16 @@
 
 Points carry homogeneous coordinates normalized so the first nonzero
 coordinate is 1; lines carry a base point pair, canonically scaled
-Plucker coordinates, and the two linear forms cutting the line out.  All
-predicates (canonical equality, point-on-line, meet-or-skew) are decided
-by exact field arithmetic, never by tolerances.
+Plucker coordinates, and two linear forms cutting the line out, read off
+the dual Plucker matrix.  Meeting lines intersect in a closed form built
+from one base point pair and one such form, so no linear system is ever
+solved.  All predicates (canonical equality, point-on-line, meet-or-skew)
+are decided by exact field arithmetic, never by tolerances.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .exactnum import ConductorMismatch, CycloNum, Scalar
@@ -83,55 +86,6 @@ class ProjPoint:
     def to_json(self) -> list:
         return [c.to_json() for c in self.coords]
 
-    @classmethod
-    def from_json(cls, obj: list) -> "ProjPoint":
-        return cls([CycloNum.from_json(c) for c in obj])
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra over the field (small dense systems only).
-
-
-def _rref(rows: list[list[CycloNum]]) -> tuple[list[list[CycloNum]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _nullspace(rows: list[Sequence[CycloNum]], m: int) -> list[tuple[CycloNum, ...]]:
-    """Canonical basis of the solution space of rows * x = 0 in K^4."""
-    reduced, pivots = _rref([list(r) for r in rows])
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    one = CycloNum.one(m)
-    zero = CycloNum.zero(m)
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(tuple(vec))
-    return basis
-
 
 class ProjLine:
     """A line of P^3: two distinct base points plus derived exact data.
@@ -139,9 +93,11 @@ class ProjLine:
     ``plucker`` holds the six coordinates (p01, p02, p03, p12, p13, p23),
     scaled so the first nonzero one is 1; equal lines always have equal
     Plucker vectors no matter which point pair produced them.  ``forms``
-    holds the canonical basis of the two linear forms vanishing on the
-    line (the reduced row echelon nullspace of the base-point matrix),
-    which makes membership tests and intersections plain linear algebra.
+    holds two linear forms vanishing on the line: the rows i, j of the
+    dual Plucker matrix, where {i, j} is the complement of the pair {k, l}
+    of the leading Plucker coordinate.  Row i is the plane through the
+    line and the coordinate point e_i; the two rows are independent
+    because their minor in columns i, j is p_kl^2 = 1.
     """
 
     __slots__ = ("base", "plucker", "forms")
@@ -151,10 +107,10 @@ class ProjLine:
             raise ConductorMismatch("base points must share one conductor")
         if p == q:
             raise ValueError("a line needs two distinct points")
-        m = p.conductor
         a, b = p.coords, q.coords
         raw = [a[i] * b[j] - a[j] * b[i] for i, j in PLUCKER_PAIRS]
-        lead = next(c for c in raw if not c.is_zero())
+        lead_index = next(i for i, c in enumerate(raw) if not c.is_zero())
+        lead = raw[lead_index]
         if lead != 1:
             inv = lead.inverse()
             raw = [c * inv for c in raw]
@@ -164,14 +120,12 @@ class ProjLine:
             raise AssertionError("Plucker relation violated; construction bug")
         self.base = (p, q)
         self.plucker = plucker
-        self.forms = tuple(_nullspace([a, b], m))
+        lead_pair = PLUCKER_PAIRS[lead_index]
+        self.forms = tuple(_dual_row(plucker, i) for i in range(4) if i not in lead_pair)
 
     @property
     def conductor(self) -> int:
         return self.base[0].conductor
-
-    def sort_key(self):
-        return (self.conductor,) + tuple(c.coeffs for c in self.plucker)
 
     def __eq__(self, other):
         if not isinstance(other, ProjLine):
@@ -194,30 +148,45 @@ class ProjLine:
         }
 
 
+def _dual_row(plucker: Sequence[CycloNum], i: int) -> tuple[CycloNum, ...]:
+    """Row i of the dual Plucker matrix: the form x -> det(p, q, e_i, x).
+
+    Its x_j coefficient is sign(k, l, i, j) * p_kl, where {k, l} is the
+    complement of {i, j}; the x_i coefficient is 0.
+    """
+    row = []
+    for j in range(4):
+        if j == i:
+            row.append(CycloNum.zero(plucker[0].m))
+            continue
+        k, l = (c for c in range(4) if c not in (i, j))
+        value = plucker[PLUCKER_PAIRS.index((k, l))]
+        odd = sum(s > t for s, t in combinations((k, l, i, j), 2)) % 2
+        row.append(-value if odd else value)
+    return tuple(row)
+
+
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The unique line through two distinct points."""
     return ProjLine(p, q)
 
 
-def _dot(u: Sequence[CycloNum], v: Sequence[CycloNum]) -> Optional[CycloNum]:
+def _dot(form: Sequence[CycloNum], x: Sequence[CycloNum]) -> CycloNum:
+    """The value of a linear form at a coordinate vector."""
     acc = None
-    for a, b in zip(u, v):
+    for a, b in zip(form, x):
         if a.is_zero() or b.is_zero():
             continue
         term = a * b
         acc = term if acc is None else acc + term
-    return acc
+    return CycloNum.zero(x[0].m) if acc is None else acc
 
 
 def point_on_line(pt: ProjPoint, line: ProjLine) -> bool:
     """Exact membership test: both defining forms vanish at the point."""
     if pt.conductor != line.conductor:
         raise ConductorMismatch("point and line must share one conductor")
-    for form in line.forms:
-        acc = _dot(form, pt.coords)
-        if acc is not None and not acc.is_zero():
-            return False
-    return True
+    return all(_dot(form, pt.coords).is_zero() for form in line.forms)
 
 
 def plucker_pairing(a: ProjLine, b: ProjLine) -> CycloNum:
@@ -236,16 +205,23 @@ def plucker_pairing(a: ProjLine, b: ProjLine) -> CycloNum:
 def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
     """The common point of two distinct lines, or None if they are skew.
 
-    Coplanarity is decided by the Plucker pairing; for coplanar distinct
-    lines the stacked 4x4 system of both lines' defining forms has a
-    one-dimensional solution space, which is the intersection point.
+    The Plucker pairing decides whether the lines meet.  If they do, write
+    a = span(p, q) and take a form f of b that does not vanish at both p
+    and q; the second form is needed when a lies in the plane of the
+    first.  Then f(q) p - f(p) q is the one point of a on the plane f = 0,
+    which is the meeting point.  The point is checked against both forms
+    of b, so a pairing that reports a skew pair as meeting fails loudly.
     """
     if a == b:
         raise ValueError("line_intersection requires two distinct lines")
     if not plucker_pairing(a, b).is_zero():
         return None
-    m = a.conductor
-    solutions = _nullspace([*a.forms, *b.forms], m)
-    if len(solutions) != 1:
-        raise AssertionError("distinct coplanar lines must meet in exactly one point")
-    return ProjPoint(solutions[0])
+    p, q = a.base[0].coords, a.base[1].coords
+    for form in b.forms:
+        fp, fq = _dot(form, p), _dot(form, q)
+        if not (fp.is_zero() and fq.is_zero()):
+            break
+    meet = [fq * x - fp * y for x, y in zip(p, q)]
+    if not all(_dot(form, meet).is_zero() for form in b.forms):
+        raise AssertionError("lines reported as meeting do not share a point")
+    return ProjPoint(meet)

@@ -144,10 +144,12 @@ def load_custom_profile(path: str) -> IncidenceProfile:
 def _coordinate(value, m: int, where: str) -> CycloNum:
     if isinstance(value, dict):
         try:
-            cm = int(value["m"])
+            cm = value["m"]
             coeffs = [Fraction(c) for c in value["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: bad cyclotomic coordinate: {exc}") from exc
+        if isinstance(cm, bool) or not isinstance(cm, int):
+            raise SchemaError(f"{where}: conductor m must be a JSON integer, got {cm!r}")
         inexact = [c for c in value["coeffs"] if isinstance(c, (bool, float))]
         if inexact:
             raise SchemaError(

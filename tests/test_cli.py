@@ -227,6 +227,20 @@ class TestSweep:
         payload = json.loads(out)
         assert payload["h_linear"]["decimal"] == "-2.509803"
 
+    @pytest.mark.parametrize("fmt", ("table", "csv", "json"))
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("bound", "--surface", "schur"),
+            ("search-bauer", "--surface", "fermat", "--degree", "4", "--size", "16"),
+            ("search-extremal", "--degree", "4", "--num-lines", "6", "--k-max", "3"),
+        ),
+    )
+    def test_negative_places_rejected_in_every_format(self, capsys, argv, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt, "--places", "-1")
+        assert (code, out) == (2, "")
+        assert err == f"linesurf {argv[0]}: places must be nonnegative\n"
+
     def test_bad_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--surface", "fermat", "--degrees", "12")
         assert code == 1
@@ -358,6 +372,20 @@ class TestCustomInput:
         assert (code, out) == (2, "")
         assert "integers or 'p/q' strings" in err
 
+    @pytest.mark.parametrize("conductor", (8.9, "8", True))
+    def test_non_integer_conductor_rejected(self, capsys, tmp_path, conductor):
+        point = [{"m": conductor, "coeffs": [1, 0, 0, 0]}, 0, 1, 0]
+        path = tmp_path / "conductor.json"
+        path.write_text(json.dumps({"n": 4, "lines": [[[0, 1, 0, 0], point]]}))
+        with pytest.raises(SchemaError, match="conductor m must be a JSON integer"):
+            load_custom_lines(str(path))
+        code, out, err = run(
+            capsys, "catalog", "--surface", "custom", "--lines", str(path),
+            "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert f"got {conductor!r}" in err
+
     @pytest.mark.parametrize(
         "coordinate", (True, False, {"m": 8, "coeffs": [0, True, 0, 0]})
     )
@@ -379,6 +407,21 @@ class TestCustomInput:
         path = tmp_path / "count.json"
         path.write_text(json.dumps({"n": 4, "d": 6, "t": {"2": count}}))
         with pytest.raises(SchemaError, match="t_2"):
+            load_custom_profile(str(path))
+        code, out, err = run(
+            capsys, "profile", "--surface", "custom", "--profile", str(path),
+            "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert "JSON integer" in err
+
+    @pytest.mark.parametrize(
+        "fields", ({"n": 4, "d": True}, {"n": True, "d": 6}, {"n": 4, "d": False})
+    )
+    def test_boolean_degree_or_line_count_rejected(self, capsys, tmp_path, fields):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({**fields, "t": {}}))
+        with pytest.raises(SchemaError, match="must be a JSON integer"):
             load_custom_profile(str(path))
         code, out, err = run(
             capsys, "profile", "--surface", "custom", "--profile", str(path),

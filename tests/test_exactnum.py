@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linesurf import exactnum
 from linesurf.exactnum import (
     ConductorMismatch,
     CycloNum,
@@ -14,7 +15,7 @@ from linesurf.exactnum import (
     zeta,
 )
 
-CONDUCTORS = (4, 6, 8, 10, 12)
+CONDUCTORS = (4, 6, 8, 9, 10, 12, 14, 15, 16)
 
 
 def poly_mul(a, b):
@@ -99,6 +100,50 @@ class TestArithmetic:
         with pytest.raises(ConductorMismatch):
             zeta(6) * zeta(4)
         assert not (zeta(6) == zeta(8))
+
+
+class TestSympyOracle:
+    """inverse and long-input reduction against sympy's Q[x] arithmetic mod Phi_m."""
+
+    @staticmethod
+    def coeffs_of(sympy, expr, x, length):
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+        return tuple(coeffs + [0] * (length - len(coeffs)))
+
+    @pytest.mark.parametrize("m", CONDUCTORS)
+    def test_inverse(self, m):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        phi = sympy.cyclotomic_poly(m, x)
+        rng = random.Random(m)
+        f = euler_phi(m)
+        for _ in range(4):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f)]
+            if not any(coeffs):
+                continue
+            poly = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+            expected = self.coeffs_of(sympy, sympy.invert(poly, phi, x), x, f)
+            assert CycloNum(m, coeffs).inverse().coeffs == expected
+
+    @pytest.mark.parametrize("m", CONDUCTORS)
+    def test_long_input_reduction(self, m):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        phi = sympy.cyclotomic_poly(m, x)
+        rng = random.Random(-m)
+        for length in (euler_phi(m) + 1, m + 1, 3 * m + 2):
+            coeffs = [rng.randint(-9, 9) for _ in range(length)]
+            poly = sum(c * x**i for i, c in enumerate(coeffs))
+            expected = self.coeffs_of(sympy, sympy.rem(poly, phi, x), x, euler_phi(m))
+            assert CycloNum(m, coeffs).coeffs == expected
+
+
+def test_inverse_rejects_irrational_norm(monkeypatch):
+    # dropping one conjugate leaves a * P irrational, which the inverse must refuse
+    rows = exactnum._conjugate_rows
+    monkeypatch.setattr(exactnum, "_conjugate_rows", lambda m: rows(m)[:-1])
+    with pytest.raises(AssertionError, match="not rational"):
+        (2 + zeta(8)).inverse()
 
 
 class TestRootsOfMinusOne:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from linesurf import projgeom
 from linesurf.exactnum import CycloNum, nth_roots_of_minus_one, zeta
 from linesurf.projgeom import (
     ProjPoint,
@@ -200,4 +201,52 @@ class TestIntersection:
         b = line_through(pt(1, 1, 0, 0), pt(1, -1, 0, 0))
         assert a == b
         with pytest.raises(ValueError):
+            line_intersection(a, b)
+
+    def test_line_in_plane_of_first_form(self):
+        # a lies in the plane w = 0 of b.forms[0], so that form gives no point on a
+        e0, e1, e2 = pt(1, 0, 0, 0), pt(0, 1, 0, 0), pt(0, 0, 1, 0)
+        a, b = line_through(e0, e2), line_through(e0, e1)
+        assert all(projgeom._dot(b.forms[0], p.coords).is_zero() for p in a.base)
+        assert line_intersection(a, b) == e0
+        assert line_intersection(b, a) == e0
+
+    def test_matches_rank_oracle_through_shared_point(self):
+        rng = random.Random(2718)
+
+        def rand_value():
+            return CycloNum(M, [rng.randint(-3, 3) for _ in range(2)])
+
+        def rand_point():
+            return ProjPoint.from_values(M, [rand_value() for _ in range(4)])
+
+        def rand_line_through(x):
+            # neither base point is x itself, so the closed form does real work
+            other = rand_point()
+            base = []
+            for _ in range(2):
+                s, t = rand_value(), rand_value()
+                base.append(ProjPoint([s * u + t * v for u, v in zip(x.coords, other.coords)]))
+            return line_through(*base)
+
+        checked = 0
+        while checked < 25:
+            shared = rand_point()
+            try:
+                a, b = rand_line_through(shared), rand_line_through(shared)
+            except ValueError:  # a degenerate draw: zero vector or coincident points
+                continue
+            if a == b:
+                continue
+            meet = line_intersection(a, b)
+            assert meet == shared
+            assert on_line_by_rank(meet, a) and on_line_by_rank(meet, b)
+            checked += 1
+
+    def test_skew_pair_reported_as_meeting_fails(self, monkeypatch):
+        a = line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
+        b = line_through(pt(0, 0, 1, 0), pt(0, 0, 0, 1))
+        assert line_intersection(a, b) is None
+        monkeypatch.setattr(projgeom, "plucker_pairing", lambda a, b: CycloNum.zero(M))
+        with pytest.raises(AssertionError, match="do not share a point"):
             line_intersection(a, b)
