@@ -32,7 +32,6 @@ from .exactnum import (
 from .harbourne import (
     HarbourneReport,
     InapplicableDegree,
-    MiyaokaResult,
     UndefinedConstant,
     analyze_profile,
     bauer_search,
@@ -48,7 +47,6 @@ from .harbourne import (
     strict_transform_sq_lower,
 )
 from .incidence import (
-    IdentityReport,
     ScanResult,
     SingularPoint,
     incidence_count,
@@ -73,10 +71,8 @@ __all__ = [
     "ConductorMismatch",
     "CycloNum",
     "HarbourneReport",
-    "IdentityReport",
     "InapplicableDegree",
     "IncidenceProfile",
-    "MiyaokaResult",
     "ProfileError",
     "ProjLine",
     "ProjPoint",

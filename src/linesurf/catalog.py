@@ -11,7 +11,6 @@ that data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import Mapping
 
 from .exactnum import CycloNum, nth_roots_of_minus_one
@@ -176,30 +175,19 @@ def fermat_lines(n: int) -> Arrangement:
 def on_surface(line: ProjLine, n: int) -> bool:
     """Whether a line lies on x^n + y^n + z^n + w^n = 0 identically.
 
-    The point s*p + t*q is substituted symbolically: expanding each
-    coordinate power binomially, the surface equation becomes a
-    polynomial in s, t whose coefficient at s^(n-j) t^j is
-    sum_i C(n,j) p_i^(n-j) q_i^j.  The line lies on the surface exactly
-    when all n+1 coefficients vanish.
+    On the line through p and q the surface equation restricts to a
+    binary form of degree n in (s, t).  It is tested at the n+1 distinct
+    points p + j*q, j = 0..n: a binary form of degree n that vanishes at
+    n+1 distinct points is zero.
     """
     p, q = line.base
-    m = line.conductor
-    p_pows = [_power_table(c, n) for c in p.coords]
-    q_pows = [_power_table(c, n) for c in q.coords]
     for j in range(n + 1):
-        acc = CycloNum.zero(m)
-        for i in range(4):
-            acc = acc + comb(n, j) * (p_pows[i][n - j] * q_pows[i][j])
-        if not acc.is_zero():
+        total = CycloNum.zero(line.conductor)
+        for a, b in zip(p.coords, q.coords):
+            total = total + (a + j * b) ** n
+        if not total.is_zero():
             return False
     return True
-
-
-def _power_table(value: CycloNum, n: int) -> list[CycloNum]:
-    table = [CycloNum.one(value.m)]
-    for _ in range(n):
-        table.append(table[-1] * value)
-    return table
 
 
 def fermat_profile(n: int) -> IncidenceProfile:

@@ -11,6 +11,12 @@ Subcommands::
     search-bauer     quadruple-point subconfiguration search
     search-extremal  enumerate Miyaoka-compatible abstract profiles
 
+Each subcommand registers only the flags it reads.  --surface with
+--degree, --eckardt, --profile, --lines and --from-lines selects a
+configuration through ``resolve``, one rule for every subcommand.  Giving a
+flag the chosen surface does not read (``READS``), or --profile with
+--lines, is a usage error; --threads is the one flag that is ignored.
+
 Output formats are an aligned text table (default), CSV with a mandatory
 header row, or JSON carrying exact rationals as strings alongside their
 decimal rendering.  Identical invocations produce byte-identical output.
@@ -85,20 +91,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common_options(parser: argparse.ArgumentParser) -> None:
+def _common_options(parser: argparse.ArgumentParser, places: bool = True) -> None:
     parser.add_argument(
         "--format",
         choices=("table", "csv", "json"),
         default="table",
         help="output format (default: table)",
     )
-    parser.add_argument(
-        "--places",
-        type=int,
-        default=3,
-        metavar="N",
-        help="decimal places for rounded renderings (default: 3)",
-    )
+    if places:
+        parser.add_argument(
+            "--places",
+            type=int,
+            default=3,
+            metavar="N",
+            help="decimal places for rounded renderings (default: 3)",
+        )
     parser.add_argument(
         "--output",
         metavar="PATH",
@@ -112,26 +119,36 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _surface_options(parser: argparse.ArgumentParser, surfaces) -> None:
-    parser.add_argument("--surface", choices=surfaces, required=True)
-    parser.add_argument("--degree", type=int, metavar="N", help="surface degree n")
-    parser.add_argument(
-        "--eckardt",
-        type=int,
-        metavar="T",
-        help="number of triple points for --surface cubic (0..18)",
-    )
-    parser.add_argument(
-        "--profile", metavar="PATH", help="custom profile JSON {n, d, t}"
-    )
-    parser.add_argument(
-        "--lines", metavar="PATH", help="custom lines JSON {n, lines: [[pt, pt], ...]}"
-    )
-    parser.add_argument(
-        "--from-lines",
+# The flags that select a configuration.  Each defaults to None, so a flag
+# is given exactly when its value is not None.
+SURFACE_FLAGS = {
+    "--degree": dict(type=int, metavar="N", help="surface degree n"),
+    "--eckardt": dict(
+        type=int, metavar="T", help="number of triple points for --surface cubic (0..18)"
+    ),
+    "--profile": dict(metavar="PATH", help="custom profile JSON {n, d, t}"),
+    "--lines": dict(metavar="PATH", help="custom lines JSON {n, lines: [[pt, pt], ...]}"),
+    "--from-lines": dict(
         action="store_true",
+        default=None,
         help="derive the profile by scanning explicit lines instead of closed formulas",
-    )
+    ),
+}
+
+# The surface flags each --surface reads; giving any other one is a usage error.
+READS = {
+    "fermat": ("--degree", "--from-lines"),
+    "rams": ("--degree",),
+    "schur": (),
+    "cubic": ("--eckardt",),
+    "custom": ("--profile", "--lines"),
+}
+
+
+def _surface_options(parser, surfaces, flags=tuple(SURFACE_FLAGS)) -> None:
+    parser.add_argument("--surface", choices=surfaces, required=True)
+    for flag in flags:
+        parser.add_argument(flag, **SURFACE_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,13 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("catalog", help="construct explicit lines")
-    _surface_options(p, ("fermat", "custom"))
+    _surface_options(p, ("fermat", "custom"), ("--degree", "--lines"))
     p.add_argument(
         "--singular",
         action="store_true",
         help="emit the singular points of the arrangement instead of its lines",
     )
-    _common_options(p)
+    _common_options(p, places=False)
 
     for name, summary in (
         ("profile", "emit an incidence profile"),
@@ -155,15 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("bound", "Miyaoka inequality and H_L lower bound"),
     ):
         p = sub.add_parser(name, help=summary)
-        _surface_options(p, ("fermat", "rams", "schur", "cubic", "custom"))
-        if name == "verify":
+        if name == "verify":  # verify scans explicit lines whenever there are any
+            _surface_options(p, tuple(READS), ("--degree", "--eckardt", "--profile", "--lines"))
             p.add_argument(
                 "--valency",
                 type=int,
                 metavar="V",
                 help="check that every line meets exactly V others",
             )
-        _common_options(p)
+        else:
+            _surface_options(p, tuple(READS))
+        _common_options(p, places=name in ("analyze", "bound"))
 
     p = sub.add_parser("sweep", help="one row per parameter in a range")
     p.add_argument("--surface", choices=("fermat", "rams", "cubic"), required=True)
@@ -178,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_options(p)
 
     p = sub.add_parser("search-bauer", help="quadruple-point subconfiguration search")
-    _surface_options(p, ("fermat", "custom"))
+    _surface_options(p, ("fermat", "custom"), ("--degree", "--lines"))
     p.add_argument("--size", type=int, required=True, metavar="S", help="lines per subconfiguration")
     p.add_argument(
         "--max-solutions",
@@ -203,6 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 # Selector resolution.
 
 
+def _reject_unread(args, reads, flags) -> None:
+    for flag in flags:
+        if flag not in reads and getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            raise UsageError(f"--surface {args.surface} does not read {flag}")
+
+
 def _need_degree(args, minimum: int) -> int:
     if args.degree is None:
         raise UsageError(f"--surface {args.surface} requires --degree")
@@ -213,25 +238,17 @@ def _need_degree(args, minimum: int) -> int:
     return args.degree
 
 
-def resolve_arrangement(args) -> Arrangement:
-    if args.surface == "fermat":
-        return fermat_lines(_need_degree(args, 3))
-    if args.surface == "custom":
-        if not args.lines:
-            raise UsageError("--surface custom needs --lines PATH for this command")
-        return load_custom_lines(args.lines)
-    raise UsageError(
-        f"--surface {args.surface} has no explicit lines; use fermat or custom --lines"
-    )
+def resolve(args) -> Arrangement | IncidenceProfile:
+    """The lines or profile the surface flags name, by one rule for every command.
 
-
-def resolve_profile(args) -> IncidenceProfile:
+    Fermat names its lines, or its closed-form profile where the command
+    offers --from-lines and it is not given.
+    """
     surface = args.surface
+    _reject_unread(args, READS[surface], SURFACE_FLAGS)
     if surface == "fermat":
         n = _need_degree(args, 3)
-        if args.from_lines:
-            return profile_from_arrangement(fermat_lines(n))
-        return fermat_profile(n)
+        return fermat_lines(n) if getattr(args, "from_lines", True) else fermat_profile(n)
     if surface == "rams":
         return rams_profile(_need_degree(args, 6))
     if surface == "schur":
@@ -240,11 +257,19 @@ def resolve_profile(args) -> IncidenceProfile:
         if args.eckardt is None:
             raise UsageError("--surface cubic requires --eckardt T")
         return cubic_profile(args.eckardt)
-    if args.profile:  # custom
-        return load_custom_profile(args.profile)
-    if args.lines:
-        return profile_from_arrangement(load_custom_lines(args.lines))
-    raise UsageError("--surface custom needs --profile PATH or --lines PATH")
+    lines, profile = args.lines, getattr(args, "profile", None)  # custom
+    if lines and profile:
+        raise UsageError("--profile and --lines exclude each other")
+    if lines or profile:
+        return load_custom_lines(lines) if lines else load_custom_profile(profile)
+    if hasattr(args, "profile"):
+        raise UsageError("--surface custom needs --profile PATH or --lines PATH")
+    raise UsageError("--surface custom needs --lines PATH for this command")
+
+
+def resolve_profile(args) -> IncidenceProfile:
+    chosen = resolve(args)
+    return profile_from_arrangement(chosen) if isinstance(chosen, Arrangement) else chosen
 
 
 def _parse_range(text: str, what: str) -> range:
@@ -344,7 +369,7 @@ def render(out: Output, fmt: str) -> str:
 
 
 def cmd_catalog(args) -> Output:
-    arr = resolve_arrangement(args)
+    arr = resolve(args)
     if args.singular:
         scan = scan_arrangement(arr)
         return Output(
@@ -418,17 +443,16 @@ def cmd_analyze(args) -> Output:
 
 def cmd_verify(args) -> Output:
     checks: list[tuple[str, int, int, bool]] = []  # name, lhs, rhs, ok
-    explicit = args.surface == "fermat" or (args.surface == "custom" and args.lines)
-    if explicit:
-        arr = resolve_arrangement(args)
-        scan = scan_arrangement(arr)
+    chosen = resolve(args)
+    if isinstance(chosen, Arrangement):
+        arr, scan = chosen, scan_arrangement(chosen)
         checks += [(c.name, c.lhs, c.rhs, c.ok) for c in verify_identities(scan).checks]
         if args.surface == "fermat":
             good = sum(1 for line in arr.lines if on_surface(line, arr.n))
             checks.append(("on_surface", good, arr.d, good == arr.d))
         profile = IncidenceProfile(n=arr.n, d=arr.d, t=scan.tally())
     else:
-        profile = resolve_profile(args)
+        profile = chosen
         pairs, budget = incidence_count(profile), profile.d * (profile.d - 1)
         checks.append(("pair_count_feasible", pairs, budget, pairs <= budget))
         bound = max_lines_bound(profile.n)
@@ -492,6 +516,7 @@ def cmd_sweep(args) -> Output:
         "rams": (rams_profile, "--degrees", args.degrees),
         "cubic": (cubic_profile, "--eckardt-range", args.eckardt_range),
     }[args.surface]
+    _reject_unread(args, (flag,), ("--degrees", "--eckardt-range"))
     if not text:
         raise UsageError(f"sweep --surface {args.surface} requires {flag} A:B")
     reports = [analyze_profile(family(x)) for x in _parse_range(text, flag)]
@@ -503,7 +528,7 @@ def cmd_sweep(args) -> Output:
 
 
 def cmd_search_bauer(args) -> Output:
-    arr = resolve_arrangement(args)
+    arr = resolve(args)
     if args.max_solutions < 0:
         raise UsageError("--max-solutions must be 0 (all) or positive")
     entries = []
@@ -585,7 +610,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse prints its own message (help, usage error)
         return int(exc.code or 0)
     try:
-        if args.places < 0:
+        if getattr(args, "places", 0) < 0:
             raise ValueError("places must be nonnegative")
         payload = render(COMMANDS[args.command](args), args.format)
     except UsageError as exc:

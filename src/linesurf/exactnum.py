@@ -89,24 +89,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _shift_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Coefficient vectors of x^f, x^(f+1), ..., x^(2f-2) mod Phi_m, f = phi(m)."""
-    poly = cyclotomic_polynomial(m)
-    f = len(poly) - 1
-    base = tuple(-c for c in poly[:f])
-    rows = [base]
-    for _ in range(max(0, f - 2)):
-        rows.append(_shift_fold(rows[-1], base))
-    return tuple(rows)
-
-
-def _shift_fold(vec: Sequence, base: Sequence[int]) -> tuple:
-    """Multiply a reduced coefficient vector by x and reduce again."""
-    f = len(vec)
-    top = vec[f - 1]
-    out = [0]
-    out.extend(vec[: f - 1])
-    if top:
-        out = [o + top * b for o, b in zip(out, base)]
-    return tuple(out)
+    f = len(cyclotomic_polynomial(m)) - 1
+    return tuple(_zeta_pow_vec(m, k) for k in range(f, 2 * f - 1))
 
 
 def _qnorm(x):
@@ -357,10 +341,6 @@ class CycloNum:
     def to_json(self) -> dict:
         return {"m": self.m, "coeffs": [str(Fraction(c)) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CycloNum":
-        return cls(int(obj["m"]), [Fraction(c) for c in obj["coeffs"]])
-
 
 @lru_cache(maxsize=None)
 def _zeta_pow_vec(m: int, k: int) -> tuple:
@@ -369,8 +349,8 @@ def _zeta_pow_vec(m: int, k: int) -> tuple:
         return (0,) * k + (1,) + (0,) * (f - k - 1)
     base = tuple(-c for c in cyclotomic_polynomial(m)[:f])
     vec = base
-    for _ in range(k - f):
-        vec = _shift_fold(vec, base)
+    for _ in range(k - f):  # multiply by x and reduce mod Phi_m
+        vec = tuple(o + vec[-1] * b for o, b in zip((0,) + vec[:-1], base))
     return vec
 
 

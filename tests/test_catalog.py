@@ -82,6 +82,19 @@ class TestOnSurface:
     def test_all_quartic_lines(self, fermat_arrs):
         assert all(on_surface(line, 4) for line in fermat_arrs[4].lines)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_secant_through_two_surface_points(self, n):
+        # p and q lie on the surface, but F(p + q) = (1 + zeta)^n is not zero,
+        # so a test that sampled only the base points would accept this line
+        from linesurf.exactnum import CycloNum, zeta
+        from linesurf.projgeom import ProjPoint, line_through
+
+        z, one, zero = zeta(2 * n), CycloNum.one(2 * n), CycloNum.zero(2 * n)
+        p, q = ProjPoint((z, one, zero, zero)), ProjPoint((zero, z, one, zero))
+        for point in (p, q):
+            assert sum((c**n for c in point.coords), zero).is_zero()
+        assert not on_surface(line_through(p, q), n)
+
 
 class TestProfiles:
     @pytest.mark.parametrize(

@@ -498,3 +498,86 @@ class TestOutputBehavior:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "--surface", "fermat", "--nope")
         assert code == 1
+
+
+# Each subcommand's options, leaving out --help and --threads: a flag is
+# registered only where the subcommand reads it.
+OPTIONS = {
+    "catalog": "--surface --degree --lines --singular --format --output",
+    "profile": "--surface --degree --eckardt --profile --lines --from-lines --format --output",
+    "analyze": (
+        "--surface --degree --eckardt --profile --lines --from-lines"
+        " --format --places --output"
+    ),
+    "verify": "--surface --degree --eckardt --profile --lines --valency --format --output",
+    "bound": (
+        "--surface --degree --eckardt --profile --lines --from-lines"
+        " --format --places --output"
+    ),
+    "sweep": "--surface --degrees --eckardt-range --format --places --output",
+    "search-bauer": (
+        "--surface --degree --lines --size --max-solutions --format --places --output"
+    ),
+    "search-extremal": "--degree --num-lines --k-max --limit --format --places --output",
+}
+
+# (argv, flag named in the error); {P} is a profile file, {L} a lines file.
+# Before each of these was an error, it exited 0 and ignored part of its input.
+UNREAD = [
+    (("analyze", "--surface", "cubic", "--eckardt", "3", "--degree", "5"), "--degree"),
+    (("analyze", "--surface", "schur", "--from-lines"), "--from-lines"),
+    (("profile", "--surface", "schur", "--degree", "4"), "--degree"),
+    (("profile", "--surface", "cubic", "--eckardt", "3", "--degree", "4"), "--degree"),
+    (("analyze", "--surface", "fermat", "--degree", "4", "--eckardt", "3"), "--eckardt"),
+    (("verify", "--surface", "schur", "--eckardt", "3"), "--eckardt"),
+    (("profile", "--surface", "custom", "--profile", "{P}", "--eckardt", "2"), "--eckardt"),
+    (("profile", "--surface", "rams", "--degree", "6", "--from-lines"), "--from-lines"),
+    (("analyze", "--surface", "custom", "--lines", "{L}", "--from-lines"), "--from-lines"),
+    (("bound", "--surface", "custom", "--profile", "{P}", "--from-lines"), "--from-lines"),
+    (("catalog", "--surface", "fermat", "--degree", "3", "--lines", "{L}"), "--lines"),
+    (("verify", "--surface", "custom", "--lines", "{L}", "--degree", "4"), "--degree"),
+    (
+        ("sweep", "--surface", "fermat", "--degrees", "3:5", "--eckardt-range", "0:3"),
+        "--eckardt-range",
+    ),
+]
+BOTH = [
+    (cmd, "--surface", "custom", "--profile", "{P}", "--lines", "{L}")
+    for cmd in ("analyze", "profile", "verify", "bound")
+]
+
+
+class TestFlags:
+    def test_option_sets(self):
+        import argparse
+
+        from linesurf.cli import build_parser
+
+        (sub,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        found = {
+            name: [o for a in parser._actions for o in a.option_strings]
+            for name, parser in sub.choices.items()
+        }
+        for name, options in found.items():
+            assert "--threads" in options  # the one documented no-op
+            assert set(options) - {"-h", "--help", "--threads"} == set(OPTIONS[name].split())
+        assert sum(len(o.split()) for o in OPTIONS.values()) == 61
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (argv, f"--surface {argv[2]} does not read {flag}") for argv, flag in UNREAD
+        ]
+        + [(argv, "--profile and --lines exclude each other") for argv in BOTH],
+    )
+    def test_unread_or_conflicting_flag_is_usage_error(self, capsys, tmp_path, argv, message):
+        profile, lines = tmp_path / "bauer.json", tmp_path / "pair.json"
+        profile.write_text(json.dumps({"n": 4, "d": 16, "t": {"4": 8}}))
+        pair = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]]]
+        lines.write_text(json.dumps({"n": 4, "lines": pair}))
+        argv = [a.format(P=profile, L=lines) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"linesurf {argv[0]}: error: {message}\n"
