@@ -48,6 +48,7 @@ from .harbourne import (
 )
 from .incidence import (
     ScanResult,
+    ScanStats,
     SingularPoint,
     incidence_count,
     profile_from_arrangement,
@@ -77,6 +78,7 @@ __all__ = [
     "ProjLine",
     "ProjPoint",
     "ScanResult",
+    "ScanStats",
     "SchemaError",
     "SingularPoint",
     "UndefinedConstant",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -340,6 +340,79 @@ class CycloNum:
 
     def to_json(self) -> dict:
         return {"m": self.m, "coeffs": [str(Fraction(c)) for c in self.coeffs]}
+
+    # -- reduction mod p -------------------------------------------------------
+
+    def residue(self) -> Optional[int]:
+        """The image in F_p under zeta_m -> r, with (p, r) = residue_field(m).
+
+        None when p divides the denominator of a coefficient, where the
+        map is undefined.  A nonzero residue proves the value nonzero.
+        """
+        p, powers = _residue_powers(self.m)
+        acc = 0
+        for c, w in zip(self.coeffs, powers):
+            if type(c) is int:
+                acc += c * w
+            elif c:
+                den = c.denominator % p
+                if not den:
+                    return None
+                acc += c.numerator * w * pow(den, -1, p)
+        return acc % p
+
+
+# Deterministic Miller-Rabin witnesses: exact for every n below 3.3 * 10^24.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _MR_WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def residue_field(m: int) -> tuple[int, int]:
+    """The first prime p = 1 (mod m) above 2^61, and r of exact order m in F_p.
+
+    Then Phi_m(r) = 0 in F_p, so zeta_m -> r is a ring homomorphism from
+    the p-integral elements of Q(zeta_m) onto F_p.  r is the first
+    a^((p-1)/m), a = 2, 3, ..., whose order is m.
+    """
+    floor = 1 << 61
+    p = floor + ((1 - floor) % m or m)
+    while not _is_prime(p):
+        p += m
+    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    a = 2
+    while True:
+        r = pow(a, (p - 1) // m, p)
+        if all(pow(r, m // q, p) != 1 for q in primes):
+            return p, r
+        a += 1
+
+
+@lru_cache(maxsize=None)
+def _residue_powers(m: int) -> tuple[int, tuple[int, ...]]:
+    p, r = residue_field(m)
+    return p, tuple(pow(r, i, p) for i in range(len(cyclotomic_polynomial(m)) - 1))
 
 
 @lru_cache(maxsize=None)

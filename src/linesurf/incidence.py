@@ -1,18 +1,35 @@
 """Singular locus and incidence statistics of explicit line arrangements.
 
-The scan intersects all d(d-1)/2 line pairs exactly, groups coincident
+The scan intersects the meeting line pairs exactly, groups coincident
 intersection points by their canonical coordinates, and recounts each
-distinct point's multiplicity with a point-on-line test against every
-arrangement line.  The recount is deliberately redundant: it revalidates
-the grouping, and the combinatorial identities tying multiplicities,
+distinct point's multiplicity with a point-on-line test against the
+arrangement lines.  The combinatorial identities tying multiplicities,
 point counts and meeting pairs together are checked on top.
+
+A certified modular filter decides which of that exact work is needed.
+Every line's Plucker vector and forms, and every grouped point, are
+reduced once into F_p under ``zeta_m -> r`` (``exactnum.residue_field``).
+That map is a ring homomorphism on the p-integral elements, so an exact
+zero has residue zero.  A pair whose pairing residue is nonzero is
+therefore skew, and a line with a form whose residue at a point is
+nonzero does not pass through it; both are skipped.  Everything else,
+every true meeting and incidence among it, and every object with a
+coordinate outside the p-integral ring, takes the exact test.  The
+filter only skips tests whose answer it has proved, so the result does
+not depend on p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
+from operator import mul
+from typing import Iterator, NamedTuple, Optional
 
 from .catalog import Arrangement, IncidenceProfile
+from .exactnum import residue_field
 from .projgeom import ProjPoint, line_intersection, point_on_line
 
 
@@ -25,10 +42,29 @@ class SingularPoint:
     lines: tuple[int, ...]  # sorted indices into the arrangement
 
 
+class ScanStats(NamedTuple):
+    """What one scan did, in counts that repeat exactly from run to run."""
+
+    pairs: int  # line pairs, d(d-1)/2
+    skew_by_residue: int  # pairs proved skew by a nonzero pairing residue
+    intersections: int  # exact line_intersection calls
+    meeting: int  # pairs that meet
+    on_line_tests: int  # exact point_on_line calls in the recount
+    points: int  # distinct singular points
+
+
 @dataclass(frozen=True)
 class ScanResult:
+    """The singular points an arrangement scan found.
+
+    ``stats`` counts the work done and ``phase_s`` holds the wall seconds
+    of each phase.  Neither takes part in equality.
+    """
+
     points: tuple[SingularPoint, ...]  # sorted by canonical point key
     meeting_pairs: int
+    stats: ScanStats = field(compare=False)
+    phase_s: tuple[tuple[str, float], ...] = field(compare=False)
 
     def tally(self) -> dict[int, int]:
         """Count distinct points by multiplicity: the t-vector of the scan."""
@@ -38,19 +74,56 @@ class ScanResult:
         return out
 
 
+_recorders: ContextVar[tuple[list, ...]] = ContextVar("scan_recorders", default=())
+
+
+@contextmanager
+def recorded_scans() -> Iterator[list[ScanResult]]:
+    """Collect every scan made inside the block, in order."""
+    log: list[ScanResult] = []
+    token = _recorders.set(_recorders.get() + (log,))
+    try:
+        yield log
+    finally:
+        _recorders.reset(token)
+
+
+def _residues(values) -> Optional[tuple[int, ...]]:
+    """The residues of exact values, or None if any lies outside the map."""
+    out = tuple(v.residue() for v in values)
+    return None if None in out else out
+
+
 def scan_arrangement(arr: Arrangement) -> ScanResult:
     """All distinct singular points of an arrangement, with multiplicities.
 
     Pair intersections are grouped by canonical point coordinates.  Each
     grouped point's multiplicity is recounted from scratch via
-    point_on_line over all lines, which also validates the grouping.
+    point_on_line over every line the modular filter cannot rule out,
+    which also validates the grouping.
     """
+    clock = time.perf_counter
+    start = clock()
     lines = arr.lines
     d = len(lines)
+    p = residue_field(arr.conductor)[0]
+    pluckers = [_residues(line.plucker) for line in lines]
+    # The pairing is the dot product of one Plucker vector with the other's dual.
+    duals = [None if c is None else (c[5], -c[4], c[3], c[2], -c[1], c[0]) for c in pluckers]
+    form_pairs = [tuple(_residues(form) for form in line.forms) for line in lines]
+    forms = [None if None in pair else pair for pair in form_pairs]
+    reduced = clock()
+
     groups: dict[ProjPoint, set[int]] = {}
-    meeting = 0
+    skew = tried = meeting = 0
     for i in range(d):
+        dual = duals[i]
         for j in range(i + 1, d):
+            other = pluckers[j]
+            if dual is not None and other is not None and sum(map(mul, dual, other)) % p:
+                skew += 1
+                continue
+            tried += 1
             pt = line_intersection(lines[i], lines[j])
             if pt is None:
                 continue
@@ -61,19 +134,36 @@ def scan_arrangement(arr: Arrangement) -> ScanResult:
             else:
                 members.add(i)
                 members.add(j)
+    paired = clock()
 
     points = []
+    tests = 0
     for pt, members in groups.items():
-        incident = tuple(k for k, line in enumerate(lines) if point_on_line(pt, line))
+        x = _residues(pt.coords)
+        incident = []
+        for k, line in enumerate(lines):
+            pair = forms[k]
+            if x is not None and pair is not None and (
+                sum(map(mul, pair[0], x)) % p or sum(map(mul, pair[1], x)) % p
+            ):
+                continue
+            tests += 1
+            if point_on_line(pt, line):
+                incident.append(k)
         if not set(incident) >= members:
             raise AssertionError("intersection grouping lost an incident line")
-        points.append(SingularPoint(pt, len(incident), incident))
+        points.append(SingularPoint(pt, len(incident), tuple(incident)))
     points.sort(key=lambda sp: sp.location.sort_key())
 
     total_pairs = sum(sp.multiplicity * (sp.multiplicity - 1) // 2 for sp in points)
     if total_pairs != meeting:
         raise AssertionError("pair scan and per-point multiplicities disagree")
-    return ScanResult(tuple(points), meeting)
+    stats = ScanStats(d * (d - 1) // 2, skew, tried, meeting, tests, len(points))
+    phase_s = (("reduce", reduced - start), ("pairs", paired - reduced), ("recount", clock() - paired))
+    result = ScanResult(tuple(points), meeting, stats, phase_s)
+    for log in _recorders.get():
+        log.append(result)
+    return result
 
 
 def singular_points(arr: Arrangement) -> tuple[SingularPoint, ...]:

@@ -6,11 +6,13 @@ criterion scoreboard.  All comparisons are exact rational comparisons
 unless a tolerance is stated in the criterion itself.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from linesurf.catalog import (
     IncidenceProfile,
@@ -262,6 +264,9 @@ def test_criterion_10_determinism(tmp_path):
         sys.executable, "-m", "linesurf",
         "sweep", "--surface", "fermat", "--degrees", "3:12", "--format", "csv",
     ]
+    # The child imports linesurf from this checkout, as the suite itself does.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outputs = []
     for i, extra in enumerate(([], [], ["--threads", "4"])):
         target = tmp_path / f"sweep_{i}.csv"
@@ -269,6 +274,7 @@ def test_criterion_10_determinism(tmp_path):
             base + extra + ["--output", str(target)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(target.read_bytes())

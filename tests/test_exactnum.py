@@ -12,6 +12,7 @@ from linesurf.exactnum import (
     cyclotomic_polynomial,
     euler_phi,
     nth_roots_of_minus_one,
+    residue_field,
     zeta,
 )
 from linesurf.serialize import _coordinate
@@ -240,3 +241,38 @@ def test_random_axioms_bulk():
         assert (a + b) * c == a * c + b * c
         if not a.is_zero():
             assert a * a.inverse() == 1
+
+
+class TestResidueField:
+    """zeta_m -> r is a ring homomorphism onto F_p, the map the scan filter uses."""
+
+    @pytest.mark.parametrize("m", (1, 2, 3) + CONDUCTORS + (24, 48))
+    def test_prime_and_root_of_order_m(self, m):
+        p, r = residue_field(m)
+        assert p > 2**61 and (p - 1) % m == 0
+        assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7)) and all(p % q for q in range(2, 2000))
+        assert pow(r, m, p) == 1 and all(pow(r, k, p) != 1 for k in range(1, m))
+        assert sum(c * pow(r, i, p) for i, c in enumerate(cyclotomic_polynomial(m))) % p == 0
+        assert zeta(m).residue() == r
+
+    @pytest.mark.parametrize("m", CONDUCTORS)
+    def test_homomorphism_on_random_values(self, m):
+        p, _ = residue_field(m)
+        rng = random.Random(7 * m)
+        size = euler_phi(m)
+        for _ in range(40):
+            a, b = (
+                CycloNum(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)])
+                for _ in range(2)
+            )
+            ra, rb = a.residue(), b.residue()
+            assert (a * b).residue() == ra * rb % p
+            assert (a + b).residue() == (ra + rb) % p
+            assert (a - b).residue() == (ra - rb) % p
+            if not a.is_zero():
+                assert a.inverse().residue() * ra % p == 1
+
+    def test_undefined_where_p_divides_a_denominator(self):
+        p, _ = residue_field(8)
+        assert CycloNum(8, [1, Fraction(1, p)]).residue() is None
+        assert CycloNum(8, [1, Fraction(p, 3)]).residue() == 1

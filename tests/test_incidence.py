@@ -1,7 +1,18 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
-from linesurf.catalog import Arrangement, IncidenceProfile, fermat_profile, schur_profile
+from linesurf.catalog import (
+    Arrangement,
+    IncidenceProfile,
+    fermat_lines,
+    fermat_profile,
+    schur_profile,
+)
+from linesurf.exactnum import CycloNum, residue_field
 from linesurf.incidence import (
+    ScanStats,
     incidence_count,
     profile_from_arrangement,
     scan_arrangement,
@@ -10,6 +21,7 @@ from linesurf.incidence import (
     verify_identities,
 )
 from linesurf.projgeom import ProjPoint, line_through, point_on_line
+from linesurf.serialize import scan_json
 
 
 def simple_arrangement(point_pairs, n=4, m=8):
@@ -116,3 +128,95 @@ class TestVerifyIdentities:
     def test_fermat_quartic_pair_count(self, fermat_scans):
         meeting = fermat_scans[4].meeting_pairs
         assert meeting == 192 * 1 + 24 * 6 == 336
+
+
+def moved(arr, matrix):
+    """The arrangement with both base points of every line multiplied by ``matrix``."""
+    m = arr.conductor
+
+    def move(pt):
+        return ProjPoint(
+            [sum((x * c for c, x in zip(row, pt.coords)), CycloNum.zero(m)) for row in matrix]
+        )
+
+    return Arrangement(arr.n, tuple(line_through(*map(move, line.base)) for line in arr.lines))
+
+
+# Determinant 1, so the moved quartic is projectively equivalent to Fermat's.
+MOVE = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2))
+
+
+def incidences(scan):
+    """The line sets of the singular points: invariant under a projective motion."""
+    return sorted(sp.lines for sp in scan.points)
+
+
+def scan_with_residue(monkeypatch, arr, value):
+    """Scan with every residue forced to ``value``: 0 or None both defeat the filter."""
+    with monkeypatch.context() as patch:
+        patch.setattr(CycloNum, "residue", lambda self: value)
+        return scan_arrangement(arr)
+
+
+@pytest.fixture(scope="module")
+def moved_quartic():
+    arr = moved(fermat_lines(4), MOVE)
+    return arr, scan_arrangement(arr)
+
+
+class TestModularFilter:
+    """The filter only skips exact tests whose answer a residue has proved."""
+
+    @pytest.mark.parametrize(
+        "n,forced", [(n, 0) for n in (3, 4, 5, 6)] + [(n, None) for n in (3, 4)]
+    )
+    def test_fermat_scan_unchanged_without_filter(
+        self, monkeypatch, fermat_arrs, fermat_scans, n, forced
+    ):
+        arr = fermat_arrs[n]
+        exact = scan_with_residue(monkeypatch, arr, forced)
+        assert exact == fermat_scans[n]
+        assert exact.tally() == fermat_profile(n).t
+        stats = exact.stats
+        assert (stats.skew_by_residue, stats.intersections) == (0, stats.pairs)
+        assert stats.on_line_tests == stats.points * arr.d
+
+    @pytest.mark.parametrize("forced", (0, None))
+    def test_moved_quartic_unchanged_without_filter(
+        self, monkeypatch, moved_quartic, fermat_scans, forced
+    ):
+        arr, filtered = moved_quartic
+        coeffs = [c for line in arr.lines for pt in line.base for x in pt.coords for c in x.coeffs]
+        assert any(type(c) is Fraction for c in coeffs)
+        assert filtered.stats.skew_by_residue == 792
+        assert scan_with_residue(monkeypatch, arr, forced) == filtered
+        assert incidences(filtered) == incidences(fermat_scans[4])
+
+    def test_prime_in_a_denominator_takes_the_exact_path(self, fermat_scans):
+        p, _ = residue_field(8)
+        shear = ((1, 0, 0, 0), (0, 1, 0, 0), (Fraction(1, p), 0, 1, 0), (0, Fraction(1, p), 0, 1))
+        arr = moved(fermat_lines(4), shear)
+        assert any(c.residue() is None for line in arr.lines for c in line.plucker)
+        scan = scan_arrangement(arr)
+        assert any(c.residue() is None for sp in scan.points for c in sp.location.coords)
+        assert incidences(scan) == incidences(fermat_scans[4])
+        assert scan.tally() == fermat_profile(4).t
+
+
+class TestScanStats:
+    def test_fermat_octic_counts(self, fermat_scans):
+        # pairs, skew_by_residue, intersections, meeting, on_line_tests, points
+        assert fermat_scans[8].stats == (18336, 15456, 2880, 2880, 3456, 1584)
+
+    def test_counters_repeat(self, fermat_arrs, fermat_scans):
+        again = scan_arrangement(fermat_arrs[5])
+        assert again.stats == fermat_scans[5].stats
+        assert [name for name, _ in again.phase_s] == ["reduce", "pairs", "recount"]
+        assert all(seconds >= 0 for _, seconds in again.phase_s)
+
+    def test_outside_equality_and_json(self, fermat_scans):
+        scan = fermat_scans[3]
+        other = replace(scan, stats=ScanStats(0, 0, 0, 0, 0, 0), phase_s=())
+        assert other == scan
+        assert scan_json(other) == scan_json(scan)
+        assert set(scan_json(scan)) == {"meeting_pairs", "points"}

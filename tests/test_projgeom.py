@@ -250,3 +250,55 @@ class TestIntersection:
         monkeypatch.setattr(projgeom, "plucker_pairing", lambda a, b: CycloNum.zero(M))
         with pytest.raises(AssertionError, match="do not share a point"):
             line_intersection(a, b)
+
+
+class TestSympyRankOracle:
+    """line_intersection against sympy: the rank of the coordinate rows over Q(zeta_m).
+
+    Coordinates become polynomials in x modulo Phi_m, the minimal polynomial
+    of zeta_m, and a rank is the largest size of a minor not divisible by it.
+    """
+
+    @staticmethod
+    def rank(sympy, x, phi, rows):
+        matrix = sympy.Matrix(
+            [
+                [sum(sympy.Rational(str(c)) * x**i for i, c in enumerate(v.coeffs)) for v in row]
+                for row in rows
+            ]
+        )
+        for size in range(len(rows), 0, -1):
+            for r in itertools.combinations(range(len(rows)), size):
+                for c in itertools.combinations(range(4), size):
+                    minor = matrix.extract(list(r), list(c)).det(method="berkowitz")
+                    if sympy.rem(sympy.expand(minor), phi, x) != 0:
+                        return size
+        return 0
+
+    @pytest.mark.parametrize("m", (8, 12, 14))
+    def test_random_meeting_and_skew_pairs(self, m):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        phi = sympy.cyclotomic_poly(m, x)
+        rng = random.Random(1000 + m)
+        size = len(zeta(m).coeffs)
+
+        def value():
+            return CycloNum(m, [rng.randint(-3, 3) for _ in range(size)])
+
+        def point():
+            return ProjPoint([value() for _ in range(4)])
+
+        for _ in range(2):
+            p, q, r = point(), point(), point()
+            s, t = value(), value()
+            shared = ProjPoint([s * u + t * v for u, v in zip(p.coords, q.coords)])
+            a, b = line_through(p, q), line_through(shared, r)
+            meet = line_intersection(a, b)
+            assert meet == shared
+            assert self.rank(sympy, x, phi, [*(pt.coords for pt in a.base), meet.coords]) == 2
+            assert self.rank(sympy, x, phi, [*(pt.coords for pt in b.base), meet.coords]) == 2
+            assert self.rank(sympy, x, phi, [*(pt.coords for pt in a.base), *(pt.coords for pt in b.base)]) == 3
+        a, b = line_through(point(), point()), line_through(point(), point())
+        assert line_intersection(a, b) is None
+        assert self.rank(sympy, x, phi, [*(pt.coords for pt in a.base), *(pt.coords for pt in b.base)]) == 4
