@@ -16,8 +16,6 @@ Each subcommand registers only the flags it reads.  --surface with
 configuration through ``resolve``, one rule for every subcommand.  Giving a
 flag the chosen surface does not read (``READS``), or --profile with
 --lines, is a usage error; --threads is the one flag that is ignored.
-The global --stats prints the counters and phase timings of every scan to
-stderr, so stdout is the same with and without it.
 
 Output formats are an aligned text table (default), CSV with a mandatory
 header row, or JSON carrying exact rationals as strings alongside their
@@ -33,7 +31,6 @@ import csv
 import io
 import json
 import sys
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -59,10 +56,8 @@ from .harbourne import (
     miyaoka_check,
 )
 from .incidence import (
-    ScanResult,
     incidence_count,
     profile_from_arrangement,
-    recorded_scans,
     scan_arrangement,
     valency_consistent,
     verify_identities,
@@ -173,11 +168,6 @@ def _surface_options(parser, surfaces, flags=tuple(SURFACE_FLAGS)) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="linesurf", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"linesurf {__version__}")
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print the counters and phase timings of every scan to stderr",
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("catalog", help="construct explicit lines")
@@ -627,36 +617,22 @@ COMMANDS = {
 }
 
 
-def print_stats(scans: Sequence[ScanResult], seconds: float) -> None:
-    """One stderr line per scan, then the command's wall time."""
-    for i, scan in enumerate(scans, 1):
-        counts = ", ".join(f"{name} {value}" for name, value in scan.stats._asdict().items())
-        phases = ", ".join(f"{name} {value:.4f} s" for name, value in scan.phase_s)
-        print(f"stats: scan {i}: {counts}; {phases}", file=sys.stderr)
-    print(f"stats: command {seconds:.4f} s, scans {len(scans)}", file=sys.stderr)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message (help, usage error)
         return int(exc.code or 0)
-    start = time.perf_counter()
-    with recorded_scans() as scans:
-        try:
-            if getattr(args, "places", 0) < 0:
-                raise ValueError("places must be nonnegative")
-            payload = render(COMMANDS[args.command](args), args.format)
-        except UsageError as exc:
-            print(f"linesurf {args.command}: error: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, ArithmeticError) as exc:
-            print(f"linesurf {args.command}: {exc}", file=sys.stderr)
-            return 2
-        finally:
-            if args.stats:
-                print_stats(scans, time.perf_counter() - start)
+    try:
+        if getattr(args, "places", 0) < 0:
+            raise ValueError("places must be nonnegative")
+        payload = render(COMMANDS[args.command](args), args.format)
+    except UsageError as exc:
+        print(f"linesurf {args.command}: error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError) as exc:
+        print(f"linesurf {args.command}: {exc}", file=sys.stderr)
+        return 2
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)

@@ -1,32 +1,28 @@
 """Singular locus and incidence statistics of explicit line arrangements.
 
-The scan intersects the meeting line pairs exactly, groups coincident
+The scan intersects every line pair exactly, groups coincident
 intersection points by their canonical coordinates, and recounts each
 distinct point's multiplicity with a point-on-line test against the
 arrangement lines.  The combinatorial identities tying multiplicities,
 point counts and meeting pairs together are checked on top.
 
-A certified modular filter decides which of that exact work is needed.
-Every line's Plucker vector and forms, and every grouped point, are
-reduced once into F_p under ``zeta_m -> r`` (``exactnum.residue_field``).
-That map is a ring homomorphism on the p-integral elements, so an exact
-zero has residue zero.  A pair whose pairing residue is nonzero is
-therefore skew, and a line with a form whose residue at a point is
-nonzero does not pass through it; both are skipped.  Everything else,
-every true meeting and incidence among it, and every object with a
-coordinate outside the p-integral ring, takes the exact test.  The
-filter only skips tests whose answer it has proved, so the result does
-not depend on p.
+A certified modular filter spares the recount the tests whose answer is
+already known.  Every line's forms, and every grouped point, are reduced
+once into F_p under ``zeta_m -> r`` (``exactnum.residue_field``).  That
+map is a ring homomorphism on the p-integral elements, so an exact zero
+has residue zero: a line with a form whose residue at a point is nonzero
+does not pass through the point, and its exact test is skipped.  Every
+true incidence, every line the residues cannot rule out, and every
+object with a coordinate outside the p-integral ring takes the exact
+test.  The filter only skips tests whose answer it has proved, so the
+result does not depend on p.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .catalog import Arrangement, IncidenceProfile
 from .exactnum import residue_field
@@ -45,9 +41,7 @@ class SingularPoint:
 class ScanStats(NamedTuple):
     """What one scan did, in counts that repeat exactly from run to run."""
 
-    pairs: int  # line pairs, d(d-1)/2
-    skew_by_residue: int  # pairs proved skew by a nonzero pairing residue
-    intersections: int  # exact line_intersection calls
+    pairs: int  # line pairs, d(d-1)/2, each intersected exactly
     meeting: int  # pairs that meet
     on_line_tests: int  # exact point_on_line calls in the recount
     points: int  # distinct singular points
@@ -57,14 +51,12 @@ class ScanStats(NamedTuple):
 class ScanResult:
     """The singular points an arrangement scan found.
 
-    ``stats`` counts the work done and ``phase_s`` holds the wall seconds
-    of each phase.  Neither takes part in equality.
+    ``stats`` counts the work done and takes no part in equality.
     """
 
     points: tuple[SingularPoint, ...]  # sorted by canonical point key
     meeting_pairs: int
     stats: ScanStats = field(compare=False)
-    phase_s: tuple[tuple[str, float], ...] = field(compare=False)
 
     def tally(self) -> dict[int, int]:
         """Count distinct points by multiplicity: the t-vector of the scan."""
@@ -72,20 +64,6 @@ class ScanResult:
         for sp in self.points:
             out[sp.multiplicity] = out.get(sp.multiplicity, 0) + 1
         return out
-
-
-_recorders: ContextVar[tuple[list, ...]] = ContextVar("scan_recorders", default=())
-
-
-@contextmanager
-def recorded_scans() -> Iterator[list[ScanResult]]:
-    """Collect every scan made inside the block, in order."""
-    log: list[ScanResult] = []
-    token = _recorders.set(_recorders.get() + (log,))
-    try:
-        yield log
-    finally:
-        _recorders.reset(token)
 
 
 def _residues(values) -> Optional[tuple[int, ...]]:
@@ -102,28 +80,12 @@ def scan_arrangement(arr: Arrangement) -> ScanResult:
     point_on_line over every line the modular filter cannot rule out,
     which also validates the grouping.
     """
-    clock = time.perf_counter
-    start = clock()
     lines = arr.lines
     d = len(lines)
-    p = residue_field(arr.conductor)[0]
-    pluckers = [_residues(line.plucker) for line in lines]
-    # The pairing is the dot product of one Plucker vector with the other's dual.
-    duals = [None if c is None else (c[5], -c[4], c[3], c[2], -c[1], c[0]) for c in pluckers]
-    form_pairs = [tuple(_residues(form) for form in line.forms) for line in lines]
-    forms = [None if None in pair else pair for pair in form_pairs]
-    reduced = clock()
-
     groups: dict[ProjPoint, set[int]] = {}
-    skew = tried = meeting = 0
+    meeting = 0
     for i in range(d):
-        dual = duals[i]
         for j in range(i + 1, d):
-            other = pluckers[j]
-            if dual is not None and other is not None and sum(map(mul, dual, other)) % p:
-                skew += 1
-                continue
-            tried += 1
             pt = line_intersection(lines[i], lines[j])
             if pt is None:
                 continue
@@ -134,8 +96,10 @@ def scan_arrangement(arr: Arrangement) -> ScanResult:
             else:
                 members.add(i)
                 members.add(j)
-    paired = clock()
 
+    p = residue_field(arr.conductor)[0]
+    form_pairs = [tuple(_residues(form) for form in line.forms) for line in lines]
+    forms = [None if None in pair else pair for pair in form_pairs]
     points = []
     tests = 0
     for pt, members in groups.items():
@@ -158,12 +122,8 @@ def scan_arrangement(arr: Arrangement) -> ScanResult:
     total_pairs = sum(sp.multiplicity * (sp.multiplicity - 1) // 2 for sp in points)
     if total_pairs != meeting:
         raise AssertionError("pair scan and per-point multiplicities disagree")
-    stats = ScanStats(d * (d - 1) // 2, skew, tried, meeting, tests, len(points))
-    phase_s = (("reduce", reduced - start), ("pairs", paired - reduced), ("recount", clock() - paired))
-    result = ScanResult(tuple(points), meeting, stats, phase_s)
-    for log in _recorders.get():
-        log.append(result)
-    return result
+    stats = ScanStats(d * (d - 1) // 2, meeting, tests, len(points))
+    return ScanResult(tuple(points), meeting, stats)
 
 
 def singular_points(arr: Arrangement) -> tuple[SingularPoint, ...]:

@@ -509,19 +509,6 @@ class TestOutputBehavior:
         assert usage.startswith("usage: linesurf catalog ") and "--singular" in usage
         assert message == "unrecognized arguments: --places 2\n"
 
-    def test_stats_reports_each_scan_on_stderr(self, capsys):
-        argv = ("catalog", "--surface", "fermat", "--degree", "3", "--singular", "--format", "csv")
-        code, plain, _ = run(capsys, *argv)
-        assert code == 0
-        code, out, err = run(capsys, "--stats", *argv)
-        assert (code, out) == (0, plain)
-        scan, command = err.splitlines()
-        assert scan.startswith(
-            "stats: scan 1: pairs 351, skew_by_residue 216, intersections 135,"
-            " meeting 135, on_line_tests 216, points 99; reduce "
-        )
-        assert command.startswith("stats: command ") and command.endswith(" s, scans 1")
-
 
 # Each subcommand's options, leaving out --help and --threads: a flag is
 # registered only where the subcommand reads it.

@@ -76,14 +76,6 @@ def test_golden(case):
     assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_stats_leaves_stdout_unchanged(case):
-    code, out, err = run_case(["--stats", *CASES[case]])
-    assert code == load_index()[case]["exit"]
-    assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
-    assert "stats: command " in err
-
-
 def capture():
     GOLDEN.mkdir(exist_ok=True)
     index = {}
