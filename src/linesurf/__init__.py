@@ -40,7 +40,6 @@ from .harbourne import (
     fermat_h_closed,
     harbourne_linear,
     harbourne_lower_bound,
-    line_self_intersection,
     miyaoka_check,
     rams_h_closed,
     strict_transform_sq,
@@ -53,9 +52,7 @@ from .incidence import (
     incidence_count,
     profile_from_arrangement,
     scan_arrangement,
-    singular_points,
     valency_consistent,
-    verify_identities,
 )
 from .projgeom import (
     ProjLine,
@@ -96,7 +93,6 @@ __all__ = [
     "harbourne_lower_bound",
     "incidence_count",
     "line_intersection",
-    "line_self_intersection",
     "line_through",
     "load_custom_lines",
     "load_custom_profile",
@@ -111,10 +107,8 @@ __all__ = [
     "rams_profile",
     "scan_arrangement",
     "schur_profile",
-    "singular_points",
     "strict_transform_sq",
     "strict_transform_sq_lower",
     "valency_consistent",
-    "verify_identities",
     "zeta",
 ]

@@ -38,12 +38,12 @@ class IncidenceProfile:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 3:
             raise ProfileError("surface degree n must be an integer >= 3")
-        if not isinstance(self.d, int) or self.d < 0:
+        if type(self.d) is not int or self.d < 0:  # bool is an int subclass
             raise ProfileError("line count d must be a nonnegative integer")
         cleaned: dict[int, int] = {}
         for k in sorted(self.t):
             count = self.t[k]
-            if not isinstance(k, int) or not isinstance(count, int):
+            if type(k) is not int or type(count) is not int:
                 raise ProfileError("multiplicities and counts must be integers")
             if count < 0:
                 raise ProfileError(f"count t_{k} must be nonnegative")

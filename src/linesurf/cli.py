@@ -15,13 +15,14 @@ Each subcommand registers only the flags it reads.  --surface with
 --degree, --eckardt, --profile, --lines and --from-lines selects a
 configuration through ``resolve``, one rule for every subcommand.  Giving a
 flag the chosen surface does not read (``READS``), or --profile with
---lines, is a usage error; --threads is the one flag that is ignored.
+--lines, is a usage error.
 
 Output formats are an aligned text table (default), CSV with a mandatory
 header row, or JSON carrying exact rationals as strings alongside their
 decimal rendering.  Identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 usage error, 2 domain or inapplicability error.
+Exit codes: 0 success, 1 usage error, 2 domain or inapplicability error
+or an input or --output file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .incidence import (
     profile_from_arrangement,
     scan_arrangement,
     valency_consistent,
-    verify_identities,
 )
 from .serialize import (
     arrangement_json,
@@ -124,12 +124,6 @@ def _common_options(parser: argparse.ArgumentParser, places: bool = True) -> Non
         "--output",
         metavar="PATH",
         help="write the report to PATH instead of stdout",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        help="accepted for compatibility and ignored",
     )
 
 
@@ -460,11 +454,17 @@ def cmd_verify(args) -> Output:
     chosen = resolve(args)
     if isinstance(chosen, Arrangement):
         arr, scan = chosen, scan_arrangement(chosen)
-        checks += [(c.name, c.lhs, c.rhs, c.ok) for c in verify_identities(scan).checks]
+        tally, mults = scan.tally(), [sp.multiplicity for sp in scan.points]
+        for name, lhs, rhs in (
+            ("multiplicity_sum", sum(mults), sum(k * c for k, c in tally.items())),
+            ("point_count", len(mults), sum(tally.values())),
+            ("meeting_pairs", sum(k * (k - 1) // 2 for k in mults), scan.meeting_pairs),
+        ):
+            checks.append((name, lhs, rhs, lhs == rhs))
         if args.surface == "fermat":
             good = sum(1 for line in arr.lines if on_surface(line, arr.n))
             checks.append(("on_surface", good, arr.d, good == arr.d))
-        profile = IncidenceProfile(n=arr.n, d=arr.d, t=scan.tally())
+        profile = IncidenceProfile(n=arr.n, d=arr.d, t=tally)
     else:
         profile = chosen
         pairs, budget = incidence_count(profile), profile.d * (profile.d - 1)
@@ -634,8 +634,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"linesurf {args.command}: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(
+                f"linesurf {args.command}: cannot write {args.output}: {exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         sys.stdout.write(payload)
     return 0

@@ -331,7 +331,7 @@ class CycloNum:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return poly_str(self.coeffs, "z")
+        return _poly_str(self.coeffs, "z")
 
     def __repr__(self) -> str:
         return f"CycloNum({self.m}, {list(self.coeffs)!r})"
@@ -445,7 +445,7 @@ def nth_roots_of_minus_one(n: int) -> list[CycloNum]:
     return [zeta(2 * n, 2 * j + 1) for j in range(n)]
 
 
-def poly_str(coeffs: Sequence, var: str = "x") -> str:
+def _poly_str(coeffs: Sequence, var: str = "x") -> str:
     """Human-readable polynomial rendering, highest degree first."""
     parts = []
     for i in range(len(coeffs) - 1, -1, -1):

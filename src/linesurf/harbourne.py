@@ -37,13 +37,6 @@ class UndefinedConstant(ArithmeticError):
     """H_L is undefined: the configuration has no singular points (s = 0)."""
 
 
-def line_self_intersection(n: int) -> int:
-    """Self-intersection 2 - n of a line on a smooth degree-n hypersurface."""
-    if n < 3:
-        raise InapplicableDegree("line self-intersection formula used for n >= 3 only")
-    return 2 - n
-
-
 def strict_transform_sq(profile: IncidenceProfile) -> int:
     """Self-intersection of the strict transform after blowing up all singular points.
 

@@ -3,8 +3,8 @@
 The scan intersects every line pair exactly, groups coincident
 intersection points by their canonical coordinates, and recounts each
 distinct point's multiplicity with a point-on-line test against the
-arrangement lines.  The combinatorial identities tying multiplicities,
-point counts and meeting pairs together are checked on top.
+arrangement lines, and checks that the multiplicities account for every
+meeting pair.
 
 A certified modular filter spares the recount the tests whose answer is
 already known.  Every line's forms, and every grouped point, are reduced
@@ -126,11 +126,6 @@ def scan_arrangement(arr: Arrangement) -> ScanResult:
     return ScanResult(tuple(points), meeting, stats)
 
 
-def singular_points(arr: Arrangement) -> tuple[SingularPoint, ...]:
-    """The distinct points where at least two lines meet, in canonical order."""
-    return scan_arrangement(arr).points
-
-
 def profile_from_arrangement(arr: Arrangement) -> IncidenceProfile:
     """Tally the scanned singular points into an incidence profile."""
     scan = scan_arrangement(arr)
@@ -151,50 +146,3 @@ def valency_consistent(profile: IncidenceProfile, valency: int) -> bool:
     if valency < 0:
         raise ValueError("valency must be nonnegative")
     return incidence_count(profile) == profile.d * valency
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    lhs: int
-    rhs: int
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple[IdentityCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_identities(scan: ScanResult) -> IdentityReport:
-    """Check the combinatorial identities tying a scan to its own tally.
-
-    On the computed singular points: the multiplicity sum equals
-    sum k*t_k, the number of distinct points equals sum t_k, and the
-    binomial sum of multiplicities equals the number of meeting line
-    pairs seen by the pair scan.
-    """
-    tally = scan.tally()
-
-    mult_sum = sum(sp.multiplicity for sp in scan.points)
-    checks = (
-        IdentityCheck(
-            "multiplicity_sum", mult_sum, sum(k * c for k, c in tally.items())
-        ),
-        IdentityCheck(
-            "point_count", len(scan.points), sum(tally.values())
-        ),
-        IdentityCheck(
-            "meeting_pairs",
-            sum(sp.multiplicity * (sp.multiplicity - 1) // 2 for sp in scan.points),
-            scan.meeting_pairs,
-        ),
-    )
-    return IdentityReport(checks)

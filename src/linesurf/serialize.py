@@ -121,13 +121,22 @@ def scan_json(scan: ScanResult) -> dict:
 # Custom input loaders.
 
 
+def _read_json(path: str):
+    """Parse a JSON file; a missing, unreadable or malformed one is a SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_custom_profile(path: str) -> IncidenceProfile:
     """Load and validate a profile file ``{n, d, t: {k: count}}``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    data = _read_json(path)
     try:
         profile = IncidenceProfile.from_json(data)
     except ProfileError as exc:
@@ -178,11 +187,7 @@ def load_custom_lines(path: str) -> Arrangement:
     integers / "p/q" strings for rational values.  Distinctness and the
     shared conductor are enforced.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or "n" not in data or "lines" not in data:
         raise SchemaError(f"{path}: expected an object with fields n and lines")
     n = data["n"]

@@ -41,6 +41,19 @@ class TestIncidenceProfile:
         p = schur_profile()
         assert IncidenceProfile.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize(
+        "d,t,message",
+        [
+            (True, {}, "line count d"),
+            (False, {}, "line count d"),
+            (5, {2: True}, "multiplicities and counts"),
+            (5, {2: False}, "multiplicities and counts"),
+        ],
+    )
+    def test_booleans_rejected(self, d, t, message):
+        with pytest.raises(ProfileError, match=message):
+            IncidenceProfile(n=4, d=d, t=t)
+
 
 class TestFermatLines:
     @pytest.mark.parametrize("n,count", [(3, 27), (4, 48)])

@@ -161,6 +161,21 @@ class TestVerify:
             assert name in out
         assert "FAIL" not in out
 
+    def test_identities_on_two_concurrent_lines(self, capsys, tmp_path):
+        pair = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]]]
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"n": 4, "lines": pair}))
+        code, out, _ = run(
+            capsys, "verify", "--surface", "custom", "--lines", str(path), "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "check,lhs,rhs,result",
+            "multiplicity_sum,2,2,PASS",
+            "point_count,1,1,PASS",
+            "meeting_pairs,1,1,PASS",
+        ]
+
 
 class TestBound:
     def test_bauer_bound(self, capsys, tmp_path):
@@ -464,19 +479,6 @@ class TestOutputBehavior:
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_threads_do_not_change_output(self, capsys):
-        code, plain, _ = run(
-            capsys, "verify", "--surface", "fermat", "--degree", "4", "--format", "csv"
-        )
-        assert code == 0
-        code, threaded, _ = run(
-            capsys,
-            "verify", "--surface", "fermat", "--degree", "4", "--format", "csv",
-            "--threads", "4",
-        )
-        assert code == 0
-        assert plain == threaded
-
     def test_verify_scans_once(self, capsys, monkeypatch):
         import linesurf.cli
         import linesurf.incidence
@@ -509,9 +511,37 @@ class TestOutputBehavior:
         assert usage.startswith("usage: linesurf catalog ") and "--singular" in usage
         assert message == "unrecognized arguments: --places 2\n"
 
+    def test_threads_is_an_unknown_flag(self, capsys):
+        argv = ("sweep", "--surface", "fermat", "--degrees", "3:4", "--threads", "4")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        usage, message = err.split("linesurf sweep: error: ")
+        assert usage.startswith("usage: linesurf sweep ") and "--degrees" in usage
+        assert message == "unrecognized arguments: --threads 4\n"
 
-# Each subcommand's options, leaving out --help and --threads: a flag is
-# registered only where the subcommand reads it.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("analyze", "--surface", "custom", "--lines", "{missing}"), "{missing}: cannot read"),
+            (("profile", "--surface", "custom", "--profile", "{dir}"), "{dir}: cannot read"),
+            (("analyze", "--surface", "custom", "--lines", "{latin1}"), "{latin1}: not UTF-8"),
+            (
+                ("analyze", "--surface", "schur", "--output", "{missing}/x"),
+                "linesurf analyze: cannot write {missing}/x",
+            ),
+        ],
+        ids=("missing-lines", "directory-profile", "non-utf8-lines", "unwritable-output"),
+    )
+    def test_file_errors_are_one_line(self, capsys, tmp_path, argv, message):
+        paths = {"missing": tmp_path / "missing", "dir": tmp_path, "latin1": tmp_path / "l.json"}
+        paths["latin1"].write_bytes(b'{"n": 4, "lines": [], "note": "\xe9"}')
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and message.format(**paths) in err
+
+
+# Each subcommand's options, leaving out --help: a flag is registered only
+# where the subcommand reads it.
 OPTIONS = {
     "catalog": "--surface --degree --lines --singular --format --output",
     "profile": "--surface --degree --eckardt --profile --lines --from-lines --format --output",
@@ -571,8 +601,8 @@ class TestFlags:
             for name, parser in sub.choices.items()
         }
         for name, options in found.items():
-            assert "--threads" in options  # the one documented no-op
-            assert set(options) - {"-h", "--help", "--threads"} == set(OPTIONS[name].split())
+            assert "--threads" not in options
+            assert set(options) - {"-h", "--help"} == set(OPTIONS[name].split())
         assert sum(len(o.split()) for o in OPTIONS.values()) == 61
 
     @pytest.mark.parametrize(

@@ -19,25 +19,12 @@ from linesurf.harbourne import (
     fermat_h_closed,
     harbourne_linear,
     harbourne_lower_bound,
-    line_self_intersection,
     miyaoka_check,
     rams_h_closed,
     strict_transform_sq,
     strict_transform_sq_lower,
 )
 BAUER = IncidenceProfile(n=4, d=16, t={4: 8})
-
-
-class TestLineSelfIntersection:
-    def test_cubic(self):
-        assert line_self_intersection(3) == -1
-
-    def test_quartic(self):
-        assert line_self_intersection(4) == -2
-
-    def test_quadric_excluded(self):
-        with pytest.raises(InapplicableDegree):
-            line_self_intersection(2)
 
 
 class TestStrictTransformSq:

@@ -16,9 +16,7 @@ from linesurf.incidence import (
     incidence_count,
     profile_from_arrangement,
     scan_arrangement,
-    singular_points,
     valency_consistent,
-    verify_identities,
 )
 from linesurf.projgeom import ProjPoint, line_through, point_on_line
 from linesurf.serialize import scan_json
@@ -37,7 +35,7 @@ class TestSingularPoints:
         arr = simple_arrangement(
             [((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0, 1))]
         )
-        assert singular_points(arr) == ()
+        assert scan_arrangement(arr).points == ()
 
     def test_fermat_cubic_counts(self, fermat_scans):
         points = fermat_scans[3].points
@@ -54,6 +52,10 @@ class TestSingularPoints:
         for sp in points:
             by_mult[sp.multiplicity] = by_mult.get(sp.multiplicity, 0) + 1
         assert by_mult == {2: 192, 4: 24}
+
+    def test_fermat_quartic_pair_count(self, fermat_scans):
+        meeting = fermat_scans[4].meeting_pairs
+        assert meeting == 192 * 1 + 24 * 6 == 336
 
     def test_every_listed_line_passes_through(self, fermat_arrs, fermat_scans):
         arr = fermat_arrs[3]
@@ -105,29 +107,6 @@ class TestValency:
 
     def test_two_concurrent_lines(self):
         assert valency_consistent(IncidenceProfile(n=4, d=2, t={2: 1}), 1)
-
-
-class TestVerifyIdentities:
-    def test_fermat_cubic(self, fermat_scans):
-        report = verify_identities(fermat_scans[3])
-        assert report.ok
-        mult_sum = next(c for c in report.checks if c.name == "multiplicity_sum")
-        assert mult_sum.lhs == 2 * 81 + 3 * 18 == 216
-
-    def test_two_concurrent_lines(self):
-        arr = simple_arrangement(
-            [((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0))]
-        )
-        report = verify_identities(scan_arrangement(arr))
-        assert report.ok
-        points = next(c for c in report.checks if c.name == "point_count")
-        pairs = next(c for c in report.checks if c.name == "meeting_pairs")
-        assert points.lhs == 1
-        assert pairs.lhs == 1
-
-    def test_fermat_quartic_pair_count(self, fermat_scans):
-        meeting = fermat_scans[4].meeting_pairs
-        assert meeting == 192 * 1 + 24 * 6 == 336
 
 
 def moved(arr, matrix):

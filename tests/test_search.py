@@ -1,7 +1,7 @@
 import pytest
 
 from linesurf.harbourne import bauer_search, harbourne_linear
-from linesurf.incidence import profile_from_arrangement, singular_points
+from linesurf.incidence import profile_from_arrangement, scan_arrangement
 
 
 class TestBauerSearch:
@@ -15,7 +15,7 @@ class TestBauerSearch:
         profile = profile_from_arrangement(sub)
         assert profile.t == {4: 8}
         assert harbourne_linear(profile) == -8
-        for sp in singular_points(sub):
+        for sp in scan_arrangement(sub).points:
             assert sp.multiplicity == 4
 
     def test_all_solutions_deterministic(self, fermat_arrs):
