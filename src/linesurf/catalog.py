@@ -91,6 +91,10 @@ class IncidenceProfile:
             t = {int(k): c for k, c in t_raw.items()}
         except (TypeError, ValueError) as exc:
             raise ProfileError(f"profile t-vector entries must be integers: {exc}") from exc
+        if len(t) < len(t_raw):
+            keys = sorted(t_raw, key=int)
+            a, b = next((a, b) for a, b in zip(keys, keys[1:]) if int(a) == int(b))
+            raise ProfileError(f"t-keys {a!r} and {b!r} both name multiplicity {int(a)}")
         for name, value in (("n", n), ("d", d)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ProfileError(f"profile field {name} must be a JSON integer, got {value!r}")

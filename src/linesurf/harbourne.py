@@ -21,8 +21,10 @@ coarser strict form  Ltilde^2 > -4s - 2n(n-1)^2.  Both are reported.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .catalog import Arrangement, IncidenceProfile, max_lines_bound
@@ -202,102 +204,62 @@ def bauer_search(
     """Sub-arrangements of ``size`` lines whose singular points are all quadruple.
 
     Exact backtracking over the quadruple points of the ambient
-    arrangement: activating a point commits all four of its lines, and
-    any two committed lines meeting elsewhere force that meeting point to
-    become quadruple as well (or prune the branch when it cannot).  Every
-    line of a found subconfiguration therefore passes through at least
-    one of its quadruple points; all-skew subsets do not count.  Points
-    where more than four ambient lines meet are never subsampled.
+    arrangement, in scan order, trying each point in before leaving it
+    out.  Activating a point commits all four of its lines, and the
+    committed points are then closed to a least fixed point: every point
+    where two committed lines meet is forced in, until nothing new is
+    forced.  A branch is pruned when a forced point is not quadruple, was
+    left out earlier, or the lines outgrow ``size``.  Every line of a found
+    subconfiguration therefore passes through at least one of its
+    quadruple points; all-skew subsets do not count.  Points where more
+    than four ambient lines meet are never subsampled.  Each witness is
+    validated again from its pairs of lines before it is returned.
 
     Returns sorted tuples of line indices, at most ``max_solutions`` of
     them (None means all), in deterministic order.
     """
     if size < 2:
         raise ValueError("a subconfiguration needs at least 2 lines")
-    scan = scan_arrangement(arr)
-    quad_ids = [idx for idx, sp in enumerate(scan.points) if sp.multiplicity == 4]
-    if not quad_ids:
-        return []
-
+    points = scan_arrangement(arr).points
     # Where each pair of lines meets: point index in scan order, or absent.
-    pair_point: dict[tuple[int, int], int] = {}
-    for idx, sp in enumerate(scan.points):
-        for a in range(sp.multiplicity):
-            for b in range(a + 1, sp.multiplicity):
-                pair_point[(sp.lines[a], sp.lines[b])] = idx
-    quad_id_set = set(quad_ids)
-    lines_of_point = [sp.lines for sp in scan.points]
-
+    meet = {pair: pid for pid, sp in enumerate(points) for pair in combinations(sp.lines, 2)}
+    quads = [pid for pid, sp in enumerate(points) if sp.multiplicity == 4]
     solutions: list[tuple[int, ...]] = []
 
-    def meeting(a: int, b: int) -> Optional[int]:
-        return pair_point.get((a, b) if a < b else (b, a))
+    def close(chosen: frozenset, lines: frozenset, excluded: frozenset):
+        """The least closed point set containing ``chosen``; None on contradiction."""
+        while len(lines) <= size:
+            forced = {meet[p] for p in combinations(sorted(lines), 2) if p in meet} - chosen
+            if not forced:
+                return chosen, lines
+            if any(points[pid].multiplicity != 4 or pid in excluded for pid in forced):
+                return None
+            chosen |= forced
+            lines = lines.union(*(points[pid].lines for pid in forced))
+        return None
 
-    def close(chosen_points: set[int], lines: set[int], excluded: set[int]):
-        """Propagate forced activations; None on contradiction."""
-        frontier = list(lines)
-        while frontier:
-            new_frontier = []
-            existing = list(lines)
-            for a in frontier:
-                for b in existing:
-                    if a == b:
-                        continue
-                    pid = meeting(a, b)
-                    if pid is None or pid in chosen_points:
-                        continue
-                    if pid not in quad_id_set or pid in excluded:
-                        return None
-                    chosen_points.add(pid)
-                    for line in lines_of_point[pid]:
-                        if line not in lines:
-                            lines.add(line)
-                            new_frontier.append(line)
-                            existing.append(line)
-                    if len(lines) > size:
-                        return None
-            frontier = new_frontier
-        return chosen_points, lines
-
-    def record(lines: set[int]) -> bool:
-        """Append a verified solution; True when the cap is reached."""
-        chosen = tuple(sorted(lines))
-        # Full independent validation of the witness.
-        counts: dict[int, int] = {}
-        for i in range(len(chosen)):
-            for j in range(i + 1, len(chosen)):
-                pid = meeting(chosen[i], chosen[j])
-                if pid is not None:
-                    counts[pid] = counts.get(pid, 0) + 1
-        for pairs in counts.values():
-            if pairs != 6:  # C(4,2): exactly four chosen lines through the point
-                raise AssertionError("search produced an invalid subconfiguration")
-        if chosen not in solutions:
-            solutions.append(chosen)
-        return max_solutions is not None and len(solutions) >= max_solutions
-
-    def backtrack(next_quad: int, chosen_points: set[int], lines: set[int], excluded: set[int]) -> bool:
-        if len(lines) == size and chosen_points:
-            return record(lines)
-        if next_quad >= len(quad_ids):
+    def backtrack(i: int, chosen: frozenset, lines: frozenset, excluded: frozenset) -> bool:
+        """Depth-first walk; True once ``max_solutions`` witnesses are found."""
+        if len(lines) == size and chosen:
+            solutions.append(tuple(sorted(lines)))
+            return max_solutions is not None and len(solutions) >= max_solutions
+        if i == len(quads):
             return False
-        pid = quad_ids[next_quad]
-        if pid not in chosen_points and pid not in excluded:
-            new_points = set(chosen_points)
-            new_lines = set(lines)
-            new_points.add(pid)
-            new_lines.update(lines_of_point[pid])
-            if len(new_lines) <= size:
-                closed = close(new_points, new_lines, excluded)
-                if closed is not None:
-                    if backtrack(next_quad + 1, closed[0], closed[1], excluded):
-                        return True
+        pid = quads[i]
+        if pid not in chosen and pid not in excluded:
+            closed = close(chosen | {pid}, lines.union(points[pid].lines), excluded)
+            if closed and backtrack(i + 1, *closed, excluded):
+                return True
             excluded = excluded | {pid}
-        return backtrack(next_quad + 1, chosen_points, lines, excluded)
+        return backtrack(i + 1, chosen, lines, excluded)
 
-    backtrack(0, set(), set(), set())
-    solutions.sort()
-    return solutions
+    backtrack(0, frozenset(), frozenset(), frozenset())
+    for chosen in solutions:
+        counts = Counter(meet[p] for p in combinations(chosen, 2) if p in meet)
+        # C(4,2): exactly four chosen lines through every point they meet in.
+        if any(pairs != 6 for pairs in counts.values()):
+            raise AssertionError("search produced an invalid subconfiguration")
+    return sorted(solutions)
 
 
 def extremal_profile_search(

@@ -202,13 +202,13 @@ def load_custom_lines(path: str) -> Arrangement:
         where = f"{path}: line {idx}"
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{where}: expected a pair of points")
-        points = []
+        coords = []
         for pt in pair:
             if not isinstance(pt, list) or len(pt) != 4:
                 raise SchemaError(f"{where}: a point needs 4 coordinates")
-            points.append(ProjPoint([_coordinate(c, m, where) for c in pt]))
+            coords.append([_coordinate(c, m, where) for c in pt])
         try:
-            lines.append(line_through(points[0], points[1]))
+            lines.append(line_through(ProjPoint(coords[0]), ProjPoint(coords[1])))
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     try:

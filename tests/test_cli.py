@@ -177,6 +177,13 @@ class TestVerify:
         ]
 
 
+    def test_negative_valency_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--surface", "fermat", "--degree", "3", "--valency", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "linesurf verify: valency must be nonnegative\n"
+
 class TestBound:
     def test_bauer_bound(self, capsys, tmp_path):
         path = tmp_path / "bauer.json"
@@ -256,6 +263,11 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"linesurf {argv[0]}: places must be nonnegative\n"
 
+    def test_empty_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--surface", "fermat", "--degrees", "5:3")
+        assert (code, out) == (1, "")
+        assert err == "linesurf sweep: error: --degrees range is empty: 5:3\n"
+
     def test_bad_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--surface", "fermat", "--degrees", "12")
         assert code == 1
@@ -277,6 +289,29 @@ class TestSearches:
         assert len(first["lines"]) == 16
         assert first["profile"]["t"] == {"4": 8}
         assert first["h_linear"] == "-8"
+
+    def test_search_bauer_all_solutions_csv(self, capsys):
+        code, out, err = run(
+            capsys, "search-bauer", "--surface", "fermat", "--degree", "4",
+            "--size", "16", "--max-solutions", "0", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert rows[0] == "solution,lines,t,h_exact,h_decimal"
+        assert [row.split(",")[:4] for row in rows[1:]] == [
+            [str(i), ";".join(map(str, range(16 * i, 16 * i + 16))), "4:8", "-8"]
+            for i in range(3)
+        ]
+
+    def test_search_bauer_negative_max_solutions(self, capsys):
+        code, out, err = run(
+            capsys, "search-bauer", "--surface", "fermat", "--degree", "4",
+            "--size", "16", "--max-solutions", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "linesurf search-bauer: error: --max-solutions must be 0 (all) or positive\n"
+        )
 
     def test_search_bauer_needs_lines(self, capsys):
         code, _, err = run(
@@ -444,6 +479,71 @@ class TestCustomInput:
         )
         assert (code, out) == (2, "")
         assert "JSON integer" in err
+
+    def test_repeated_multiplicity_key_rejected(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"n": 4, "d": 16, "t": {"4": 8, "04": 1}}))
+        with pytest.raises(SchemaError, match="'4' and '04'"):
+            load_custom_profile(str(path))
+        code, out, err = run(
+            capsys, "profile", "--surface", "custom", "--profile", str(path),
+            "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"linesurf profile: {path}: ")
+
+    def test_all_zero_point_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 4, "lines": [[[0, 0, 0, 0], [0, 1, 0, 0]]]}))
+        with pytest.raises(SchemaError):
+            load_custom_lines(str(path))
+        code, out, err = run(
+            capsys, "profile", "--surface", "custom", "--lines", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"linesurf profile: {path}: line 0: homogeneous coordinates cannot all be zero\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag,text,message",
+        (
+            ("--lines", "not json", "not valid JSON"),
+            ("--lines", "[1, 2]", "expected an object with fields n and lines"),
+            ("--lines", '{"n": 4, "lines": {"a": 1}}', "lines must be a list of point pairs"),
+            ("--lines", '{"n": 4, "lines": [[[1, 0, 0, 0]]]}', "line 0: expected a pair of points"),
+            (
+                "--lines",
+                '{"n": 4, "lines": [[[1, 0, 0], [0, 1, 0, 0]]]}',
+                "line 0: a point needs 4 coordinates",
+            ),
+            (
+                "--lines",
+                '{"n": 4, "lines": [[[{"m": 8}, 0, 0, 0], [0, 1, 0, 0]]]}',
+                "line 0: bad cyclotomic coordinate",
+            ),
+            (
+                "--lines",
+                '{"n": 4, "lines": [[["1/0", 0, 0, 0], [0, 1, 0, 0]]]}',
+                "line 0: bad rational coordinate '1/0'",
+            ),
+            (
+                "--lines",
+                '{"n": 4, "lines": [[[1, 0, 0, 0], [2, 0, 0, 0]]]}',
+                "line 0: a line needs two distinct points",
+            ),
+            ("--profile", '{"n": 4, "d": 6, "t": [1, 2]}', "must map multiplicity to count"),
+            ("--profile", '{"n": 4, "t": {}}', "must carry n, d, t"),
+        ),
+    )
+    def test_bad_input_file(self, capsys, tmp_path, flag, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "profile", "--surface", "custom", flag, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"linesurf profile: {path}: ")
+        assert message in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_analyze_custom_lines_end_to_end(self, capsys, tmp_path):
         # two meeting lines: one double point, H_L = ((2-4)*2 - 2)/1 = -6

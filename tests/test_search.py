@@ -1,5 +1,7 @@
 import pytest
+from test_incidence import MOVE, moved
 
+from linesurf.catalog import fermat_lines
 from linesurf.harbourne import bauer_search, harbourne_linear
 from linesurf.incidence import profile_from_arrangement, scan_arrangement
 
@@ -36,3 +38,24 @@ class TestBauerSearch:
     def test_size_floor(self, fermat_arrs):
         with pytest.raises(ValueError):
             bauer_search(fermat_arrs[4], 1)
+
+
+class TestBauerSearchPinned:
+    """Exact witness lists, so a rewrite of the search must reproduce them."""
+
+    @pytest.mark.parametrize("size,count", ((4, 24), (8, 0), (12, 0), (16, 3), (20, 0), (24, 0)))
+    def test_fermat_quartic_witness_counts(self, fermat_arrs, size, count):
+        assert len(bauer_search(fermat_arrs[4], size, max_solutions=None)) == count
+
+    def test_fermat_quartic_blocks(self, fermat_arrs):
+        blocks = [tuple(range(16 * b, 16 * b + 16)) for b in range(3)]
+        assert bauer_search(fermat_arrs[4], 16, max_solutions=None) == blocks
+        # The first two witnesses in search order, then sorted.
+        assert bauer_search(fermat_arrs[4], 16, max_solutions=2) == [blocks[0], blocks[2]]
+        assert bauer_search(fermat_arrs[4], 16) == [blocks[0]]
+
+    def test_moved_quartic_has_the_same_witnesses(self, fermat_arrs):
+        arr = moved(fermat_lines(4), MOVE)
+        found = bauer_search(arr, 16, max_solutions=None)
+        assert len(found) == 3
+        assert found == bauer_search(fermat_arrs[4], 16, max_solutions=None)
