@@ -216,10 +216,12 @@ def bauer_search(
     validated again from its pairs of lines before it is returned.
 
     Returns sorted tuples of line indices, at most ``max_solutions`` of
-    them (None means all), in deterministic order.
+    them (None means all, otherwise at least 1), in deterministic order.
     """
     if size < 2:
         raise ValueError("a subconfiguration needs at least 2 lines")
+    if max_solutions is not None and max_solutions < 1:
+        raise ValueError("max_solutions must be None (all) or at least 1")
     points = scan_arrangement(arr).points
     # Where each pair of lines meets: point index in scan order, or absent.
     meet = {pair: pid for pid, sp in enumerate(points) for pair in combinations(sp.lines, 2)}
@@ -270,12 +272,28 @@ def extremal_profile_search(
 ) -> list[tuple[IncidenceProfile, Optional[Fraction]]]:
     """Enumerate abstract t-vectors compatible with Miyaoka, most negative H_L first.
 
-    Every t-vector over multiplicities 2..min(k_max, d) satisfying the
-    pair-count feasibility sum (k^2-k) t_k <= d(d-1) is generated; those
-    passing Miyaoka's inequality are kept and sorted by H_L ascending
-    (profiles with s = 0 carry no value and sort last).  The profiles are
-    purely combinatorial candidates: nothing here certifies that a
-    configuration of actual lines realizes them.
+    Lists every t-vector over multiplicities 2..min(k_max, d) that meets
+    the pair-count feasibility sum (k^2-k) t_k <= d(d-1) and passes
+    Miyaoka's inequality, sorted by H_L ascending and then by t; the
+    profile with s = 0 carries no value and comes last.
+
+    The tails t_3..t_k are walked one by one.  For a fixed tail the
+    admissible t_2 form one run lo..hi: Miyaoka's left side falls by one
+    per unit of t_2, so it gives the lower end
+    lo = max(0, n*d + sum_{k>=3} (k-4) t_k - 2n(n-1)^2), and pair
+    feasibility gives the upper end hi = (d(d-1) - sum_{k>=3} (k^2-k) t_k) // 2.
+    Each run is certified by ``miyaoka_check`` itself: it must hold at lo
+    and, when lo > 0, fail at lo - 1 (an empty run must fail at hi);
+    otherwise the search raises ``AssertionError``.  Every row is still a
+    validated ``IncidenceProfile`` with its value from ``harbourne_linear``.
+
+    The sort key is an exact integer.  Every s is at most S = d(d-1)/2,
+    since each point uses at least one pair of lines, so two distinct
+    values of H_L differ by at least 1/S^2 and floor(S^2 * H_L) orders
+    them exactly, equal values getting equal keys.
+
+    The profiles are purely combinatorial candidates: nothing here
+    certifies that a configuration of actual lines realizes them.
     """
     if n < 4:
         raise InapplicableDegree("the extremal search is gated on degree n >= 4")
@@ -300,35 +318,57 @@ def extremal_profile_search(
             "reduce d or k_max"
         )
 
+    rhs = 2 * n * (n - 1) ** 2
     results: list[tuple[IncidenceProfile, Optional[Fraction]]] = []
+    empty: list[tuple[IncidenceProfile, Optional[Fraction]]] = []
 
-    def enumerate_vectors(idx: int, remaining: int, current: dict[int, int]):
-        if idx == len(ks):
-            profile = IncidenceProfile(n=n, d=d, t=dict(current))
-            if not miyaoka_check(profile).holds:
-                return
-            value = harbourne_linear(profile) if profile.s > 0 else None
-            results.append((profile, value))
+    def certify(tail: dict[int, int], t2: int, holds: bool) -> None:
+        if miyaoka_check(IncidenceProfile(n=n, d=d, t={2: t2, **tail})).holds != holds:
+            raise AssertionError(
+                f"Miyaoka run endpoint t_2 = {t2} misplaced for tail {tail}"
+            )
+
+    def run(tail: dict[int, int], remaining: int, excess: int) -> None:
+        """All rows with this tail t_3..t_k: t_2 over lo..hi, certified at its ends."""
+        lo = max(0, n * d + excess - rhs)
+        hi = remaining // 2
+        if lo > hi:
+            certify(tail, hi, False)
             return
-        k = ks[idx]
+        certify(tail, lo, True)
+        if lo > 0:
+            certify(tail, lo - 1, False)
+        if lo == 0 and not tail:
+            empty.append((IncidenceProfile(n=n, d=d), None))
+            lo = 1
+        for t2 in range(lo, hi + 1):
+            profile = IncidenceProfile(n=n, d=d, t={2: t2, **tail})
+            results.append((profile, harbourne_linear(profile)))
+
+    tail_ks = ks[1:]
+
+    def walk(idx: int, remaining: int, excess: int, current: dict[int, int]) -> None:
+        if idx == len(tail_ks):
+            run(current, remaining, excess)
+            return
+        k = tail_ks[idx]
         weight = k * k - k
         for count in range(remaining // weight + 1):
             if count:
                 current[k] = count
-            elif k in current:
-                del current[k]
-            enumerate_vectors(idx + 1, remaining - weight * count, current)
-        if k in current:
-            del current[k]
+            walk(idx + 1, remaining - weight * count, excess + (k - 4) * count, current)
+        current.pop(k, None)
 
-    enumerate_vectors(0, budget, {})
+    walk(0, budget, 0, {})
+    pairs = budget // 2
+    scale = pairs * pairs
     results.sort(
-        key=lambda item: (
-            item[1] is None,
-            item[1] if item[1] is not None else 0,
-            sorted(item[0].t.items()),
+        key=lambda row: (
+            row[1].numerator * scale // row[1].denominator,
+            tuple(row[0].t.items()),
         )
     )
+    results += empty
     if limit is not None:
         return results[:limit]
     return results

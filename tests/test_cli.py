@@ -340,6 +340,18 @@ class TestSearches:
         code, out, _ = run(capsys, *argv, "--format", "csv")
         assert code == 0 and len(out.splitlines()) == 52
 
+    def test_search_extremal_miyaoka_lower_end(self, capsys):
+        argv = ["search-extremal", "--degree", "4", "--num-lines", "19", "--k-max", "2"]
+        code, out, _ = run(capsys, *argv, "--limit", "2", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "t,s,h_exact,h_decimal,miyaoka_lhs,miyaoka_rhs",
+            "2:4,4,-23/2,-11.500,72,72",
+            "2:5,5,-48/5,-9.600,71,72",
+        ]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 169
+
     def test_search_extremal_degree_gate(self, capsys):
         code, _, err = run(
             capsys, "search-extremal", "--degree", "3", "--num-lines", "5", "--k-max", "3"

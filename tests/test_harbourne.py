@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import linesurf.harbourne
 from linesurf.catalog import (
     IncidenceProfile,
     cubic_profile,
@@ -12,6 +13,7 @@ from linesurf.catalog import (
 )
 from linesurf.harbourne import (
     InapplicableDegree,
+    MiyaokaResult,
     UndefinedConstant,
     analyze_profile,
     cubic_h,
@@ -25,6 +27,47 @@ from linesurf.harbourne import (
     strict_transform_sq_lower,
 )
 BAUER = IncidenceProfile(n=4, d=16, t={4: 8})
+
+
+def brute_force_search(n, d, k_max, limit=None):
+    """Oracle for ``extremal_profile_search``: every t-vector, filtered and sorted.
+
+    Builds each pair-feasible t-vector over multiplicities 2..min(k_max, d),
+    keeps those passing Miyaoka's inequality and sorts them by H_L as a
+    ``Fraction``, then by t, with the s = 0 profile last.
+    """
+    budget = d * (d - 1)
+    ks = list(range(2, min(k_max, d) + 1))
+    results = []
+
+    def enumerate_vectors(idx, remaining, current):
+        if idx == len(ks):
+            profile = IncidenceProfile(n=n, d=d, t=dict(current))
+            if miyaoka_check(profile).holds:
+                value = harbourne_linear(profile) if profile.s > 0 else None
+                results.append((profile, value))
+            return
+        k = ks[idx]
+        weight = k * k - k
+        for count in range(remaining // weight + 1):
+            current[k] = count
+            enumerate_vectors(idx + 1, remaining - weight * count, current)
+        del current[k]
+
+    enumerate_vectors(0, budget, {})
+    results.sort(
+        key=lambda item: (
+            item[1] is None,
+            item[1] if item[1] is not None else 0,
+            sorted(item[0].t.items()),
+        )
+    )
+    return results if limit is None else results[:limit]
+
+
+def listed(rows):
+    """Rows with the order of each ``t`` made visible to ``==``."""
+    return [(p.n, p.d, list(p.t.items()), v) for p, v in rows]
 
 
 class TestStrictTransformSq:
@@ -211,6 +254,42 @@ class TestExtremalSearch:
         with pytest.raises(ValueError, match="limit"):
             extremal_profile_search(4, 6, 3, limit=-1)
         assert extremal_profile_search(4, 6, 3, limit=0) == []
+
+
+class TestExtremalSearchOracle:
+    """The t_2 runs give the brute-force rows, in the same order."""
+
+    @pytest.mark.parametrize("k_max", (2, 3, 4, 6))
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("n", (4, 6))
+    def test_small_grid(self, n, d, k_max):
+        assert listed(extremal_profile_search(n, d, k_max)) == listed(
+            brute_force_search(n, d, k_max)
+        )
+
+    @pytest.mark.parametrize("case", ((4, 19, 2), (4, 24, 2), (4, 20, 3)))
+    def test_miyaoka_sets_the_lower_end(self, case):
+        rows = extremal_profile_search(*case)
+        assert listed(rows) == listed(brute_force_search(*case))
+        # d > 2(n-1)^2: the empty profile fails Miyaoka, so lo > 0 on its run.
+        assert all(p.s > 0 for p, _ in rows)
+
+    @pytest.mark.parametrize("limit", (0, 1, 7))
+    @pytest.mark.parametrize("case", ((4, 1, 4), (4, 6, 3), (6, 9, 4), (4, 19, 2)))
+    def test_limit(self, case, limit):
+        assert listed(extremal_profile_search(*case, limit=limit)) == listed(
+            brute_force_search(*case, limit=limit)
+        )
+
+    @pytest.mark.parametrize("holds", (False, True))
+    def test_run_certification_can_fail(self, monkeypatch, holds):
+        # Miyaoka reported as always failing breaks the lower end of a run;
+        # reported as always holding, the check just below it (lo > 0 at d = 19).
+        monkeypatch.setattr(
+            linesurf.harbourne, "miyaoka_check", lambda profile: MiyaokaResult(0, 0, holds)
+        )
+        with pytest.raises(AssertionError, match="Miyaoka run endpoint"):
+            extremal_profile_search(4, 19, 2)
 
 
 class TestBoundSoundness:

@@ -39,6 +39,11 @@ class TestBauerSearch:
         with pytest.raises(ValueError):
             bauer_search(fermat_arrs[4], 1)
 
+    @pytest.mark.parametrize("max_solutions", (0, -3))
+    def test_max_solutions_floor(self, fermat_arrs, max_solutions):
+        with pytest.raises(ValueError, match="max_solutions"):
+            bauer_search(fermat_arrs[4], 16, max_solutions=max_solutions)
+
 
 class TestBauerSearchPinned:
     """Exact witness lists, so a rewrite of the search must reproduce them."""
