@@ -266,15 +266,22 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """The multiplicative inverse P / N(a), through the Galois norm.
+        """The multiplicative inverse.
 
-        P is the product of the conjugates zeta -> zeta^k of a over the
+        A monomial c * zeta^k inverts in closed form to c^-1 * zeta^(m-k).
+        Any other value a inverts to P / N(a), through the Galois norm: P
+        is the product of the conjugates zeta -> zeta^k of a over the
         units k != 1 mod m, so a * P is the product of all conjugates, the
         norm N(a): a rational, nonzero because a is.
         """
-        if self.is_zero():
-            raise ZeroDivisionError(f"inverse of zero in Q(zeta_{self.m})")
         m, a = self.m, self.coeffs
+        support = [k for k, c in enumerate(a) if c]
+        if not support:
+            raise ZeroDivisionError(f"inverse of zero in Q(zeta_{m})")
+        if len(support) == 1:
+            k = support[0]
+            scale = _qnorm(1 / Fraction(a[k]))
+            return _raw(m, tuple(_qnorm(x * scale) for x in _zeta_pow_vec(m, -k % m)))
         prod = (1,) + (0,) * (len(a) - 1)
         for rows in _conjugate_rows(m):
             prod = _mul_vec(m, prod, _combine(a, rows))

@@ -1,21 +1,23 @@
 """Singular locus and incidence statistics of explicit line arrangements.
 
-The scan intersects every line pair exactly, groups coincident
-intersection points by their canonical coordinates, and recounts each
-distinct point's multiplicity with a point-on-line test against the
-arrangement lines, and checks that the multiplicities account for every
-meeting pair.
+The scan decides every line pair with ``line_intersection``, groups
+coincident intersection points by their canonical coordinates, and
+recounts each distinct point's multiplicity with a point-on-line test
+against the arrangement lines, and checks that the multiplicities account
+for every meeting pair.
 
-A certified modular filter spares the recount the tests whose answer is
-already known.  Every line's forms, and every grouped point, are reduced
-once into F_p under ``zeta_m -> r`` (``exactnum.residue_field``).  That
-map is a ring homomorphism on the p-integral elements, so an exact zero
-has residue zero: a line with a form whose residue at a point is nonzero
-does not pass through the point, and its exact test is skipped.  Every
-true incidence, every line the residues cannot rule out, and every
-object with a coordinate outside the p-integral ring takes the exact
-test.  The filter only skips tests whose answer it has proved, so the
-result does not depend on p.
+A certified modular filter spares the scan the exact work whose answer is
+already known.  Values are reduced into F_p under ``zeta_m -> r``
+(``exactnum.residue_field``).  That map is a ring homomorphism on the
+p-integral elements, so an exact zero has residue zero.  In the pair
+scan, ``line_intersection`` proves a pair skew by a nonzero residue of
+its Plucker pairing, and proves a meeting exactly.  In the recount, every
+line's forms and every grouped point are reduced once: a line with a form
+whose residue at a point is nonzero does not pass through the point, and
+its exact test is skipped.  Every true incidence, every line the residues
+cannot rule out, and every object with a coordinate outside the
+p-integral ring takes the exact test.  The filter only skips work whose
+answer it has proved, so the result does not depend on p.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import NamedTuple, Optional
 
+from . import exactnum
 from .catalog import Arrangement, IncidenceProfile
-from .exactnum import residue_field
 from .projgeom import ProjPoint, line_intersection, point_on_line
 
 
@@ -41,7 +43,7 @@ class SingularPoint:
 class ScanStats(NamedTuple):
     """What one scan did, in counts that repeat exactly from run to run."""
 
-    pairs: int  # line pairs, d(d-1)/2, each intersected exactly
+    pairs: int  # line pairs, d(d-1)/2, each decided by line_intersection
     meeting: int  # pairs that meet
     on_line_tests: int  # exact point_on_line calls in the recount
     points: int  # distinct singular points
@@ -97,7 +99,7 @@ def scan_arrangement(arr: Arrangement) -> ScanResult:
                 members.add(i)
                 members.add(j)
 
-    p = residue_field(arr.conductor)[0]
+    p = exactnum.residue_field(arr.conductor)[0]
     form_pairs = [tuple(_residues(form) for form in line.forms) for line in lines]
     forms = [None if None in pair else pair for pair in form_pairs]
     points = []

@@ -5,8 +5,11 @@ coordinate is 1; lines carry a base point pair, canonically scaled
 Plucker coordinates, and two linear forms cutting the line out, read off
 the dual Plucker matrix.  Meeting lines intersect in a closed form built
 from one base point pair and one such form, so no linear system is ever
-solved.  All predicates (canonical equality, point-on-line, meet-or-skew)
-are decided by exact field arithmetic, never by tolerances.
+solved.  Canonical equality and point-on-line are decided by exact field
+arithmetic, never by tolerances.  Meet-or-skew is decided in two ways,
+both certified: a pair is proved skew by a nonzero residue of its Plucker
+pairing in F_p (``exactnum.residue_field``), and proved to meet by the
+exact check that the closed-form point lies on both lines.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from . import exactnum  # residue_field read where CycloNum.residue reads it
 from .exactnum import ConductorMismatch, CycloNum, Scalar
 
 #: Index order of the six Plucker coordinates.
@@ -97,10 +101,12 @@ class ProjLine:
     dual Plucker matrix, where {i, j} is the complement of the pair {k, l}
     of the leading Plucker coordinate.  Row i is the plane through the
     line and the coordinate point e_i; the two rows are independent
-    because their minor in columns i, j is p_kl^2 = 1.
+    because their minor in columns i, j is p_kl^2 = 1.  ``residues`` holds
+    the images of the Plucker coordinates in F_p (``CycloNum.residue``),
+    or None if any coordinate lies outside the p-integral ring.
     """
 
-    __slots__ = ("base", "plucker", "forms")
+    __slots__ = ("base", "plucker", "forms", "residues")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p.conductor != q.conductor:
@@ -122,6 +128,8 @@ class ProjLine:
         self.plucker = plucker
         lead_pair = PLUCKER_PAIRS[lead_index]
         self.forms = tuple(_dual_row(plucker, i) for i in range(4) if i not in lead_pair)
+        residues = tuple(c.residue() for c in plucker)
+        self.residues = None if None in residues else residues
 
     @property
     def conductor(self) -> int:
@@ -205,16 +213,31 @@ def plucker_pairing(a: ProjLine, b: ProjLine) -> CycloNum:
 def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
     """The common point of two distinct lines, or None if they are skew.
 
-    The Plucker pairing decides whether the lines meet.  If they do, write
-    a = span(p, q) and take a form f of b that does not vanish at both p
-    and q; the second form is needed when a lies in the plane of the
-    first.  Then f(q) p - f(p) q is the one point of a on the plane f = 0,
-    which is the meeting point.  The point is checked against both forms
-    of b, so a pairing that reports a skew pair as meeting fails loudly.
+    The Plucker pairing vanishes exactly when the lines meet.  An exact
+    zero has residue zero, so a nonzero residue of the pairing proves the
+    pair skew with no exact arithmetic.  Otherwise write a = span(p, q)
+    and take a form f of b that does not vanish at both p and q; the
+    second form is needed when a lies in the plane of the first.  Then
+    f(q) p - f(p) q is the one point of a on the plane f = 0.  It is
+    nonzero and lies on a, so if both forms of b vanish at it, it is the
+    meeting point.  If they do not, the exact pairing decides: nonzero
+    means a skew pair whose residue was zero by chance, and zero means
+    the closed form failed, which raises.  A pair with a residue of None
+    takes the exact pairing first.
     """
     if a == b:
         raise ValueError("line_intersection requires two distinct lines")
-    if not plucker_pairing(a, b).is_zero():
+    m = a.conductor
+    if b.conductor != m:
+        raise ConductorMismatch("lines must share one conductor")
+    ra, rb = a.residues, b.residues
+    exact = ra is None or rb is None
+    if exact:
+        if not plucker_pairing(a, b).is_zero():
+            return None
+    elif (
+        ra[0] * rb[5] - ra[1] * rb[4] + ra[2] * rb[3] + ra[5] * rb[0] - ra[4] * rb[1] + ra[3] * rb[2]
+    ) % exactnum.residue_field(m)[0]:
         return None
     p, q = a.base[0].coords, a.base[1].coords
     for form in b.forms:
@@ -222,6 +245,8 @@ def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
         if not (fp.is_zero() and fq.is_zero()):
             break
     meet = [fq * x - fp * y for x, y in zip(p, q)]
-    if not all(_dot(form, meet).is_zero() for form in b.forms):
-        raise AssertionError("lines reported as meeting do not share a point")
-    return ProjPoint(meet)
+    if all(_dot(form, meet).is_zero() for form in b.forms):
+        return ProjPoint(meet)
+    if not exact and not plucker_pairing(a, b).is_zero():
+        return None
+    raise AssertionError("lines reported as meeting do not share a point")

@@ -143,9 +143,24 @@ class TestSympyOracle:
 def test_inverse_rejects_irrational_norm(monkeypatch):
     # dropping one conjugate leaves a * P irrational, which the inverse must refuse
     rows = exactnum._conjugate_rows
-    monkeypatch.setattr(exactnum, "_conjugate_rows", lambda m: rows(m)[:-1])
+    calls = []
+    monkeypatch.setattr(exactnum, "_conjugate_rows", lambda m: calls.append(m) or rows(m)[:-1])
     with pytest.raises(AssertionError, match="not rational"):
         (2 + zeta(8)).inverse()
+    assert calls == [8]
+    # a monomial inverts in closed form and never reaches the norm
+    assert (2 * zeta(8, 3)).inverse() == zeta(8, 5) / 2
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("m", (5, 7, 8, 12, 14, 16, 24))
+def test_inverse_of_every_scaled_root_of_unity(m):
+    # zeta^k is a monomial c * zeta^k for k < phi(m); above that its
+    # canonical form has several terms and goes through the norm
+    for k in range(m):
+        for c in (1, -3, Fraction(2, 7)):
+            x = c * zeta(m, k)
+            assert x * x.inverse() == 1
 
 
 class TestRootsOfMinusOne:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from linesurf import exactnum, projgeom
 from linesurf.catalog import (
     Arrangement,
     IncidenceProfile,
@@ -18,7 +19,7 @@ from linesurf.incidence import (
     scan_arrangement,
     valency_consistent,
 )
-from linesurf.projgeom import ProjPoint, line_through, point_on_line
+from linesurf.projgeom import ProjPoint, line_intersection, line_through, point_on_line
 from linesurf.serialize import scan_json
 
 
@@ -130,11 +131,25 @@ def incidences(scan):
     return sorted(sp.lines for sp in scan.points)
 
 
-def scan_with_residue(monkeypatch, arr, value):
-    """Scan with every residue forced to ``value``: 0 or None both defeat the filter."""
+UNFORCED = object()
+
+
+def scan_with_residue(monkeypatch, arr, value=UNFORCED):
+    """Rebuild and scan ``arr`` with every residue forced to ``value``.
+
+    A line reduces its Plucker coordinates at construction, so the lines
+    are rebuilt inside the patch.  0 or None both defeat every residue
+    decision.  Returns the scan and the line pairs that took an exact
+    Plucker pairing.
+    """
+    pairings = []
+    pairing = projgeom.plucker_pairing
     with monkeypatch.context() as patch:
-        patch.setattr(CycloNum, "residue", lambda self: value)
-        return scan_arrangement(arr)
+        patch.setattr(projgeom, "plucker_pairing", lambda a, b: pairings.append((a, b)) or pairing(a, b))
+        if value is not UNFORCED:
+            patch.setattr(CycloNum, "residue", lambda self: value)
+        rebuilt = Arrangement(arr.n, tuple(line_through(*line.base) for line in arr.lines))
+        return scan_arrangement(rebuilt), pairings
 
 
 @pytest.fixture(scope="module")
@@ -144,19 +159,29 @@ def moved_quartic():
 
 
 class TestModularFilter:
-    """The filter only skips exact tests whose answer a residue has proved."""
+    """The filters only skip exact work whose answer a residue has proved."""
 
     @pytest.mark.parametrize(
-        "n,forced", [(n, 0) for n in (3, 4, 5, 6)] + [(n, None) for n in (3, 4)]
+        "n,forced",
+        [(n, UNFORCED) for n in (3, 4, 5, 6)]
+        + [(n, 0) for n in (3, 4, 5, 6)]
+        + [(n, None) for n in (3, 4)],
     )
     def test_fermat_scan_unchanged_without_filter(
         self, monkeypatch, fermat_arrs, fermat_scans, n, forced
     ):
         arr = fermat_arrs[n]
-        exact = scan_with_residue(monkeypatch, arr, forced)
+        exact, pairings = scan_with_residue(monkeypatch, arr, forced)
         assert exact == fermat_scans[n]
         assert exact.tally() == fermat_profile(n).t
-        assert exact.stats.on_line_tests == exact.stats.points * arr.d
+        stats = exact.stats
+        if forced is UNFORCED:
+            assert stats == fermat_scans[n].stats
+            assert pairings == []
+        else:
+            assert stats.on_line_tests == stats.points * arr.d
+            skew = stats.pairs - stats.meeting
+            assert len(pairings) == (skew if forced == 0 else stats.pairs)
 
     @pytest.mark.parametrize("forced", (0, None))
     def test_moved_quartic_unchanged_without_filter(
@@ -167,18 +192,51 @@ class TestModularFilter:
         assert any(type(c) is Fraction for c in coeffs)
         # The residues rule out every line but the incident ones.
         assert filtered.stats.on_line_tests == sum(sp.multiplicity for sp in filtered.points)
-        assert scan_with_residue(monkeypatch, arr, forced) == filtered
+        exact, pairings = scan_with_residue(monkeypatch, arr, forced)
+        assert exact == filtered
+        stats = exact.stats
+        assert len(pairings) == (stats.pairs - stats.meeting if forced == 0 else stats.pairs)
         assert incidences(filtered) == incidences(fermat_scans[4])
 
     def test_prime_in_a_denominator_takes_the_exact_path(self, fermat_scans):
         p, _ = residue_field(8)
         shear = ((1, 0, 0, 0), (0, 1, 0, 0), (Fraction(1, p), 0, 1, 0), (0, Fraction(1, p), 0, 1))
         arr = moved(fermat_lines(4), shear)
-        assert any(c.residue() is None for line in arr.lines for c in line.plucker)
+        assert any(line.residues is None for line in arr.lines)
         scan = scan_arrangement(arr)
         assert any(c.residue() is None for sp in scan.points for c in sp.location.coords)
         assert incidences(scan) == incidences(fermat_scans[4])
         assert scan.tally() == fermat_profile(4).t
+
+    def test_small_prime_zero_residues_fall_back_to_exact(
+        self, monkeypatch, moved_quartic, fermat_arrs, fermat_scans
+    ):
+        # In F_17, 2 has order 8, so zeta_8 -> 2 is a residue map.  No skew
+        # pairing of the quartic, moved by MOVE or not, is zero mod 17.  A
+        # motion of determinant 17 multiplies every pairing by 17, so each
+        # skew pair has a zero residue and must take the exact pairing.
+        arr17 = moved(fermat_lines(4), MOVE[:3] + ((1, 0, 0, 18),))
+        scan17 = scan_arrangement(arr17)
+        assert incidences(scan17) == incidences(fermat_scans[4])
+        cases = (
+            (fermat_arrs[4], fermat_scans[4], 0),
+            (*moved_quartic, 0),
+            (arr17, scan17, scan17.stats.pairs - scan17.stats.meeting),
+        )
+        field = exactnum.residue_field
+        monkeypatch.setattr(exactnum, "residue_field", lambda m: (17, 2) if m == 8 else field(m))
+        exactnum._residue_powers.cache_clear()
+        try:
+            for arr, default, fallbacks in cases:
+                scan, pairings = scan_with_residue(monkeypatch, arr)
+                assert scan == default
+                certified = [(a, b) for a, b in pairings if None not in (a.residues, b.residues)]
+                assert len(certified) == fallbacks
+                assert all(line_intersection(a, b) is None for a, b in certified)
+        finally:
+            monkeypatch.undo()
+            exactnum._residue_powers.cache_clear()
+        assert exactnum._residue_powers(8)[0] == residue_field(8)[0] > 2**61
 
 
 class TestScanStats:

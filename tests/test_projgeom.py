@@ -4,7 +4,7 @@ import random
 import pytest
 
 from linesurf import projgeom
-from linesurf.exactnum import CycloNum, nth_roots_of_minus_one, zeta
+from linesurf.exactnum import ConductorMismatch, CycloNum, nth_roots_of_minus_one, zeta
 from linesurf.projgeom import (
     ProjPoint,
     line_intersection,
@@ -244,12 +244,32 @@ class TestIntersection:
             checked += 1
 
     def test_skew_pair_reported_as_meeting_fails(self, monkeypatch):
-        a = line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
-        b = line_through(pt(0, 0, 1, 0), pt(0, 0, 0, 1))
+        calls = []
+        pairing = projgeom.plucker_pairing
+        monkeypatch.setattr(projgeom, "plucker_pairing", lambda a, b: calls.append(1) or pairing(a, b))
+        points = (pt(1, 0, 0, 0), pt(0, 1, 0, 0), pt(0, 0, 1, 0), pt(0, 0, 0, 1))
+        a, b = line_through(*points[:2]), line_through(*points[2:])
+        # the pairing residue proves the pair skew with no exact pairing
         assert line_intersection(a, b) is None
+        assert calls == []
+        # a zero residue falls back to the exact pairing, which finds the pair skew
+        with monkeypatch.context() as patch:
+            patch.setattr(CycloNum, "residue", lambda self: 0)
+            a, b = line_through(*points[:2]), line_through(*points[2:])
+        assert a.residues == b.residues == (0,) * 6
+        assert line_intersection(a, b) is None
+        assert calls == [1]
+        # a pairing that reports the skew pair as meeting fails loudly
         monkeypatch.setattr(projgeom, "plucker_pairing", lambda a, b: CycloNum.zero(M))
         with pytest.raises(AssertionError, match="do not share a point"):
             line_intersection(a, b)
+
+    def test_conductor_mismatch_rejected(self):
+        with pytest.raises(ConductorMismatch):
+            line_intersection(
+                line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0)),
+                line_through(pt(0, 0, 1, 0, m=8), pt(0, 0, 0, 1, m=8)),
+            )
 
 
 class TestSympyRankOracle:
