@@ -7,9 +7,9 @@ the configuration has self-intersection
     (2-n)*d + I_d - sum k^2 t_k  =  (2-n)*d - sum k t_k,
 
 using the self-intersection 2-n of a line on a smooth degree-n surface
-(adjunction) and the combinatorial identity I_d = sum (k^2-k) t_k.  Both
-forms are evaluated and compared on every call.  The linear Harbourne
-constant is that number divided by s.
+(adjunction) and the definition I_d = sum (k^2-k) t_k, so the right-hand
+form is the one evaluated.  The linear Harbourne constant is that number
+divided by s.
 
 For degree n >= 4, Miyaoka's inequality
 
@@ -42,17 +42,9 @@ class UndefinedConstant(ArithmeticError):
 def strict_transform_sq(profile: IncidenceProfile) -> int:
     """Self-intersection of the strict transform after blowing up all singular points.
 
-    Computes (2-n)d + I_d - sum k^2 t_k and independently (2-n)d - sum k t_k;
-    the two must agree identically, and any mismatch is a hard error.
+    (2-n)d - sum k t_k, which is (2-n)d + I_d - sum k^2 t_k with I_d expanded.
     """
-    n, d, t = profile.n, profile.d, profile.t
-    full = (2 - n) * d + incidence_count(profile) - sum(k * k * c for k, c in t.items())
-    simplified = (2 - n) * d - sum(k * c for k, c in t.items())
-    if full != simplified:
-        raise AssertionError(
-            f"strict transform forms disagree: {full} vs {simplified}"
-        )
-    return full
+    return (2 - profile.n) * profile.d - sum(k * c for k, c in profile.t.items())
 
 
 def harbourne_linear(profile: IncidenceProfile) -> Fraction:

@@ -1,34 +1,25 @@
 """Singular locus and incidence statistics of explicit line arrangements.
 
-The scan decides every line pair with ``line_intersection``, groups
-coincident intersection points by their canonical coordinates, and
-recounts each distinct point's multiplicity with a point-on-line test
-against the arrangement lines, and checks that the multiplicities account
-for every meeting pair.
+The scan decides every line pair with ``line_intersection`` and groups the
+meeting pairs by the canonical coordinates of their meet.  Each group is a
+singular point, and its members are its lines.
 
-A certified modular filter spares the scan the exact work whose answer is
-already known.  Values are reduced into F_p under ``zeta_m -> r``
-(``exactnum.residue_field``).  That map is a ring homomorphism on the
-p-integral elements, so an exact zero has residue zero.  In the pair
-scan, ``line_intersection`` proves a pair skew by a nonzero residue of
-its Plucker pairing, and proves a meeting exactly.  In the recount, every
-line's forms and every grouped point are reduced once: a line with a form
-whose residue at a point is nonzero does not pass through the point, and
-its exact test is skipped.  Every true incidence, every line the residues
-cannot rule out, and every object with a coordinate outside the
-p-integral ring takes the exact test.  The filter only skips work whose
-answer it has proved, so the result does not depend on p.
+``line_intersection`` certifies every answer: a nonzero residue of the
+Plucker pairing in F_p, or a nonzero exact pairing, proves a pair skew,
+and a closed-form meet is checked exactly on both lines.  A line through
+a singular point therefore meets every other line there, and its pairs
+have already put it in the group.  The scan checks that the
+multiplicities account for every meeting pair, which holds only if every
+group is a clique: a missed meeting or a point split in two fails it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from . import exactnum
 from .catalog import Arrangement, IncidenceProfile
-from .projgeom import ProjPoint, line_intersection, point_on_line
+from .projgeom import ProjPoint, line_intersection
 
 
 @dataclass(frozen=True)
@@ -45,7 +36,6 @@ class ScanStats(NamedTuple):
 
     pairs: int  # line pairs, d(d-1)/2, each decided by line_intersection
     meeting: int  # pairs that meet
-    on_line_tests: int  # exact point_on_line calls in the recount
     points: int  # distinct singular points
 
 
@@ -68,19 +58,11 @@ class ScanResult:
         return out
 
 
-def _residues(values) -> Optional[tuple[int, ...]]:
-    """The residues of exact values, or None if any lies outside the map."""
-    out = tuple(v.residue() for v in values)
-    return None if None in out else out
-
-
 def scan_arrangement(arr: Arrangement) -> ScanResult:
     """All distinct singular points of an arrangement, with multiplicities.
 
-    Pair intersections are grouped by canonical point coordinates.  Each
-    grouped point's multiplicity is recounted from scratch via
-    point_on_line over every line the modular filter cannot rule out,
-    which also validates the grouping.
+    Every pair is decided by ``line_intersection``; a point's lines are
+    the lines of the meeting pairs grouped at its canonical coordinates.
     """
     lines = arr.lines
     d = len(lines)
@@ -99,32 +81,16 @@ def scan_arrangement(arr: Arrangement) -> ScanResult:
                 members.add(i)
                 members.add(j)
 
-    p = exactnum.residue_field(arr.conductor)[0]
-    form_pairs = [tuple(_residues(form) for form in line.forms) for line in lines]
-    forms = [None if None in pair else pair for pair in form_pairs]
-    points = []
-    tests = 0
-    for pt, members in groups.items():
-        x = _residues(pt.coords)
-        incident = []
-        for k, line in enumerate(lines):
-            pair = forms[k]
-            if x is not None and pair is not None and (
-                sum(map(mul, pair[0], x)) % p or sum(map(mul, pair[1], x)) % p
-            ):
-                continue
-            tests += 1
-            if point_on_line(pt, line):
-                incident.append(k)
-        if not set(incident) >= members:
-            raise AssertionError("intersection grouping lost an incident line")
-        points.append(SingularPoint(pt, len(incident), tuple(incident)))
+    points = [
+        SingularPoint(pt, len(members), tuple(sorted(members)))
+        for pt, members in groups.items()
+    ]
     points.sort(key=lambda sp: sp.location.sort_key())
 
     total_pairs = sum(sp.multiplicity * (sp.multiplicity - 1) // 2 for sp in points)
     if total_pairs != meeting:
         raise AssertionError("pair scan and per-point multiplicities disagree")
-    stats = ScanStats(d * (d - 1) // 2, meeting, tests, len(points))
+    stats = ScanStats(d * (d - 1) // 2, meeting, len(points))
     return ScanResult(tuple(points), meeting, stats)
 
 

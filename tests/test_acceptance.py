@@ -36,6 +36,7 @@ from linesurf.harbourne import (
     strict_transform_sq_lower,
 )
 from linesurf.incidence import (
+    incidence_count,
     profile_from_arrangement,
     scan_arrangement,
     valency_consistent,
@@ -242,7 +243,8 @@ def test_criterion_09_property_suites(fermat_arrs, fermat_scans):
             profile = IncidenceProfile(n=n, d=d, t=t)
         except ValueError:
             continue
-        strict_transform_sq(profile)  # raises when the two forms disagree
+        full = (2 - n) * d + incidence_count(profile) - sum(k * k * c for k, c in t.items())
+        ok &= strict_transform_sq(profile) == full
         produced += 1
 
     scans = list(fermat_scans.values())

@@ -26,6 +26,8 @@ from linesurf.harbourne import (
     strict_transform_sq,
     strict_transform_sq_lower,
 )
+from linesurf.incidence import incidence_count
+
 BAUER = IncidenceProfile(n=4, d=16, t={4: 8})
 
 
@@ -99,7 +101,8 @@ class TestStrictTransformSq:
                 profile = IncidenceProfile(n=n, d=d, t=t)
             except ValueError:
                 continue
-            strict_transform_sq(profile)  # raises if the two forms disagree
+            full = (2 - n) * d + incidence_count(profile) - sum(k * k * c for k, c in t.items())
+            assert strict_transform_sq(profile) == full
             produced += 1
 
 

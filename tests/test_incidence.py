@@ -1,9 +1,11 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from linesurf import exactnum, projgeom
+from linesurf import exactnum, incidence, projgeom
 from linesurf.catalog import (
     Arrangement,
     IncidenceProfile,
@@ -58,18 +60,62 @@ class TestSingularPoints:
         meeting = fermat_scans[4].meeting_pairs
         assert meeting == 192 * 1 + 24 * 6 == 336
 
-    def test_every_listed_line_passes_through(self, fermat_arrs, fermat_scans):
+    def test_every_listed_line_passes_through(
+        self, fermat_arrs, fermat_scans, moved_quartic, shear_quartic
+    ):
+        # Brute-force recount: a point's lines are exactly the lines through it.
+        cases = [(fermat_arrs[n], fermat_scans[n]) for n in (3, 4)]
+        for arr, scan in cases + [moved_quartic, shear_quartic]:
+            assert scan.points
+            for sp in scan.points:
+                assert sp.multiplicity == len(sp.lines) >= 2
+                through = [k for k, line in enumerate(arr.lines) if point_on_line(sp.location, line)]
+                assert through == list(sp.lines)
+
+    @pytest.mark.parametrize("wrong", ("skew", "elsewhere"))
+    def test_missed_or_misplaced_meeting_fails_the_pair_count(
+        self, monkeypatch, fermat_arrs, fermat_scans, wrong
+    ):
+        # One pair (b, c) of a triple point {a, b, c}: reported skew, its
+        # point has one pair too few; reported elsewhere, a double point
+        # splits off.  Either way the pair count disagrees.
         arr = fermat_arrs[3]
-        for sp in fermat_scans[3].points:
-            assert sp.multiplicity == len(sp.lines) >= 2
-            for idx in sp.lines:
-                assert point_on_line(sp.location, arr.lines[idx])
+        triple = next(sp for sp in fermat_scans[3].points if sp.multiplicity == 3)
+        a, b, c = (arr.lines[k] for k in triple.lines)
+        if wrong == "skew":
+            answer = None
+        else:
+            answer = ProjPoint.from_values(6, (1, 2, 3, 5))
+            assert all(not point_on_line(answer, line) for line in (a, b, c))
+        meet = incidence.line_intersection
+        monkeypatch.setattr(
+            incidence,
+            "line_intersection",
+            lambda x, y: answer if {x, y} == {b, c} else meet(x, y),
+        )
+        with pytest.raises(AssertionError, match="pair scan and per-point multiplicities disagree"):
+            scan_arrangement(arr)
 
     def test_deterministic_and_thread_independent(self, fermat_arrs):
         arr = fermat_arrs[3]
         base = scan_arrangement(arr)
         again = scan_arrangement(arr)
         assert base == again
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (3, "bbf817e5c1097f4e335debf5279a03c5ca060ad0606f56415ce9e84782176511"),
+            (4, "860efd4f7ffbc99136d4c6c5c72e915154b0b6bd859a76f684cf3691dbde3c54"),
+            (5, "034835c04bea6cdcbab8848ddd62afa3573eec0d21506145b648e5c41cff6130"),
+            (6, "85df08a3cdc0bdcce00c922285b831a1cd07e3dac624e995b70ccf05abe88c52"),
+            (7, "ef3c87519f9cb57d7b2d16742bd630b5694041b3e02b7678862e569b64128064"),
+            (8, "66d9e9a1ae4543b13c730c07b7abd3fb5d702c47383394c14791a6aceb08a166"),
+        ],
+    )
+    def test_scan_json_bytes_pinned(self, fermat_scans, n, digest):
+        text = json.dumps(scan_json(fermat_scans[n]), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestProfileFromArrangement:
@@ -158,6 +204,15 @@ def moved_quartic():
     return arr, scan_arrangement(arr)
 
 
+@pytest.fixture(scope="module")
+def shear_quartic():
+    """The quartic sheared by 1/p, with p the residue prime: some residues are None."""
+    p, _ = residue_field(8)
+    shear = ((1, 0, 0, 0), (0, 1, 0, 0), (Fraction(1, p), 0, 1, 0), (0, Fraction(1, p), 0, 1))
+    arr = moved(fermat_lines(4), shear)
+    return arr, scan_arrangement(arr)
+
+
 class TestModularFilter:
     """The filters only skip exact work whose answer a residue has proved."""
 
@@ -175,11 +230,10 @@ class TestModularFilter:
         assert exact == fermat_scans[n]
         assert exact.tally() == fermat_profile(n).t
         stats = exact.stats
+        assert stats == fermat_scans[n].stats
         if forced is UNFORCED:
-            assert stats == fermat_scans[n].stats
             assert pairings == []
         else:
-            assert stats.on_line_tests == stats.points * arr.d
             skew = stats.pairs - stats.meeting
             assert len(pairings) == (skew if forced == 0 else stats.pairs)
 
@@ -190,20 +244,16 @@ class TestModularFilter:
         arr, filtered = moved_quartic
         coeffs = [c for line in arr.lines for pt in line.base for x in pt.coords for c in x.coeffs]
         assert any(type(c) is Fraction for c in coeffs)
-        # The residues rule out every line but the incident ones.
-        assert filtered.stats.on_line_tests == sum(sp.multiplicity for sp in filtered.points)
         exact, pairings = scan_with_residue(monkeypatch, arr, forced)
         assert exact == filtered
         stats = exact.stats
+        assert stats == filtered.stats == fermat_scans[4].stats
         assert len(pairings) == (stats.pairs - stats.meeting if forced == 0 else stats.pairs)
         assert incidences(filtered) == incidences(fermat_scans[4])
 
-    def test_prime_in_a_denominator_takes_the_exact_path(self, fermat_scans):
-        p, _ = residue_field(8)
-        shear = ((1, 0, 0, 0), (0, 1, 0, 0), (Fraction(1, p), 0, 1, 0), (0, Fraction(1, p), 0, 1))
-        arr = moved(fermat_lines(4), shear)
+    def test_prime_in_a_denominator_takes_the_exact_path(self, fermat_scans, shear_quartic):
+        arr, scan = shear_quartic
         assert any(line.residues is None for line in arr.lines)
-        scan = scan_arrangement(arr)
         assert any(c.residue() is None for sp in scan.points for c in sp.location.coords)
         assert incidences(scan) == incidences(fermat_scans[4])
         assert scan.tally() == fermat_profile(4).t
@@ -241,8 +291,8 @@ class TestModularFilter:
 
 class TestScanStats:
     def test_fermat_octic_counts(self, fermat_scans):
-        # pairs, meeting, on_line_tests, points
-        assert fermat_scans[8].stats == (18336, 2880, 3456, 1584)
+        # pairs, meeting, points
+        assert fermat_scans[8].stats == (18336, 2880, 1584)
 
     def test_counters_repeat(self, fermat_arrs, fermat_scans):
         again = scan_arrangement(fermat_arrs[5])
@@ -250,7 +300,7 @@ class TestScanStats:
 
     def test_outside_equality_and_json(self, fermat_scans):
         scan = fermat_scans[3]
-        other = replace(scan, stats=ScanStats(0, 0, 0, 0))
+        other = replace(scan, stats=ScanStats(0, 0, 0))
         assert other == scan
         assert scan_json(other) == scan_json(scan)
         assert set(scan_json(scan)) == {"meeting_pairs", "points"}
