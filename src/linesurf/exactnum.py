@@ -14,6 +14,14 @@ every exact geometric predicate downstream relies on.
 No floating point is used anywhere in this module.  Values are immutable
 and all operations are pure.
 
+The kernels behind multiplication, inversion, reduction and the residue
+map compute on integers.  A coefficient vector is split into integer
+numerators over one common denominator D, the lcm of its coefficient
+denominators; the kernel works on the numerators alone and divides by
+the output's denominator once at the end, building one reduced
+``Fraction`` per coefficient that is not integral.  A vector with D = 1,
+as most Fermat coordinates are, is used as it is.
+
 Polynomials are represented as dense coefficient sequences, constant term
 first.
 """
@@ -22,7 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -100,7 +109,39 @@ def _qnorm(x):
     return x
 
 
+def _canonical(vec: tuple) -> tuple:
+    """``vec`` with every integral Fraction stored as int."""
+    for c in vec:
+        if type(c) is not int:
+            return tuple(map(_qnorm, vec))
+    return vec
+
+
+def _split(vec: Sequence) -> tuple[Sequence[int], int]:
+    """Integer numerators of ``vec`` over D, the lcm of its coefficient denominators."""
+    dens = [c.denominator for c in vec if type(c) is not int]
+    if not dens:
+        return vec, 1
+    den = lcm(*dens)
+    return [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in vec], den
+
+
+def _join(nums: Sequence[int], den: int) -> tuple:
+    """The canonical vector nums / den, den != 0: int where integral, else a reduced Fraction."""
+    if den == 1:
+        return tuple(nums)
+    return tuple(Fraction(x, den) if x % den else x // den for x in nums)
+
+
 def _mul_vec(m: int, a: Sequence, b: Sequence) -> tuple:
+    """The canonical product of two coefficient vectors.
+
+    With a = A / Da and b = B / Db over their common denominators, the
+    integer product A * B is reduced modulo Phi_m and divided by Da * Db
+    once per coefficient.
+    """
+    a, da = _split(a)
+    b, db = _split(b)
     f = len(a)
     acc = [0] * (2 * f - 1)
     for i, ai in enumerate(a):
@@ -117,18 +158,23 @@ def _mul_vec(m: int, a: Sequence, b: Sequence) -> tuple:
                 for idx, r in enumerate(row):
                     if r:
                         acc[idx] += c * r
-    return tuple(_qnorm(x) for x in acc[:f])
+    return _join(acc[:f], da * db)
 
 
-def _combine(coeffs: Sequence, rows: Sequence[Sequence]) -> tuple:
-    """The reduced vector sum of coeffs[i] * rows[i]."""
+def _combine(coeffs: Sequence, rows: Sequence[Sequence[int]]) -> tuple:
+    """The canonical vector sum of coeffs[i] * rows[i], over integer rows.
+
+    Computed on the integer numerators of ``coeffs`` and divided by their
+    common denominator once per coefficient.
+    """
+    nums, den = _split(coeffs)
     acc = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
+    for c, row in zip(nums, rows):
         if c:
             for idx, r in enumerate(row):
                 if r:
                     acc[idx] += c * r
-    return tuple(_qnorm(x) for x in acc)
+    return _join(acc, den)
 
 
 @lru_cache(maxsize=None)
@@ -146,8 +192,10 @@ def _conjugate_rows(m: int) -> tuple:
 
 
 def _coeff(value) -> Scalar:
+    if isinstance(value, bool):
+        raise TypeError("cannot use bool as a cyclotomic coefficient")
     if isinstance(value, int):
-        return value
+        return int(value)
     if isinstance(value, Fraction):
         return _qnorm(value)
     if isinstance(value, str):
@@ -231,7 +279,7 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _raw(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _raw(self.m, _canonical(tuple(map(add, self.coeffs, other.coeffs))))
 
     __radd__ = __add__
 
@@ -239,7 +287,7 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _raw(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _raw(self.m, _canonical(tuple(map(sub, self.coeffs, other.coeffs))))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -248,7 +296,7 @@ class CycloNum:
         return other - self
 
     def __neg__(self):
-        return _raw(self.m, tuple(-a for a in self.coeffs))
+        return _raw(self.m, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -273,6 +321,11 @@ class CycloNum:
         is the product of the conjugates zeta -> zeta^k of a over the
         units k != 1 mod m, so a * P is the product of all conjugates, the
         norm N(a): a rational, nonzero because a is.
+
+        The chain runs on integers.  With a = A / D over its common
+        denominator and f = phi(m), P = Q / D^(f-1) for the integer product
+        Q of the conjugates of A, and N(a) = N / D^f for the integer
+        N = A * Q.  So a^-1 = Q * D / N, divided out once at the end.
         """
         m, a = self.m, self.coeffs
         support = [k for k, c in enumerate(a) if c]
@@ -282,14 +335,14 @@ class CycloNum:
             k = support[0]
             scale = _qnorm(1 / Fraction(a[k]))
             return _raw(m, tuple(_qnorm(x * scale) for x in _zeta_pow_vec(m, -k % m)))
+        nums, den = _split(a)
         prod = (1,) + (0,) * (len(a) - 1)
         for rows in _conjugate_rows(m):
-            prod = _mul_vec(m, prod, _combine(a, rows))
-        norm = _mul_vec(m, a, prod)
+            prod = _mul_vec(m, prod, _combine(nums, rows))
+        norm = _mul_vec(m, nums, prod)
         if any(norm[1:]):
             raise AssertionError(f"norm of {self!r} is not rational")
-        scale = 1 / Fraction(norm[0])
-        return _raw(m, tuple(_qnorm(c * scale) for c in prod))
+        return _raw(m, _join([c * den for c in prod], norm[0]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -355,18 +408,18 @@ class CycloNum:
 
         None when p divides the denominator of a coefficient, where the
         map is undefined.  A nonzero residue proves the value nonzero.
+        The integer numerators over the common denominator D map to F_p
+        first, then D is inverted once; p is prime, so it divides D
+        exactly when it divides some coefficient's denominator.
         """
         p, powers = _residue_powers(self.m)
-        acc = 0
-        for c, w in zip(self.coeffs, powers):
-            if type(c) is int:
-                acc += c * w
-            elif c:
-                den = c.denominator % p
-                if not den:
-                    return None
-                acc += c.numerator * w * pow(den, -1, p)
-        return acc % p
+        nums, den = _split(self.coeffs)
+        acc = sum(map(mul, nums, powers))
+        if den == 1:
+            return acc % p
+        if not den % p:
+            return None
+        return acc * pow(den, -1, p) % p
 
 
 # Deterministic Miller-Rabin witnesses: exact for every n below 3.3 * 10^24.

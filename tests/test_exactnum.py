@@ -258,6 +258,158 @@ def test_random_axioms_bulk():
             assert a * a.inverse() == 1
 
 
+class TestCanonicalCoefficients:
+    """Integral coefficients are stored as int, never as Fraction or bool."""
+
+    def test_integral_sums_are_int(self):
+        h = CycloNum(8, [Fraction(1, 2)])
+        for value in (h + h, h - (-h), Fraction(1, 2) + h, Fraction(3, 2) - h):
+            assert repr(value) == "CycloNum(8, [1, 0, 0, 0])"
+        assert repr(h - h) == "CycloNum(8, [0, 0, 0, 0])"
+
+    @pytest.mark.parametrize("value", (True, False))
+    def test_bool_rejected(self, value):
+        with pytest.raises(TypeError, match="bool"):
+            CycloNum(8, [value, 0, 0, 0])
+        with pytest.raises(TypeError, match="bool"):
+            CycloNum.rational(8, value)
+
+    def test_int_subclass_stored_as_int(self):
+        class Tagged(int):
+            pass
+
+        assert type(CycloNum(8, [Tagged(3)]).coeffs[0]) is int
+
+
+# -- integer kernels against the Fraction arithmetic they replace ------------
+
+
+def fraction_mul_vec(m, a, b):
+    """The product of two coefficient vectors, convolved in Fraction arithmetic."""
+    f = len(a)
+    acc = [0] * (2 * f - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    acc[i + j] += ai * bj
+    if f > 1:
+        rows = exactnum._shift_rows(m)
+        for k in range(2 * f - 2, f - 1, -1):
+            c = acc[k]
+            if c:
+                row = rows[k - f]
+                for idx, r in enumerate(row):
+                    if r:
+                        acc[idx] += c * r
+    return tuple(exactnum._qnorm(x) for x in acc[:f])
+
+
+def fraction_combine(coeffs, rows):
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        for idx, r in enumerate(row):
+            acc[idx] += c * r
+    return tuple(exactnum._qnorm(x) for x in acc)
+
+
+def fraction_inverse(m, a):
+    """P / N(a) over the Galois norm, every partial product a Fraction vector."""
+    prod = (1,) + (0,) * (len(a) - 1)
+    for rows in exactnum._conjugate_rows(m):
+        prod = fraction_mul_vec(m, prod, fraction_combine(a, rows))
+    norm = fraction_mul_vec(m, a, prod)
+    assert not any(norm[1:])
+    return tuple(exactnum._qnorm(c / Fraction(norm[0])) for c in prod)
+
+
+def residue_per_coefficient(m, coeffs):
+    """The F_p image, inverting each coefficient's denominator separately."""
+    p, r = residue_field(m)
+    acc = 0
+    for i, c in enumerate(coeffs):
+        c = Fraction(c)
+        if c.denominator % p == 0:
+            return None
+        acc += c.numerator * pow(r, i, p) * pow(c.denominator, -1, p)
+    return acc % p
+
+
+def assert_canonical_equal(got, expected):
+    assert got == expected
+    assert [type(c) for c in got] == [type(c) for c in expected]
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in got)
+
+
+# phi(m) <= 2 for m = 1, 2, 3, where the reduction loop runs at most once or not at all
+KERNEL_CONDUCTORS = (1, 2, 3) + CONDUCTORS
+BIG = 2**64
+
+denominators = st.one_of(st.integers(1, 12), st.integers(BIG + 1, BIG**2))
+scalars = st.one_of(
+    st.integers(-(BIG**2), BIG**2),
+    st.builds(Fraction, st.integers(-(BIG**2), BIG**2), denominators),
+    st.builds(Fraction, st.integers(-9, 9), denominators),
+)
+
+
+@st.composite
+def kernel_vectors(draw, count):
+    m = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    f = euler_phi(m)
+    entries = st.lists(st.one_of(st.just(0), scalars), min_size=f, max_size=f)
+    return m, [tuple(map(exactnum._qnorm, draw(entries))) for _ in range(count)]
+
+
+class TestIntegerKernels:
+    """The common-denominator kernels equal the Fraction arithmetic, types included."""
+
+    @given(kernel_vectors(2))
+    @settings(max_examples=300)
+    def test_mul_vec(self, case):
+        m, (a, b) = case
+        assert_canonical_equal(exactnum._mul_vec(m, a, b), fraction_mul_vec(m, a, b))
+
+    @given(kernel_vectors(1))
+    def test_combine_over_conjugate_rows(self, case):
+        m, (a,) = case
+        for rows in exactnum._conjugate_rows(m):
+            assert_canonical_equal(exactnum._combine(a, rows), fraction_combine(a, rows))
+
+    @given(kernel_vectors(1))
+    @settings(max_examples=150)
+    def test_inverse(self, case):
+        m, (a,) = case
+        x = CycloNum(m, a)
+        if x.is_zero():
+            return
+        inv = x.inverse()
+        assert_canonical_equal(inv.coeffs, fraction_inverse(m, a))
+        assert x * inv == 1
+
+    @given(kernel_vectors(1), st.integers(1, 9), st.integers(0, 16))
+    @settings(max_examples=300)
+    def test_residue(self, case, multiple, where):
+        m, (a,) = case
+        x = CycloNum(m, a)
+        assert x.residue() == residue_per_coefficient(m, a)
+        p, _ = residue_field(m)
+        k = where % len(a)
+        c = Fraction(a[k] or 1)
+        num = c.numerator if c.numerator % p else 1
+        b = a[:k] + (Fraction(num, c.denominator * multiple * p),) + a[k + 1 :]
+        assert residue_per_coefficient(m, b) is None
+        assert CycloNum(m, b).residue() is None
+
+    @given(kernel_vectors(2))
+    def test_add_and_sub_canonical(self, case):
+        m, (a, b) = case
+        x, y = CycloNum(m, a), CycloNum(m, b)
+        for value, op in ((x + y, Fraction.__add__), (x - y, Fraction.__sub__)):
+            expected = tuple(exactnum._qnorm(op(Fraction(s), Fraction(t))) for s, t in zip(a, b))
+            assert_canonical_equal(value.coeffs, expected)
+
+
 class TestResidueField:
     """zeta_m -> r is a ring homomorphism onto F_p, the map the scan filter uses."""
 

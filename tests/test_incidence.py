@@ -22,7 +22,7 @@ from linesurf.incidence import (
     valency_consistent,
 )
 from linesurf.projgeom import ProjPoint, line_intersection, line_through, point_on_line
-from linesurf.serialize import scan_json
+from linesurf.serialize import arrangement_json, scan_json
 
 
 def simple_arrangement(point_pairs, n=4, m=8):
@@ -111,11 +111,33 @@ class TestSingularPoints:
             (6, "85df08a3cdc0bdcce00c922285b831a1cd07e3dac624e995b70ccf05abe88c52"),
             (7, "ef3c87519f9cb57d7b2d16742bd630b5694041b3e02b7678862e569b64128064"),
             (8, "66d9e9a1ae4543b13c730c07b7abd3fb5d702c47383394c14791a6aceb08a166"),
+            # Fixtures with non-integral coordinates: scan_json, then arrangement_json.
+            pytest.param(
+                "moved_quartic",
+                (
+                    "b27d6329d0fb5f102dd882ae2c189120d231f717303e607cdf190d931a9aa7e3",
+                    "cce166638fcec13b45a09b1877a6cc470bcf12ce932654f574c907a6d3201765",
+                ),
+                id="moved_quartic",
+            ),
+            pytest.param(
+                "shear_quartic",
+                (
+                    "f875471ffc91463a09979640fdfb9916b6970205c47e03858073fbcd4eed0129",
+                    "e2d6174d7d42ae10ec5403799f71f78c36bcff4956dfd53a50fd2554b7e77a45",
+                ),
+                id="shear_quartic",
+            ),
         ],
     )
-    def test_scan_json_bytes_pinned(self, fermat_scans, n, digest):
-        text = json.dumps(scan_json(fermat_scans[n]), sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    def test_scan_json_bytes_pinned(self, request, fermat_scans, n, digest):
+        if isinstance(n, int):
+            docs, digests = [scan_json(fermat_scans[n])], [digest]
+        else:
+            arr, scan = request.getfixturevalue(n)
+            docs, digests = [scan_json(scan), arrangement_json(arr)], list(digest)
+        texts = [json.dumps(doc, sort_keys=True) for doc in docs]
+        assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == digests
 
 
 class TestProfileFromArrangement:
