@@ -1,26 +1,25 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Rational scalars are ``fractions.Fraction`` (arbitrary precision, always
-stored reduced with positive denominator).  A :class:`CycloNum` is an
-element of Q(zeta_m): it stores its conductor m together with the
-coefficient vector of its canonical representative, the unique polynomial
-in zeta_m of degree below phi(m) obtained by reducing modulo the m-th
-cyclotomic polynomial.  The cyclotomic polynomial is the minimal
+A :class:`CycloNum` is an element of Q(zeta_m).  Its value is the
+canonical representative, the unique polynomial in zeta_m of degree below
+phi(m) obtained by reducing modulo the m-th cyclotomic polynomial, and it
+is stored as integers: a tuple ``nums`` of phi(m) integer numerators over
+one positive integer denominator ``den``, in lowest terms
+(gcd(den, *nums) == 1).  The cyclotomic polynomial is the minimal
 polynomial of zeta_m over Q, so two elements with the same conductor are
-equal exactly when their coefficient vectors are equal.  Equality and
+equal exactly when their ``nums`` and ``den`` are equal.  Equality and
 zero-testing are therefore decidable with no tolerance, which is what
 every exact geometric predicate downstream relies on.
 
+Every operation computes on integers and passes its result through one
+reduce-and-sign step (:func:`_reduced`), which divides out the common
+gcd and makes the denominator positive; with denominator 1, as most
+Fermat coordinates have, the step does nothing.  ``fractions.Fraction``
+appears only where rationals cross the boundary: parsing input, the
+:attr:`CycloNum.coeffs` view, and comparing or hashing against a rational.
+
 No floating point is used anywhere in this module.  Values are immutable
 and all operations are pure.
-
-The kernels behind multiplication, inversion, reduction and the residue
-map compute on integers.  A coefficient vector is split into integer
-numerators over one common denominator D, the lcm of its coefficient
-denominators; the kernel works on the numerators alone and divides by
-the output's denominator once at the end, building one reduced
-``Fraction`` per coefficient that is not integral.  A vector with D = 1,
-as most Fermat coordinates are, is used as it is.
 
 Polynomials are represented as dense coefficient sequences, constant term
 first.
@@ -31,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -102,46 +101,8 @@ def _shift_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_zeta_pow_vec(m, k) for k in range(f, 2 * f - 1))
 
 
-def _qnorm(x):
-    """Store integral values as int so canonical vectors stay lightweight."""
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
-
-
-def _canonical(vec: tuple) -> tuple:
-    """``vec`` with every integral Fraction stored as int."""
-    for c in vec:
-        if type(c) is not int:
-            return tuple(map(_qnorm, vec))
-    return vec
-
-
-def _split(vec: Sequence) -> tuple[Sequence[int], int]:
-    """Integer numerators of ``vec`` over D, the lcm of its coefficient denominators."""
-    dens = [c.denominator for c in vec if type(c) is not int]
-    if not dens:
-        return vec, 1
-    den = lcm(*dens)
-    return [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in vec], den
-
-
-def _join(nums: Sequence[int], den: int) -> tuple:
-    """The canonical vector nums / den, den != 0: int where integral, else a reduced Fraction."""
-    if den == 1:
-        return tuple(nums)
-    return tuple(Fraction(x, den) if x % den else x // den for x in nums)
-
-
-def _mul_vec(m: int, a: Sequence, b: Sequence) -> tuple:
-    """The canonical product of two coefficient vectors.
-
-    With a = A / Da and b = B / Db over their common denominators, the
-    integer product A * B is reduced modulo Phi_m and divided by Da * Db
-    once per coefficient.
-    """
-    a, da = _split(a)
-    b, db = _split(b)
+def _mul_vec(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient vectors, reduced modulo Phi_m."""
     f = len(a)
     acc = [0] * (2 * f - 1)
     for i, ai in enumerate(a):
@@ -158,23 +119,18 @@ def _mul_vec(m: int, a: Sequence, b: Sequence) -> tuple:
                 for idx, r in enumerate(row):
                     if r:
                         acc[idx] += c * r
-    return _join(acc[:f], da * db)
+    return acc[:f]
 
 
-def _combine(coeffs: Sequence, rows: Sequence[Sequence[int]]) -> tuple:
-    """The canonical vector sum of coeffs[i] * rows[i], over integer rows.
-
-    Computed on the integer numerators of ``coeffs`` and divided by their
-    common denominator once per coefficient.
-    """
-    nums, den = _split(coeffs)
+def _combine(nums: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """The integer vector sum of nums[i] * rows[i]."""
     acc = [0] * len(rows[0])
     for c, row in zip(nums, rows):
         if c:
             for idx, r in enumerate(row):
                 if r:
                     acc[idx] += c * r
-    return _join(acc, den)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -197,43 +153,75 @@ def _coeff(value) -> Scalar:
     if isinstance(value, int):
         return int(value)
     if isinstance(value, Fraction):
-        return _qnorm(value)
+        return value
     if isinstance(value, str):
-        return _qnorm(Fraction(value))
+        return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a cyclotomic coefficient")
 
 
-def _raw(m: int, coeffs: tuple) -> "CycloNum":
+def _reduced(m: int, nums: Sequence[int], den: int) -> "CycloNum":
+    """The element nums / den of Q(zeta_m), den != 0, stored in lowest terms with den > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
     self = CycloNum.__new__(CycloNum)
     self.m = m
-    self.coeffs = coeffs
+    self.nums = tuple(nums)
+    self.den = den
     return self
+
+
+def _sum(x: "CycloNum", y: "CycloNum", op) -> "CycloNum":
+    """x + y or x - y (``op`` is operator.add or operator.sub) over lcm(x.den, y.den)."""
+    dx, dy = x.den, y.den
+    if dx == dy:
+        return _reduced(x.m, tuple(map(op, x.nums, y.nums)), dx)
+    g = gcd(dx, dy)
+    sx, sy = dy // g, dx // g
+    return _reduced(x.m, [op(a * sx, b * sy) for a, b in zip(x.nums, y.nums)], dx * sx)
 
 
 class CycloNum:
     """An element of Q(zeta_m) in canonical reduced form.
 
-    ``coeffs`` has length phi(m); entry i is the rational coefficient of
-    zeta_m^i.  Construction reduces arbitrary-degree input modulo the m-th
-    cyclotomic polynomial, so zeta_m^m == 1 and Phi_m(zeta_m) == 0 hold
-    under the arithmetic.
+    ``nums`` has length phi(m); entry i over ``den`` is the rational
+    coefficient of zeta_m^i.  ``den`` is positive and shares no factor with
+    all of ``nums``, so the pair is unique for each value; zero is
+    (0, ..., 0) over 1.  Construction reduces arbitrary-degree input modulo
+    the m-th cyclotomic polynomial, so zeta_m^m == 1 and Phi_m(zeta_m) == 0
+    hold under the arithmetic.  ``coeffs`` is the same vector as rationals.
     """
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "nums", "den")
 
     m: int
-    coeffs: tuple
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, m: int, coeffs: Iterable = ()):  # noqa: D107 (class doc covers it)
         if m < 1:
             raise ValueError("conductor must be a positive integer")
         f = len(cyclotomic_polynomial(m)) - 1
         vec = [_coeff(c) for c in coeffs]
-        if len(vec) > f:
-            vec = list(_combine(vec, [_zeta_pow_vec(m, i % m) for i in range(len(vec))]))
-        vec.extend([0] * (f - len(vec)))
-        self.m = m
-        self.coeffs = tuple(vec)
+        den = lcm(*(c.denominator for c in vec))
+        nums = [c.numerator * (den // c.denominator) for c in vec]
+        if len(nums) > f:
+            nums = _combine(nums, [_zeta_pow_vec(m, i % m) for i in range(len(nums))])
+        nums.extend([0] * (f - len(nums)))
+        value = _reduced(m, nums, den)
+        self.m, self.nums, self.den = m, value.nums, value.den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficient vector: ``int`` where integral, else a reduced ``Fraction``."""
+        den = self.den
+        if den == 1:
+            return self.nums
+        return tuple(Fraction(x, den) if x % den else x // den for x in self.nums)
 
     # -- constructors ------------------------------------------------------
 
@@ -241,7 +229,8 @@ class CycloNum:
     def rational(cls, m: int, value: Scalar) -> "CycloNum":
         """Embed a rational number into Q(zeta_m)."""
         f = len(cyclotomic_polynomial(m)) - 1
-        return _raw(m, (_coeff(value),) + (0,) * (f - 1))
+        value = _coeff(value)
+        return _reduced(m, (value.numerator,) + (0,) * (f - 1), value.denominator)
 
     @classmethod
     def zero(cls, m: int) -> "CycloNum":
@@ -254,10 +243,10 @@ class CycloNum:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -279,7 +268,7 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _raw(self.m, _canonical(tuple(map(add, self.coeffs, other.coeffs))))
+        return _sum(self, other, add)
 
     __radd__ = __add__
 
@@ -287,28 +276,27 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _raw(self.m, _canonical(tuple(map(sub, self.coeffs, other.coeffs))))
+        return _sum(self, other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return _sum(other, self, sub)
 
     def __neg__(self):
-        return _raw(self.m, tuple(map(neg, self.coeffs)))
+        return _reduced(self.m, [-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return CycloNum.zero(self.m)
-            return _raw(self.m, tuple(_qnorm(a * other) for a in self.coeffs))
+            p = other.numerator
+            return _reduced(self.m, [x * p for x in self.nums], self.den * other.denominator)
         if isinstance(other, CycloNum):
             if other.m != self.m:
                 raise ConductorMismatch(
                     f"cannot combine Q(zeta_{self.m}) with Q(zeta_{other.m})"
                 )
-            return _raw(self.m, _mul_vec(self.m, self.coeffs, other.coeffs))
+            return _reduced(self.m, _mul_vec(self.m, self.nums, other.nums), self.den * other.den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -316,39 +304,34 @@ class CycloNum:
     def inverse(self) -> "CycloNum":
         """The multiplicative inverse.
 
-        A monomial c * zeta^k inverts in closed form to c^-1 * zeta^(m-k).
-        Any other value a inverts to P / N(a), through the Galois norm: P
-        is the product of the conjugates zeta -> zeta^k of a over the
-        units k != 1 mod m, so a * P is the product of all conjugates, the
-        norm N(a): a rational, nonzero because a is.
-
-        The chain runs on integers.  With a = A / D over its common
-        denominator and f = phi(m), P = Q / D^(f-1) for the integer product
-        Q of the conjugates of A, and N(a) = N / D^f for the integer
-        N = A * Q.  So a^-1 = Q * D / N, divided out once at the end.
+        A monomial (c / D) * zeta^k inverts in closed form to
+        (D / c) * zeta^(m-k).  Any other value a = A / D inverts through
+        the Galois norm: the product Q of the conjugates zeta -> zeta^k of
+        the numerators A over the units k != 1 mod m is an integer vector,
+        and A * Q is the product of all conjugates of A, the integer norm N
+        (nonzero because a is).  So a^-1 = Q * D / N.
         """
-        m, a = self.m, self.coeffs
+        m, a, den = self.m, self.nums, self.den
         support = [k for k, c in enumerate(a) if c]
         if not support:
             raise ZeroDivisionError(f"inverse of zero in Q(zeta_{m})")
         if len(support) == 1:
             k = support[0]
-            scale = _qnorm(1 / Fraction(a[k]))
-            return _raw(m, tuple(_qnorm(x * scale) for x in _zeta_pow_vec(m, -k % m)))
-        nums, den = _split(a)
-        prod = (1,) + (0,) * (len(a) - 1)
+            return _reduced(m, [den * x for x in _zeta_pow_vec(m, -k % m)], a[k])
+        prod = [1] + [0] * (len(a) - 1)
         for rows in _conjugate_rows(m):
-            prod = _mul_vec(m, prod, _combine(nums, rows))
-        norm = _mul_vec(m, nums, prod)
+            prod = _mul_vec(m, prod, _combine(a, rows))
+        norm = _mul_vec(m, a, prod)
         if any(norm[1:]):
             raise AssertionError(f"norm of {self!r} is not rational")
-        return _raw(m, _join([c * den for c in prod], norm[0]))
+        return _reduced(m, [c * den for c in prod], norm[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            return _raw(self.m, tuple(_qnorm(Fraction(a) / other) for a in self.coeffs))
+            q = other.denominator
+            return _reduced(self.m, [x * q for x in self.nums], self.den * other.numerator)
         if isinstance(other, CycloNum):
             return self * other.inverse()
         return NotImplemented
@@ -378,15 +361,19 @@ class CycloNum:
 
     def __eq__(self, other):
         if isinstance(other, CycloNum):
-            return self.m == other.m and self.coeffs == other.coeffs
+            return self.m == other.m and self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (
+                self.is_rational()
+                and self.nums[0] == other.numerator
+                and self.den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((CycloNum, self.m, self.coeffs))
+            return hash(self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den))
+        return hash((self.m, self.den, self.nums))
 
     # -- rendering -----------------------------------------------------------
 
@@ -399,27 +386,25 @@ class CycloNum:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"m": self.m, "coeffs": [str(Fraction(c)) for c in self.coeffs]}
+        return {"m": self.m, "coeffs": [str(c) for c in self.coeffs]}
 
     # -- reduction mod p -------------------------------------------------------
 
     def residue(self) -> Optional[int]:
         """The image in F_p under zeta_m -> r, with (p, r) = residue_field(m).
 
-        None when p divides the denominator of a coefficient, where the
-        map is undefined.  A nonzero residue proves the value nonzero.
-        The integer numerators over the common denominator D map to F_p
-        first, then D is inverted once; p is prime, so it divides D
-        exactly when it divides some coefficient's denominator.
+        None when p divides ``den``, where the map is undefined; p is prime,
+        so that is exactly when it divides some coefficient's denominator.
+        A nonzero residue proves the value nonzero.  The numerators map to
+        F_p first, then ``den`` is inverted once.
         """
         p, powers = _residue_powers(self.m)
-        nums, den = _split(self.coeffs)
-        acc = sum(map(mul, nums, powers))
-        if den == 1:
+        acc = sum(map(mul, self.nums, powers))
+        if self.den == 1:
             return acc % p
-        if not den % p:
+        if not self.den % p:
             return None
-        return acc * pow(den, -1, p) % p
+        return acc * pow(self.den, -1, p) % p
 
 
 # Deterministic Miller-Rabin witnesses: exact for every n below 3.3 * 10^24.
@@ -491,7 +476,7 @@ def zeta(m: int, k: int = 1) -> CycloNum:
     """zeta_m^k, the k-th power of the chosen primitive m-th root of unity."""
     if m < 1:
         raise ValueError("conductor must be a positive integer")
-    return _raw(m, _zeta_pow_vec(m, k % m))
+    return _reduced(m, _zeta_pow_vec(m, k % m), 1)
 
 
 def nth_roots_of_minus_one(n: int) -> list[CycloNum]:
@@ -513,11 +498,11 @@ def _poly_str(coeffs: Sequence, var: str = "x") -> str:
         if not c:
             continue
         sign = "-" if c < 0 else "+"
-        mag = abs(Fraction(c))
+        mag = abs(c)
         if i == 0:
-            body = str(_qnorm(mag))
+            body = str(mag)
         else:
-            head = "" if mag == 1 else f"{_qnorm(mag)}*"
+            head = "" if mag == 1 else f"{mag}*"
             body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")

@@ -154,17 +154,25 @@ def _coordinate(value, m: int, where: str) -> CycloNum:
     if isinstance(value, dict):
         try:
             cm = value["m"]
-            coeffs = [Fraction(c) for c in value["coeffs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            raw = value["coeffs"]
+        except KeyError as exc:
             raise SchemaError(f"{where}: bad cyclotomic coordinate: {exc}") from exc
         if isinstance(cm, bool) or not isinstance(cm, int):
             raise SchemaError(f"{where}: conductor m must be a JSON integer, got {cm!r}")
-        inexact = [c for c in value["coeffs"] if isinstance(c, (bool, float))]
+        if not isinstance(raw, list):
+            raise SchemaError(f"{where}: cyclotomic coeffs must be a JSON list, got {raw!r}")
+        inexact = [c for c in raw if isinstance(c, (bool, float))]
         if inexact:
             raise SchemaError(
                 f"{where}: cyclotomic coefficients must be integers or 'p/q' strings, "
                 f"got {inexact[0]!r}"
             )
+        coeffs = []
+        for c in raw:
+            try:
+                coeffs.append(Fraction(c))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise SchemaError(f"{where}: bad cyclotomic coefficient {c!r}") from exc
         if cm != m:
             raise SchemaError(
                 f"{where}: coordinate conductor {cm} differs from required {m}"

@@ -541,6 +541,26 @@ class TestCustomInput:
             ),
             (
                 "--lines",
+                '{"n": 4, "lines": [[[{"m": 8, "coeffs": ["1/0", 0, 0, 0]}, 0, 0, 0], [0, 1, 0, 0]]]}',
+                "line 0: bad cyclotomic coefficient '1/0'",
+            ),
+            (
+                "--lines",
+                '{"n": 4, "lines": [[[{"m": 8, "coeffs": [1, null, 0, 0]}, 0, 0, 0], [0, 1, 0, 0]]]}',
+                "line 0: bad cyclotomic coefficient None",
+            ),
+            (
+                "--lines",
+                '{"n": 4, "lines": [[[{"m": 8, "coeffs": "12"}, 0, 0, 0], [0, 1, 0, 0]]]}',
+                "line 0: cyclotomic coeffs must be a JSON list, got '12'",
+            ),
+            (
+                "--lines",
+                '{"n": 4, "lines": [[[{"m": 8, "coeffs": {"1": 0}}, 0, 0, 0], [0, 1, 0, 0]]]}',
+                "line 0: cyclotomic coeffs must be a JSON list, got {'1': 0}",
+            ),
+            (
+                "--lines",
                 '{"n": 4, "lines": [[[1, 0, 0, 0], [2, 0, 0, 0]]]}',
                 "line 0: a line needs two distinct points",
             ),

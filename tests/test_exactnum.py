@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -281,7 +282,14 @@ class TestCanonicalCoefficients:
         assert type(CycloNum(8, [Tagged(3)]).coeffs[0]) is int
 
 
-# -- integer kernels against the Fraction arithmetic they replace ------------
+# -- integer arithmetic against the Fraction arithmetic it replaces ----------
+
+
+def qnorm(x):
+    """The canonical form of one coefficient: int where integral, else a Fraction."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def fraction_mul_vec(m, a, b):
@@ -302,7 +310,7 @@ def fraction_mul_vec(m, a, b):
                 for idx, r in enumerate(row):
                     if r:
                         acc[idx] += c * r
-    return tuple(exactnum._qnorm(x) for x in acc[:f])
+    return tuple(qnorm(x) for x in acc[:f])
 
 
 def fraction_combine(coeffs, rows):
@@ -310,7 +318,7 @@ def fraction_combine(coeffs, rows):
     for c, row in zip(coeffs, rows):
         for idx, r in enumerate(row):
             acc[idx] += c * r
-    return tuple(exactnum._qnorm(x) for x in acc)
+    return tuple(qnorm(x) for x in acc)
 
 
 def fraction_inverse(m, a):
@@ -320,7 +328,7 @@ def fraction_inverse(m, a):
         prod = fraction_mul_vec(m, prod, fraction_combine(a, rows))
     norm = fraction_mul_vec(m, a, prod)
     assert not any(norm[1:])
-    return tuple(exactnum._qnorm(c / Fraction(norm[0])) for c in prod)
+    return tuple(qnorm(c / Fraction(norm[0])) for c in prod)
 
 
 def residue_per_coefficient(m, coeffs):
@@ -335,7 +343,13 @@ def residue_per_coefficient(m, coeffs):
     return acc % p
 
 
-def assert_canonical_equal(got, expected):
+def assert_canonical(value, expected):
+    """``value`` is stored in lowest terms and its coeffs equal ``expected``, types included."""
+    assert type(value.den) is int and value.den > 0
+    assert all(type(x) is int for x in value.nums)
+    assert len(value.nums) == euler_phi(value.m)
+    assert gcd(value.den, *value.nums) == 1
+    got = value.coeffs
     assert got == expected
     assert [type(c) for c in got] == [type(c) for c in expected]
     assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in got)
@@ -358,23 +372,28 @@ def kernel_vectors(draw, count):
     m = draw(st.sampled_from(KERNEL_CONDUCTORS))
     f = euler_phi(m)
     entries = st.lists(st.one_of(st.just(0), scalars), min_size=f, max_size=f)
-    return m, [tuple(map(exactnum._qnorm, draw(entries))) for _ in range(count)]
+    return m, [tuple(map(qnorm, draw(entries))) for _ in range(count)]
 
 
 class TestIntegerKernels:
-    """The common-denominator kernels equal the Fraction arithmetic, types included."""
+    """The integer operations equal the Fraction arithmetic, types included."""
 
     @given(kernel_vectors(2))
     @settings(max_examples=300)
     def test_mul_vec(self, case):
         m, (a, b) = case
-        assert_canonical_equal(exactnum._mul_vec(m, a, b), fraction_mul_vec(m, a, b))
+        assert_canonical(CycloNum(m, a) * CycloNum(m, b), fraction_mul_vec(m, a, b))
 
     @given(kernel_vectors(1))
     def test_combine_over_conjugate_rows(self, case):
+        # the conjugate zeta -> zeta^k of a, built from input of degree (f - 1) * k
         m, (a,) = case
-        for rows in exactnum._conjugate_rows(m):
-            assert_canonical_equal(exactnum._combine(a, rows), fraction_combine(a, rows))
+        units = [k for k in range(2, m) if gcd(k, m) == 1]
+        for k, rows in zip(units, exactnum._conjugate_rows(m)):
+            spread = [0] * ((len(a) - 1) * k + 1)
+            for i, c in enumerate(a):
+                spread[i * k] = c
+            assert_canonical(CycloNum(m, spread), fraction_combine(a, rows))
 
     @given(kernel_vectors(1))
     @settings(max_examples=150)
@@ -384,7 +403,7 @@ class TestIntegerKernels:
         if x.is_zero():
             return
         inv = x.inverse()
-        assert_canonical_equal(inv.coeffs, fraction_inverse(m, a))
+        assert_canonical(inv, fraction_inverse(m, a))
         assert x * inv == 1
 
     @given(kernel_vectors(1), st.integers(1, 9), st.integers(0, 16))
@@ -406,8 +425,43 @@ class TestIntegerKernels:
         m, (a, b) = case
         x, y = CycloNum(m, a), CycloNum(m, b)
         for value, op in ((x + y, Fraction.__add__), (x - y, Fraction.__sub__)):
-            expected = tuple(exactnum._qnorm(op(Fraction(s), Fraction(t))) for s, t in zip(a, b))
-            assert_canonical_equal(value.coeffs, expected)
+            expected = tuple(qnorm(op(Fraction(s), Fraction(t))) for s, t in zip(a, b))
+            assert_canonical(value, expected)
+        assert_canonical(-x, tuple(qnorm(-Fraction(s)) for s in a))
+
+    @given(kernel_vectors(1), scalars)
+    def test_scalar_operations(self, case, q):
+        m, (a,) = case
+        x = CycloNum(m, a)
+        q = qnorm(q)
+        pad = (0,) * (len(a) - 1)
+        for value, expected in (
+            (x * q, [s * q for s in a]),
+            (q * x, [q * s for s in a]),
+            (x + q, [a[0] + q, *a[1:]]),
+            (q - x, [q - a[0], *(-s for s in a[1:])]),
+            (CycloNum.rational(m, q), (q,) + pad),
+        ):
+            assert_canonical(value, tuple(qnorm(Fraction(s)) for s in expected))
+        if q:
+            assert_canonical(x / q, tuple(qnorm(Fraction(s) / q) for s in a))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / q
+
+    @given(kernel_vectors(2), scalars)
+    @settings(max_examples=150)
+    def test_hash_follows_equality(self, case, q):
+        m, (a, b) = case
+        x, y = CycloNum(m, a), CycloNum(m, b)
+        for same in ((x + y) - y, -(-x), (x * 3) / 3):
+            assert same == x and hash(same) == hash(x)
+        if not y.is_zero():
+            assert (x * y) / y == x and hash((x * y) / y) == hash(x)
+        q = qnorm(q)
+        r = CycloNum.rational(m, q)
+        assert r == q and hash(r) == hash(q)
+        assert (x - x) + q == q and hash((x - x) + q) == hash(q)
 
 
 class TestResidueField:
