@@ -21,7 +21,7 @@ class ProfileError(ValueError):
     """An incidence profile or arrangement violates a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncidenceProfile:
     """The combinatorial record (n, d, {t_k}) of a line configuration.
 

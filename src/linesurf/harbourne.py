@@ -276,13 +276,23 @@ def extremal_profile_search(
     feasibility gives the upper end hi = (d(d-1) - sum_{k>=3} (k^2-k) t_k) // 2.
     Each run is certified by ``miyaoka_check`` itself: it must hold at lo
     and, when lo > 0, fail at lo - 1 (an empty run must fail at hi);
-    otherwise the search raises ``AssertionError``.  Every row is still a
-    validated ``IncidenceProfile`` with its value from ``harbourne_linear``.
+    otherwise the search raises ``AssertionError``.
 
-    The sort key is an exact integer.  Every s is at most S = d(d-1)/2,
-    since each point uses at least one pair of lines, so two distinct
-    values of H_L differ by at least 1/S^2 and floor(S^2 * H_L) orders
-    them exactly, equal values getting equal keys.
+    On a run, with a = (2-n)d - sum_{k>=3} k t_k and s_tail = sum_{k>=3} t_k
+    computed once, H_L = (a - 2 t_2)/(s_tail + t_2) in closed form.  That
+    form is certified once per run: ``harbourne_linear`` of the run's first
+    profile with s > 0 must equal it, or the search raises
+    ``AssertionError``.  Only the rows returned, the first ``limit`` when
+    it is given, are built, each as a validated ``IncidenceProfile`` with
+    its value from the closed form.
+
+    The sort key is exact and made of integers.  Every s is at most
+    S = d(d-1)/2, since each point uses at least one pair of lines, so two
+    distinct values of H_L differ by at least 1/S^2 and
+    floor(S^2 * H_L) = (a - 2 t_2) S^2 // (s_tail + t_2) orders them
+    exactly, equal values getting equal keys.  Ties go by t: t_2, with
+    t_2 = 0 after every t_2 > 0 (its t starts at a larger multiplicity),
+    then the tail's items.
 
     The profiles are purely combinatorial candidates: nothing here
     certifies that a configuration of actual lines realizes them.
@@ -311,31 +321,51 @@ def extremal_profile_search(
         )
 
     rhs = 2 * n * (n - 1) ** 2
-    results: list[tuple[IncidenceProfile, Optional[Fraction]]] = []
-    empty: list[tuple[IncidenceProfile, Optional[Fraction]]] = []
+    pairs = budget // 2
+    scale = pairs * pairs
+    top = pairs + 1  # above every t_2: stands for t_2 = 0 in a key
+    runs: list[tuple[int, int, dict[int, int]]] = []  # a, s_tail, tail
+    # (floor(S^2 H_L), t_2 or top, tail items, run index); the first three
+    # already identify a row, so the run index is never compared.
+    keys: list[tuple[int, int, tuple, int]] = []
+    has_empty = False
 
-    def certify(tail: dict[int, int], t2: int, holds: bool) -> None:
-        if miyaoka_check(IncidenceProfile(n=n, d=d, t={2: t2, **tail})).holds != holds:
+    def certify(tail: dict[int, int], t2: int, holds: bool) -> IncidenceProfile:
+        profile = IncidenceProfile(n=n, d=d, t={2: t2, **tail})
+        if miyaoka_check(profile).holds != holds:
             raise AssertionError(
                 f"Miyaoka run endpoint t_2 = {t2} misplaced for tail {tail}"
             )
+        return profile
 
     def run(tail: dict[int, int], remaining: int, excess: int) -> None:
         """All rows with this tail t_3..t_k: t_2 over lo..hi, certified at its ends."""
+        nonlocal has_empty
         lo = max(0, n * d + excess - rhs)
         hi = remaining // 2
         if lo > hi:
             certify(tail, hi, False)
             return
-        certify(tail, lo, True)
+        first = certify(tail, lo, True)
         if lo > 0:
             certify(tail, lo - 1, False)
-        if lo == 0 and not tail:
-            empty.append((IncidenceProfile(n=n, d=d), None))
+        if not first.t:  # s = 0: the empty profile, listed last with no value
+            has_empty = True
             lo = 1
-        for t2 in range(lo, hi + 1):
-            profile = IncidenceProfile(n=n, d=d, t={2: t2, **tail})
-            results.append((profile, harbourne_linear(profile)))
+            if lo > hi:
+                return
+            first = IncidenceProfile(n=n, d=d, t={2: lo})
+        a = (2 - n) * d - sum(k * c for k, c in tail.items())
+        s_tail = sum(tail.values())
+        if harbourne_linear(first) != Fraction(a - 2 * lo, s_tail + lo):
+            raise AssertionError(f"closed-form H_L disagrees at t_2 = {lo} for tail {tail}")
+        items = tuple(sorted(tail.items()))
+        r = len(runs)
+        runs.append((a, s_tail, dict(tail)))
+        keys.extend(
+            ((a - 2 * t2) * scale // (s_tail + t2), t2 or top, items, r)
+            for t2 in range(lo, hi + 1)
+        )
 
     tail_ks = ks[1:]
 
@@ -352,15 +382,18 @@ def extremal_profile_search(
         current.pop(k, None)
 
     walk(0, budget, 0, {})
-    pairs = budget // 2
-    scale = pairs * pairs
-    results.sort(
-        key=lambda row: (
-            row[1].numerator * scale // row[1].denominator,
-            tuple(row[0].t.items()),
-        )
-    )
-    results += empty
+    keys.sort()
     if limit is not None:
-        return results[:limit]
-    return results
+        del keys[limit:]
+    # Each key is replaced in place by its row, so the two lists never coexist.
+    rows: list = keys
+    for i, (_, t2, _, r) in enumerate(keys):
+        a, s_tail, tail = runs[r]
+        t2 = 0 if t2 == top else t2
+        rows[i] = (
+            IncidenceProfile(n=n, d=d, t={2: t2, **tail}),
+            Fraction(a - 2 * t2, s_tail + t2),
+        )
+    if has_empty and (limit is None or len(rows) < limit):
+        rows.append((IncidenceProfile(n=n, d=d), None))
+    return rows

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from linesurf.catalog import (
@@ -53,6 +55,18 @@ class TestIncidenceProfile:
     def test_booleans_rejected(self, d, t, message):
         with pytest.raises(ProfileError, match=message):
             IncidenceProfile(n=4, d=d, t=t)
+
+    def test_slotted_and_frozen(self):
+        p = IncidenceProfile(n=4, d=16, t={4: 8, 2: 0, 3: 2})
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.d = 17
+        assert list(p.t.items()) == [(3, 2), (4, 8)]
+        assert p == IncidenceProfile(n=4, d=16, t={3: 2, 4: 8})
+        assert p != IncidenceProfile(n=5, d=16, t={3: 2, 4: 8})
+        # t is a dict, so a profile is unhashable, as it always was.
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(p)
 
 
 class TestFermatLines:

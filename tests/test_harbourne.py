@@ -284,6 +284,44 @@ class TestExtremalSearchOracle:
             brute_force_search(*case, limit=limit)
         )
 
+    @pytest.mark.parametrize("case", [(6, d, k) for d in range(11, 15) for k in (3, 4)])
+    def test_ties_across_runs(self, case):
+        rows = extremal_profile_search(*case)
+        assert listed(rows) == listed(brute_force_search(*case))
+        # The case must reach the tie-break on t: equal H_L from different
+        # tails, with a t_2 = 0 row (nonempty tail) among the tied rows.
+        tied = {}
+        for p, value in rows:
+            tied.setdefault(value, []).append(p)
+        groups = [ps for value, ps in tied.items() if value is not None and len(ps) > 1]
+        assert any(
+            any(p.t2 == 0 for p in ps)
+            and any(p.t2 > 0 for p in ps)
+            and len({tuple((k, c) for k, c in p.t.items() if k > 2) for p in ps}) > 1
+            for ps in groups
+        )
+
+    @pytest.mark.parametrize("case", ((4, 24, 4), (6, 12, 4)))
+    def test_limit_is_a_prefix(self, case):
+        rows = listed(extremal_profile_search(*case))
+        for limit in (0, 1, 7, len(rows) - 1, len(rows), len(rows) + 5):
+            assert listed(extremal_profile_search(*case, limit=limit)) == rows[:limit]
+
+    def test_limit_at_thirty_lines(self):
+        assert listed(extremal_profile_search(4, 30, 4, limit=3)) == [
+            (4, 30, [(3, 48)], Fraction(-17, 4)),
+            (4, 30, [(3, 48), (4, 1)], Fraction(-208, 49)),
+            (4, 30, [(3, 48), (4, 2)], Fraction(-106, 25)),
+        ]
+
+    def test_closed_form_certification_can_fail(self, monkeypatch):
+        exact = linesurf.harbourne.harbourne_linear
+        monkeypatch.setattr(
+            linesurf.harbourne, "harbourne_linear", lambda profile: exact(profile) + 1
+        )
+        with pytest.raises(AssertionError, match="closed-form H_L"):
+            extremal_profile_search(4, 8, 3)
+
     @pytest.mark.parametrize("holds", (False, True))
     def test_run_certification_can_fail(self, monkeypatch, holds):
         # Miyaoka reported as always failing breaks the lower end of a run;
