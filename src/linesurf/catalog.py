@@ -36,29 +36,31 @@ class IncidenceProfile:
     t: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
+        n, d, t = self.n, self.d, self.t
+        if not isinstance(n, int) or n < 3:
             raise ProfileError("surface degree n must be an integer >= 3")
-        if type(self.d) is not int or self.d < 0:  # bool is an int subclass
+        if type(d) is not int or d < 0:  # bool is an int subclass
             raise ProfileError("line count d must be a nonnegative integer")
         cleaned: dict[int, int] = {}
-        for k in sorted(self.t):
-            count = self.t[k]
+        pair_weight = 0
+        for k in sorted(t):
+            count = t[k]
             if type(k) is not int or type(count) is not int:
                 raise ProfileError("multiplicities and counts must be integers")
             if count < 0:
                 raise ProfileError(f"count t_{k} must be nonnegative")
             if count == 0:
                 continue
-            if k < 2 or k > self.d:
+            if k < 2 or k > d:
                 raise ProfileError(
-                    f"multiplicity {k} outside the valid range 2..{self.d}"
+                    f"multiplicity {k} outside the valid range 2..{d}"
                 )
             cleaned[k] = count
-        pair_weight = sum((k * k - k) * c for k, c in cleaned.items())
-        if pair_weight > self.d * (self.d - 1):
+            pair_weight += (k * k - k) * count
+        if pair_weight > d * (d - 1):
             raise ProfileError(
                 "pair-count feasibility violated: "
-                f"sum (k^2-k) t_k = {pair_weight} exceeds d(d-1) = {self.d * (self.d - 1)}"
+                f"sum (k^2-k) t_k = {pair_weight} exceeds d(d-1) = {d * (d - 1)}"
             )
         object.__setattr__(self, "t", cleaned)
 

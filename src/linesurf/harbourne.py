@@ -21,11 +21,12 @@ coarser strict form  Ltilde^2 > -4s - 2n(n-1)^2.  Both are reported.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .catalog import Arrangement, IncidenceProfile, max_lines_bound
 from .incidence import incidence_count, scan_arrangement
@@ -232,28 +233,61 @@ def bauer_search(
             lines = lines.union(*(points[pid].lines for pid in forced))
         return None
 
-    def backtrack(i: int, chosen: frozenset, lines: frozenset, excluded: frozenset) -> bool:
-        """Depth-first walk; True once ``max_solutions`` witnesses are found."""
+    # Depth-first on an explicit stack, the branch with the point in popped
+    # before the one without it.  A recursive closure would hold itself in
+    # its own cell, a cycle that keeps ``points`` and ``meet`` alive past
+    # the return until a cyclic collection.
+    stack = [(0, frozenset(), frozenset(), frozenset())]
+    while stack:
+        i, chosen, lines, excluded = stack.pop()
         if len(lines) == size and chosen:
             solutions.append(tuple(sorted(lines)))
-            return max_solutions is not None and len(solutions) >= max_solutions
+            if max_solutions is not None and len(solutions) >= max_solutions:
+                break
+            continue
         if i == len(quads):
-            return False
+            continue
         pid = quads[i]
-        if pid not in chosen and pid not in excluded:
-            closed = close(chosen | {pid}, lines.union(points[pid].lines), excluded)
-            if closed and backtrack(i + 1, *closed, excluded):
-                return True
-            excluded = excluded | {pid}
-        return backtrack(i + 1, chosen, lines, excluded)
-
-    backtrack(0, frozenset(), frozenset(), frozenset())
+        if pid in chosen or pid in excluded:
+            stack.append((i + 1, chosen, lines, excluded))
+            continue
+        stack.append((i + 1, chosen, lines, excluded | {pid}))
+        closed = close(chosen | {pid}, lines.union(points[pid].lines), excluded)
+        if closed:
+            stack.append((i + 1, *closed, excluded))
     for chosen in solutions:
         counts = Counter(meet[p] for p in combinations(chosen, 2) if p in meet)
         # C(4,2): exactly four chosen lines through every point they meet in.
         if any(pairs != 6 for pairs in counts.values()):
             raise AssertionError("search produced an invalid subconfiguration")
     return sorted(solutions)
+
+
+def _walk_tails(
+    tail_ks: list[int],
+    idx: int,
+    remaining: int,
+    excess: int,
+    current: dict[int, int],
+    run: Callable[[dict[int, int], int, int], None],
+) -> None:
+    """Call ``run(tail, remaining, excess)`` on every tail t_k, k in ``tail_ks[idx:]``.
+
+    ``remaining`` is the pair budget d(d-1) less sum (k^2-k) t_k so far, and
+    ``excess`` is sum (k-4) t_k so far.  ``current`` is extended in place.
+    """
+    if idx == len(tail_ks):
+        run(current, remaining, excess)
+        return
+    k = tail_ks[idx]
+    weight = k * k - k
+    for count in range(remaining // weight + 1):
+        if count:
+            current[k] = count
+        _walk_tails(
+            tail_ks, idx + 1, remaining - weight * count, excess + (k - 4) * count, current, run
+        )
+    current.pop(k, None)
 
 
 def extremal_profile_search(
@@ -293,6 +327,15 @@ def extremal_profile_search(
     exactly, equal values getting equal keys.  Ties go by t: t_2, with
     t_2 = 0 after every t_2 > 0 (its t starts at a larger multiplicity),
     then the tail's items.
+
+    The search makes no reference cycle: the tails are walked by a
+    module-level helper, not a closure that calls itself.  The returned
+    rows are therefore freed by refcount as soon as the caller drops them.
+    Everything made while the search walks, sorts and builds its rows is
+    acyclic (ints, tuples, int-valued dicts, slotted profiles, Fractions),
+    so a cyclic collection could find nothing in it; the collector is
+    paused over that part, so that its passes over the young rows are not
+    paid for, and put back in its previous state on return or raise.
 
     The profiles are purely combinatorial candidates: nothing here
     certifies that a configuration of actual lines realizes them.
@@ -367,33 +410,26 @@ def extremal_profile_search(
             for t2 in range(lo, hi + 1)
         )
 
-    tail_ks = ks[1:]
-
-    def walk(idx: int, remaining: int, excess: int, current: dict[int, int]) -> None:
-        if idx == len(tail_ks):
-            run(current, remaining, excess)
-            return
-        k = tail_ks[idx]
-        weight = k * k - k
-        for count in range(remaining // weight + 1):
-            if count:
-                current[k] = count
-            walk(idx + 1, remaining - weight * count, excess + (k - 4) * count, current)
-        current.pop(k, None)
-
-    walk(0, budget, 0, {})
-    keys.sort()
-    if limit is not None:
-        del keys[limit:]
-    # Each key is replaced in place by its row, so the two lists never coexist.
-    rows: list = keys
-    for i, (_, t2, _, r) in enumerate(keys):
-        a, s_tail, tail = runs[r]
-        t2 = 0 if t2 == top else t2
-        rows[i] = (
-            IncidenceProfile(n=n, d=d, t={2: t2, **tail}),
-            Fraction(a - 2 * t2, s_tail + t2),
-        )
-    if has_empty and (limit is None or len(rows) < limit):
-        rows.append((IncidenceProfile(n=n, d=d), None))
+    # Acyclic from here on (see above): no cyclic collection can free anything.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _walk_tails(ks[1:], 0, budget, 0, {}, run)
+        keys.sort()
+        if limit is not None:
+            del keys[limit:]
+        # Each key is replaced in place by its row, so the two lists never coexist.
+        rows: list = keys
+        for i, (_, t2, _, r) in enumerate(keys):
+            a, s_tail, tail = runs[r]
+            t2 = 0 if t2 == top else t2
+            rows[i] = (
+                IncidenceProfile(n=n, d=d, t={2: t2, **tail}),
+                Fraction(a - 2 * t2, s_tail + t2),
+            )
+        if has_empty and (limit is None or len(rows) < limit):
+            rows.append((IncidenceProfile(n=n, d=d), None))
+    finally:
+        if was_enabled:
+            gc.enable()
     return rows

@@ -23,17 +23,30 @@ class TestIncidenceProfile:
         assert p.t == {2: 5}
         assert p.s == 5
 
-    def test_key_range_enforced(self):
-        with pytest.raises(ProfileError):
-            IncidenceProfile(n=4, d=10, t={1: 3})
-        with pytest.raises(ProfileError):
-            IncidenceProfile(n=4, d=10, t={11: 1})
-
-    def test_pair_count_feasibility(self):
-        # 2 lines admit at most one double point
-        with pytest.raises(ProfileError):
-            IncidenceProfile(n=4, d=2, t={2: 2})
-        IncidenceProfile(n=4, d=2, t={2: 1})
+    @pytest.mark.parametrize(
+        "d,t,outcome",
+        [
+            pytest.param(10, {1: 3}, r"multiplicity 1 outside the valid range 2\.\.10$", id="below"),
+            pytest.param(10, {11: 1}, r"multiplicity 11 outside the valid range 2\.\.10$", id="above"),
+            # The sign is checked before the range.
+            pytest.param(10, {1: -1}, r"count t_1 must be nonnegative", id="negative"),
+            pytest.param(10, {"2": 1}, "multiplicities and counts must be integers", id="str-key"),
+            # 2 lines admit at most one double point.
+            pytest.param(
+                2, {2: 2}, r"sum \(k\^2-k\) t_k = 4 exceeds d\(d-1\) = 2$", id="pairs"
+            ),
+            pytest.param(2, {2: 1}, {2: 1}, id="pairs-at-bound"),
+            # A zero count is dropped before its key's range is checked.
+            pytest.param(10, {1: 0, 11: 0, 2: 5}, {2: 5}, id="zero-out-of-range"),
+        ],
+    )
+    def test_validation(self, d, t, outcome):
+        """``outcome`` is the ProfileError message, or the cleaned t when accepted."""
+        if isinstance(outcome, dict):
+            assert IncidenceProfile(n=4, d=d, t=t).t == outcome
+        else:
+            with pytest.raises(ProfileError, match=outcome):
+                IncidenceProfile(n=4, d=d, t=t)
 
     def test_degree_floor(self):
         with pytest.raises(ProfileError):

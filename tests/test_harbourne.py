@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import linesurf.harbourne
 from linesurf.catalog import (
     IncidenceProfile,
     cubic_profile,
+    fermat_lines,
     fermat_profile,
     rams_profile,
     schur_profile,
@@ -16,6 +18,7 @@ from linesurf.harbourne import (
     MiyaokaResult,
     UndefinedConstant,
     analyze_profile,
+    bauer_search,
     cubic_h,
     extremal_profile_search,
     fermat_h_closed,
@@ -331,6 +334,67 @@ class TestExtremalSearchOracle:
         )
         with pytest.raises(AssertionError, match="Miyaoka run endpoint"):
             extremal_profile_search(4, 19, 2)
+
+
+class TestCollector:
+    """The searches leave no cyclic garbage, and the collector's state is kept."""
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            pytest.param(lambda: extremal_profile_search(4, 12, 4), id="extremal"),
+            pytest.param(lambda: extremal_profile_search(4, 6, 3, limit=2), id="extremal-limit"),
+            # Ends with the empty row.
+            pytest.param(lambda: extremal_profile_search(4, 6, 3), id="extremal-empty-row"),
+            pytest.param(lambda: bauer_search(fermat_lines(4), 16), id="bauer"),
+        ],
+    )
+    def test_no_cyclic_garbage(self, search):
+        gc.collect()
+        gc.disable()
+        try:
+            search()  # the result is dropped at once
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("raises", (False, True))
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_state_restored(self, monkeypatch, enabled, raises):
+        if raises:
+            monkeypatch.setattr(
+                linesurf.harbourne, "miyaoka_check", lambda profile: MiyaokaResult(0, 0, False)
+            )
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if raises:
+                with pytest.raises(AssertionError, match="Miyaoka run endpoint"):
+                    extremal_profile_search(4, 19, 2)
+            else:
+                extremal_profile_search(4, 19, 2)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            ((3, 5, 3), InapplicableDegree),
+            ((4, 0, 3), ValueError),
+            ((4, 65, 3), ValueError),
+            ((4, 6, 1), ValueError),
+            ((4, 6, 3, -1), ValueError),
+            ((4, 64, 4), ValueError),  # the 10,000,000-vector guard
+        ],
+    )
+    def test_guards_raise_before_the_pause(self, monkeypatch, args, error):
+        pauses = []
+        monkeypatch.setattr(gc, "disable", lambda: pauses.append(None))
+        with pytest.raises(error):
+            extremal_profile_search(*args)
+        assert pauses == []
+        extremal_profile_search(4, 6, 3)
+        assert len(pauses) == 1
 
 
 class TestBoundSoundness:
