@@ -41,9 +41,13 @@ class IncidenceProfile:
             raise ProfileError("surface degree n must be an integer >= 3")
         if type(d) is not int or d < 0:  # bool is an int subclass
             raise ProfileError("line count d must be a nonnegative integer")
+        try:
+            ks = sorted(t)
+        except TypeError as exc:  # keys of mixed types do not sort
+            raise ProfileError("multiplicities and counts must be integers") from exc
         cleaned: dict[int, int] = {}
         pair_weight = 0
-        for k in sorted(t):
+        for k in ks:
             count = t[k]
             if type(k) is not int or type(count) is not int:
                 raise ProfileError("multiplicities and counts must be integers")

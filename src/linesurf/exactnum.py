@@ -378,7 +378,7 @@ class CycloNum:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return _poly_str(self.coeffs, "z")
+        return _poly_str(self.coeffs)
 
     def __repr__(self) -> str:
         return f"CycloNum({self.m}, {list(self.coeffs)!r})"
@@ -490,8 +490,8 @@ def nth_roots_of_minus_one(n: int) -> list[CycloNum]:
     return [zeta(2 * n, 2 * j + 1) for j in range(n)]
 
 
-def _poly_str(coeffs: Sequence, var: str = "x") -> str:
-    """Human-readable polynomial rendering, highest degree first."""
+def _poly_str(coeffs: Sequence) -> str:
+    """Human-readable polynomial in z, the root of unity, highest degree first."""
     parts = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
@@ -503,7 +503,7 @@ def _poly_str(coeffs: Sequence, var: str = "x") -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else f"{mag}*"
-            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+            body = f"{head}z" if i == 1 else f"{head}z^{i}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
         else:

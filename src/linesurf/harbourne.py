@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .catalog import Arrangement, IncidenceProfile, max_lines_bound
 from .incidence import incidence_count, scan_arrangement
@@ -263,31 +263,12 @@ def bauer_search(
     return sorted(solutions)
 
 
-def _walk_tails(
-    tail_ks: list[int],
-    idx: int,
-    remaining: int,
-    excess: int,
-    current: dict[int, int],
-    run: Callable[[dict[int, int], int, int], None],
-) -> None:
-    """Call ``run(tail, remaining, excess)`` on every tail t_k, k in ``tail_ks[idx:]``.
-
-    ``remaining`` is the pair budget d(d-1) less sum (k^2-k) t_k so far, and
-    ``excess`` is sum (k-4) t_k so far.  ``current`` is extended in place.
-    """
-    if idx == len(tail_ks):
-        run(current, remaining, excess)
-        return
-    k = tail_ks[idx]
-    weight = k * k - k
-    for count in range(remaining // weight + 1):
-        if count:
-            current[k] = count
-        _walk_tails(
-            tail_ks, idx + 1, remaining - weight * count, excess + (k - 4) * count, current, run
-        )
-    current.pop(k, None)
+def _run_end(n: int, d: int, tail: dict[int, int], t2: int, holds: bool) -> IncidenceProfile:
+    """The profile with this tail and t_2, which Miyaoka must pass iff ``holds``."""
+    profile = IncidenceProfile(n=n, d=d, t={2: t2, **tail})
+    if miyaoka_check(profile).holds != holds:
+        raise AssertionError(f"Miyaoka run endpoint t_2 = {t2} misplaced for tail {tail}")
+    return profile
 
 
 def extremal_profile_search(
@@ -303,7 +284,7 @@ def extremal_profile_search(
     Miyaoka's inequality, sorted by H_L ascending and then by t; the
     profile with s = 0 carries no value and comes last.
 
-    The tails t_3..t_k are walked one by one.  For a fixed tail the
+    The tails t_3..t_k are listed one by one.  For a fixed tail the
     admissible t_2 form one run lo..hi: Miyaoka's left side falls by one
     per unit of t_2, so it gives the lower end
     lo = max(0, n*d + sum_{k>=3} (k-4) t_k - 2n(n-1)^2), and pair
@@ -328,14 +309,13 @@ def extremal_profile_search(
     t_2 = 0 after every t_2 > 0 (its t starts at a larger multiplicity),
     then the tail's items.
 
-    The search makes no reference cycle: the tails are walked by a
-    module-level helper, not a closure that calls itself.  The returned
-    rows are therefore freed by refcount as soon as the caller drops them.
-    Everything made while the search walks, sorts and builds its rows is
-    acyclic (ints, tuples, int-valued dicts, slotted profiles, Fractions),
-    so a cyclic collection could find nothing in it; the collector is
-    paused over that part, so that its passes over the young rows are not
-    paid for, and put back in its previous state on return or raise.
+    The search makes no reference cycle, so the returned rows are freed
+    by refcount as soon as the caller drops them.  Everything made while
+    the search lists its tails, sorts and builds its rows is acyclic (ints,
+    tuples, int-valued dicts, slotted profiles, Fractions), so a cyclic
+    collection could find nothing in it; the collector is paused over
+    that part, so that its passes over the young rows are not paid for,
+    and put back in its previous state on return or raise.
 
     The profiles are purely combinatorial candidates: nothing here
     certifies that a configuration of actual lines realizes them.
@@ -367,61 +347,56 @@ def extremal_profile_search(
     pairs = budget // 2
     scale = pairs * pairs
     top = pairs + 1  # above every t_2: stands for t_2 = 0 in a key
-    runs: list[tuple[int, int, dict[int, int]]] = []  # a, s_tail, tail
-    # (floor(S^2 H_L), t_2 or top, tail items, run index); the first three
-    # already identify a row, so the run index is never compared.
-    keys: list[tuple[int, int, tuple, int]] = []
+    # (floor(S^2 H_L), t_2 or top, tail items, run (a, s_tail, tail)); the
+    # first three already identify a row, so the run is never compared.
+    keys: list[tuple[int, int, tuple, tuple[int, int, dict[int, int]]]] = []
     has_empty = False
-
-    def certify(tail: dict[int, int], t2: int, holds: bool) -> IncidenceProfile:
-        profile = IncidenceProfile(n=n, d=d, t={2: t2, **tail})
-        if miyaoka_check(profile).holds != holds:
-            raise AssertionError(
-                f"Miyaoka run endpoint t_2 = {t2} misplaced for tail {tail}"
-            )
-        return profile
-
-    def run(tail: dict[int, int], remaining: int, excess: int) -> None:
-        """All rows with this tail t_3..t_k: t_2 over lo..hi, certified at its ends."""
-        nonlocal has_empty
-        lo = max(0, n * d + excess - rhs)
-        hi = remaining // 2
-        if lo > hi:
-            certify(tail, hi, False)
-            return
-        first = certify(tail, lo, True)
-        if lo > 0:
-            certify(tail, lo - 1, False)
-        if not first.t:  # s = 0: the empty profile, listed last with no value
-            has_empty = True
-            lo = 1
-            if lo > hi:
-                return
-            first = IncidenceProfile(n=n, d=d, t={2: lo})
-        a = (2 - n) * d - sum(k * c for k, c in tail.items())
-        s_tail = sum(tail.values())
-        if harbourne_linear(first) != Fraction(a - 2 * lo, s_tail + lo):
-            raise AssertionError(f"closed-form H_L disagrees at t_2 = {lo} for tail {tail}")
-        items = tuple(sorted(tail.items()))
-        r = len(runs)
-        runs.append((a, s_tail, dict(tail)))
-        keys.extend(
-            ((a - 2 * t2) * scale // (s_tail + t2), t2 or top, items, r)
-            for t2 in range(lo, hi + 1)
-        )
 
     # Acyclic from here on (see above): no cyclic collection can free anything.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        _walk_tails(ks[1:], 0, budget, 0, {}, run)
+        # Every tail t_3..t_k with the pair budget it leaves, in lexicographic order.
+        tails: list[tuple[dict[int, int], int]] = [({}, budget)]
+        for k in ks[1:]:
+            weight = k * k - k
+            tails = [
+                ({**tail, k: count} if count else tail, left - weight * count)
+                for tail, left in tails
+                for count in range(left // weight + 1)
+            ]
+        # Each tail's run t_2 = lo..hi, certified at its ends.
+        for tail, left in tails:
+            lo = max(0, n * d + sum((k - 4) * c for k, c in tail.items()) - rhs)
+            hi = left // 2
+            if lo > hi:
+                _run_end(n, d, tail, hi, False)
+                continue
+            first = _run_end(n, d, tail, lo, True)
+            if lo > 0:
+                _run_end(n, d, tail, lo - 1, False)
+            if not first.t:  # s = 0: the empty profile, listed last with no value
+                has_empty = True
+                lo = 1
+                if lo > hi:
+                    continue
+                first = IncidenceProfile(n=n, d=d, t={2: lo})
+            a = (2 - n) * d - sum(k * c for k, c in tail.items())
+            s_tail = sum(tail.values())
+            if harbourne_linear(first) != Fraction(a - 2 * lo, s_tail + lo):
+                raise AssertionError(f"closed-form H_L disagrees at t_2 = {lo} for tail {tail}")
+            items = tuple(sorted(tail.items()))
+            run = (a, s_tail, tail)
+            keys.extend(
+                ((a - 2 * t2) * scale // (s_tail + t2), t2 or top, items, run)
+                for t2 in range(lo, hi + 1)
+            )
         keys.sort()
         if limit is not None:
             del keys[limit:]
         # Each key is replaced in place by its row, so the two lists never coexist.
         rows: list = keys
-        for i, (_, t2, _, r) in enumerate(keys):
-            a, s_tail, tail = runs[r]
+        for i, (_, t2, _, (a, s_tail, tail)) in enumerate(keys):
             t2 = 0 if t2 == top else t2
             rows[i] = (
                 IncidenceProfile(n=n, d=d, t={2: t2, **tail}),

@@ -31,6 +31,10 @@ class TestIncidenceProfile:
             # The sign is checked before the range.
             pytest.param(10, {1: -1}, r"count t_1 must be nonnegative", id="negative"),
             pytest.param(10, {"2": 1}, "multiplicities and counts must be integers", id="str-key"),
+            # Keys of mixed types are rejected, not left to fail in the sort.
+            pytest.param(
+                5, {"2": 1, 3: 1}, "multiplicities and counts must be integers", id="mixed-keys"
+            ),
             # 2 lines admit at most one double point.
             pytest.param(
                 2, {2: 2}, r"sum \(k\^2-k\) t_k = 4 exceeds d\(d-1\) = 2$", id="pairs"

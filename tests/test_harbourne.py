@@ -325,6 +325,31 @@ class TestExtremalSearchOracle:
         with pytest.raises(AssertionError, match="closed-form H_L"):
             extremal_profile_search(4, 8, 3)
 
+    @pytest.mark.parametrize(
+        "case,calls",
+        [
+            # d <= 2(n-1)^2: lo = 0 on every run, one Miyaoka check and one
+            # closed-form check per tail (the empty tail's at t_2 = 1).
+            ((4, 12, 4), (144, 144)),
+            # One tail, the empty one; d > 2(n-1)^2 puts lo > 0, so its run
+            # is checked at lo and at lo - 1.
+            ((4, 19, 2), (2, 1)),
+            ((4, 6, 3), (6, 6)),
+        ],
+    )
+    def test_certificate_counts(self, monkeypatch, case, calls):
+        """(miyaoka_check, harbourne_linear) calls made by one search."""
+        counts = {"miyaoka_check": 0, "harbourne_linear": 0}
+        for name in counts:
+
+            def counted(profile, name=name, exact=getattr(linesurf.harbourne, name)):
+                counts[name] += 1
+                return exact(profile)
+
+            monkeypatch.setattr(linesurf.harbourne, name, counted)
+        extremal_profile_search(*case)
+        assert (counts["miyaoka_check"], counts["harbourne_linear"]) == calls
+
     @pytest.mark.parametrize("holds", (False, True))
     def test_run_certification_can_fail(self, monkeypatch, holds):
         # Miyaoka reported as always failing breaks the lower end of a run;
