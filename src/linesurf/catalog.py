@@ -10,7 +10,8 @@ that data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .exactnum import CycloNum, nth_roots_of_minus_one
@@ -21,7 +22,11 @@ class ProfileError(ValueError):
     """An incidence profile or arrangement violates a structural invariant."""
 
 
-@dataclass(frozen=True, slots=True)
+# The default t: an empty mapping that cannot be changed, so no state is shared.
+_NO_POINTS: Mapping[int, int] = MappingProxyType({})
+
+
+@dataclass(slots=True, init=False)
 class IncidenceProfile:
     """The combinatorial record (n, d, {t_k}) of a line configuration.
 
@@ -29,14 +34,18 @@ class IncidenceProfile:
     entries with count 0 are dropped.  Feasibility of the pair count
     (sum of (k^2 - k) t_k cannot exceed d(d-1)) is enforced on
     construction.
+
+    A profile is frozen: every assignment and ``del`` raises
+    ``FrozenInstanceError``, for field and non-field names alike.  ``t``
+    is a copy that the profile owns, in increasing k, so a profile
+    hashes over (n, d, t's items) and can be a set member or dict key.
     """
 
     n: int
     d: int
-    t: Mapping[int, int] = field(default_factory=dict)
+    t: Mapping[int, int]
 
-    def __post_init__(self):
-        n, d, t = self.n, self.d, self.t
+    def __init__(self, n: int, d: int, t: Mapping[int, int] = _NO_POINTS):
         if not isinstance(n, int) or n < 3:
             raise ProfileError("surface degree n must be an integer >= 3")
         if type(d) is not int or d < 0:  # bool is an int subclass
@@ -66,7 +75,21 @@ class IncidenceProfile:
                 "pair-count feasibility violated: "
                 f"sum (k^2-k) t_k = {pair_weight} exceeds d(d-1) = {d * (d - 1)}"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "t", cleaned)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash((self.n, self.d, tuple(self.t.items())))
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), (self.n, self.d, self.t)
 
     @property
     def s(self) -> int:

@@ -303,11 +303,14 @@ def extremal_profile_search(
 
     The sort key is exact and made of integers.  Every s is at most
     S = d(d-1)/2, since each point uses at least one pair of lines, so two
-    distinct values of H_L differ by at least 1/S^2 and
-    floor(S^2 * H_L) = (a - 2 t_2) S^2 // (s_tail + t_2) orders them
-    exactly, equal values getting equal keys.  Ties go by t: t_2, with
-    t_2 = 0 after every t_2 > 0 (its t starts at a larger multiplicity),
-    then the tail's items.
+    distinct values p/s and p'/s' of H_L differ by at least
+    1/(s s') >= 1/S^2, and floor(S^2 * H_L) = (a - 2 t_2) S^2 // (s_tail + t_2)
+    orders them exactly: their scaled values differ by at least 1, so
+    their floors differ.  Conversely equal values get equal keys, so equal
+    first key elements mean equal H_L, and the rows of one value, which
+    are adjacent after the sort, share one ``Fraction``.  Ties go by t:
+    t_2, with t_2 = 0 after every t_2 > 0 (its t starts at a larger
+    multiplicity), then the tail's items.
 
     The search makes no reference cycle, so the returned rows are freed
     by refcount as soon as the caller drops them.  Everything made while
@@ -395,13 +398,15 @@ def extremal_profile_search(
         if limit is not None:
             del keys[limit:]
         # Each key is replaced in place by its row, so the two lists never coexist.
+        # Equal first elements mean equal H_L, so one Fraction serves each value.
         rows: list = keys
-        for i, (_, t2, _, (a, s_tail, tail)) in enumerate(keys):
+        last = value = None
+        for i, (floor_h, t2, _, (a, s_tail, tail)) in enumerate(keys):
             t2 = 0 if t2 == top else t2
-            rows[i] = (
-                IncidenceProfile(n=n, d=d, t={2: t2, **tail}),
-                Fraction(a - 2 * t2, s_tail + t2),
-            )
+            if floor_h != last:
+                last, value = floor_h, Fraction(a - 2 * t2, s_tail + t2)
+            # The profile copies t, so the run's tail can be passed as it is.
+            rows[i] = (IncidenceProfile(n, d, {2: t2, **tail} if t2 else tail), value)
         if has_empty and (limit is None or len(rows) < limit):
             rows.append((IncidenceProfile(n=n, d=d), None))
     finally:

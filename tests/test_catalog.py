@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import pickle
+from types import MappingProxyType
 
 import pytest
 
@@ -15,6 +18,12 @@ from linesurf.catalog import (
     schur_profile,
 )
 from linesurf.incidence import incidence_count
+
+# The constructor called positionally and by keyword: every check must fire both ways.
+BUILDS = (
+    lambda n, d, t: IncidenceProfile(n, d, t),
+    lambda n, d, t: IncidenceProfile(n=n, d=d, t=t),
+)
 
 
 class TestIncidenceProfile:
@@ -46,15 +55,17 @@ class TestIncidenceProfile:
     )
     def test_validation(self, d, t, outcome):
         """``outcome`` is the ProfileError message, or the cleaned t when accepted."""
-        if isinstance(outcome, dict):
-            assert IncidenceProfile(n=4, d=d, t=t).t == outcome
-        else:
-            with pytest.raises(ProfileError, match=outcome):
-                IncidenceProfile(n=4, d=d, t=t)
+        for build in BUILDS:
+            if isinstance(outcome, dict):
+                assert build(4, d, t).t == outcome
+            else:
+                with pytest.raises(ProfileError, match=outcome):
+                    build(4, d, t)
 
     def test_degree_floor(self):
-        with pytest.raises(ProfileError):
-            IncidenceProfile(n=2, d=5, t={})
+        for build in BUILDS:
+            with pytest.raises(ProfileError, match="surface degree n"):
+                build(2, 5, {})
 
     def test_json_round_trip(self):
         p = schur_profile()
@@ -70,20 +81,49 @@ class TestIncidenceProfile:
         ],
     )
     def test_booleans_rejected(self, d, t, message):
-        with pytest.raises(ProfileError, match=message):
-            IncidenceProfile(n=4, d=d, t=t)
+        for build in BUILDS:
+            with pytest.raises(ProfileError, match=message):
+                build(4, d, t)
+
+    def test_mapping_t_is_copied(self):
+        source = {4: 8, 2: 0, 3: 2}
+        for build in BUILDS:
+            p = build(4, 16, MappingProxyType(source))
+            assert type(p.t) is dict and list(p.t.items()) == [(3, 2), (4, 8)]
+        with pytest.raises(ProfileError, match=r"multiplicity 17 outside"):
+            IncidenceProfile(4, 16, MappingProxyType({17: 1}))
+
+    def test_omitted_t(self):
+        a, b = IncidenceProfile(4, 5), IncidenceProfile(n=4, d=5)
+        assert a.t == b.t == {} and type(a.t) is dict
+        assert a.t is not b.t  # no state shared between instances
+        assert a.s == 0
 
     def test_slotted_and_frozen(self):
         p = IncidenceProfile(n=4, d=16, t={4: 8, 2: 0, 3: 2})
         assert not hasattr(p, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            p.d = 17
+        # Every assignment and deletion is refused, field or not.
+        for name in ("d", "t", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, 17)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(p, name)
+        assert (p.n, p.d) == (4, 16)
         assert list(p.t.items()) == [(3, 2), (4, 8)]
         assert p == IncidenceProfile(n=4, d=16, t={3: 2, 4: 8})
         assert p != IncidenceProfile(n=5, d=16, t={3: 2, 4: 8})
-        # t is a dict, so a profile is unhashable, as it always was.
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(p)
+        # Hashable, in agreement with ==.
+        same = IncidenceProfile(4, 16, {4: 8, 3: 2})
+        other = IncidenceProfile(4, 16, {3: 2})
+        assert hash(p) == hash(same)
+        assert {p, same, other} == {p, other} and len({p, same, other}) == 2
+        assert {p: 1, other: 2}[same] == 1
+
+    def test_copies_rebuild(self):
+        p = schur_profile()
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and list(q.t.items()) == list(p.t.items())
+        assert dataclasses.replace(p, d=65) == IncidenceProfile(4, 65, p.t)
 
 
 class TestFermatLines:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from fractions import Fraction
 
@@ -359,6 +360,40 @@ class TestExtremalSearchOracle:
         )
         with pytest.raises(AssertionError, match="Miyaoka run endpoint"):
             extremal_profile_search(4, 19, 2)
+
+
+class TestExtremalRows:
+    """The rows are pinned byte for byte, and rows of one value share one Fraction."""
+
+    def test_rows_digest(self):
+        # SHA-256 over the repr of each search's rows, or of its exception,
+        # pinned from the per-row Fraction build that preceded the sharing.
+        digest = hashlib.sha256()
+        for n in (4, 5, 6):
+            for d in range(1, 15):
+                for k_max in (2, 3, 4, 5):
+                    for limit in (None, 0, 3):
+                        try:
+                            out = repr(listed(extremal_profile_search(n, d, k_max, limit=limit)))
+                        except Exception as exc:
+                            out = f"{type(exc).__name__}: {exc}"
+                        digest.update(out.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "ebd72e0def7add59cf16595103aff284804c7f87a4dae596e64242a45443978c"
+        )
+
+    def test_one_fraction_per_value(self):
+        values = [v for _, v in extremal_profile_search(6, 14, 4) if v is not None]
+        assert len(values) > len(set(values)) > 1
+        assert len({id(v) for v in values}) == len(set(values))
+
+    @pytest.mark.parametrize("case", ((6, 14, 4), (4, 19, 3), (5, 9, 5)))
+    def test_values_are_harbourne_linear(self, case):
+        for profile, value in extremal_profile_search(*case):
+            if profile.s == 0:
+                assert value is None
+            else:
+                assert value == harbourne_linear(profile)
 
 
 class TestCollector:
