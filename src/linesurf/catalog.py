@@ -100,35 +100,6 @@ class IncidenceProfile:
     def t2(self) -> int:
         return self.t.get(2, 0)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "d": self.d, "t": {str(k): c for k, c in self.t.items()}}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "IncidenceProfile":
-        try:
-            n = obj["n"]
-            d = obj["d"]
-            t_raw = obj.get("t", {})
-        except (TypeError, KeyError) as exc:
-            raise ProfileError(f"profile object must carry n, d, t: {exc}") from exc
-        if not isinstance(t_raw, dict):
-            raise ProfileError("profile field 't' must map multiplicity to count")
-        for k, c in t_raw.items():
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise ProfileError(f"count t_{k} must be a JSON integer, got {c!r}")
-        try:
-            t = {int(k): c for k, c in t_raw.items()}
-        except (TypeError, ValueError) as exc:
-            raise ProfileError(f"profile t-vector entries must be integers: {exc}") from exc
-        if len(t) < len(t_raw):
-            keys = sorted(t_raw, key=int)
-            a, b = next((a, b) for a, b in zip(keys, keys[1:]) if int(a) == int(b))
-            raise ProfileError(f"t-keys {a!r} and {b!r} both name multiplicity {int(a)}")
-        for name, value in (("n", n), ("d", d)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ProfileError(f"profile field {name} must be a JSON integer, got {value!r}")
-        return cls(n=n, d=d, t=t)
-
 
 @dataclass(frozen=True)
 class Arrangement:

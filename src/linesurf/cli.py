@@ -165,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("catalog", help="construct explicit lines")
+    p.set_defaults(run=cmd_catalog)
     _surface_options(p, ("fermat", "custom"), ("--degree", "--lines"))
     p.add_argument(
         "--singular",
@@ -173,13 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _common_options(p, places=False)
 
-    for name, summary in (
-        ("profile", "emit an incidence profile"),
-        ("analyze", "full exact report"),
-        ("verify", "identity / valency / on-surface checks"),
-        ("bound", "Miyaoka inequality and H_L lower bound"),
+    for name, summary, run in (
+        ("profile", "emit an incidence profile", cmd_profile),
+        ("analyze", "full exact report", cmd_analyze),
+        ("verify", "identity / valency / on-surface checks", cmd_verify),
+        ("bound", "Miyaoka inequality and H_L lower bound", cmd_bound),
     ):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         if name == "verify":  # verify scans explicit lines whenever there are any
             _surface_options(p, tuple(READS), ("--degree", "--eckardt", "--profile", "--lines"))
             p.add_argument(
@@ -193,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         _common_options(p, places=name in ("analyze", "bound"))
 
     p = sub.add_parser("sweep", help="one row per parameter in a range")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("--surface", choices=("fermat", "rams", "cubic"), required=True)
     p.add_argument(
         "--degrees", metavar="A:B", help="inclusive degree range for fermat/rams"
@@ -205,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_options(p)
 
     p = sub.add_parser("search-bauer", help="quadruple-point subconfiguration search")
+    p.set_defaults(run=cmd_search_bauer)
     _surface_options(p, ("fermat", "custom"), ("--degree", "--lines"))
     p.add_argument("--size", type=int, required=True, metavar="S", help="lines per subconfiguration")
     p.add_argument(
@@ -217,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_options(p)
 
     p = sub.add_parser("search-extremal", help="enumerate Miyaoka-compatible profiles")
+    p.set_defaults(run=cmd_search_extremal)
     p.add_argument("--degree", type=int, required=True, metavar="N")
     p.add_argument("--num-lines", type=int, required=True, metavar="D")
     p.add_argument("--k-max", type=int, required=True, metavar="K")
@@ -605,18 +610,6 @@ def cmd_search_extremal(args) -> Output:
     )
 
 
-COMMANDS = {
-    "catalog": cmd_catalog,
-    "profile": cmd_profile,
-    "analyze": cmd_analyze,
-    "verify": cmd_verify,
-    "bound": cmd_bound,
-    "sweep": cmd_sweep,
-    "search-bauer": cmd_search_bauer,
-    "search-extremal": cmd_search_extremal,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -626,7 +619,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if getattr(args, "places", 0) < 0:
             raise ValueError("places must be nonnegative")
-        payload = render(COMMANDS[args.command](args), args.format)
+        payload = render(args.run(args), args.format)
     except UsageError as exc:
         print(f"linesurf {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -383,11 +383,6 @@ class CycloNum:
     def __repr__(self) -> str:
         return f"CycloNum({self.m}, {list(self.coeffs)!r})"
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "coeffs": [str(c) for c in self.coeffs]}
-
     # -- reduction mod p -------------------------------------------------------
 
     def residue(self) -> Optional[int]:

@@ -87,9 +87,6 @@ class ProjPoint:
     def __repr__(self) -> str:
         return f"ProjPoint{self!s}"
 
-    def to_json(self) -> list:
-        return [c.to_json() for c in self.coords]
-
 
 class ProjLine:
     """A line of P^3: two distinct base points plus derived exact data.
@@ -148,12 +145,6 @@ class ProjLine:
 
     def __repr__(self) -> str:
         return f"ProjLine({self.base[0]!r}, {self.base[1]!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "points": [pt.to_json() for pt in self.base],
-            "plucker": [c.to_json() for c in self.plucker],
-        }
 
 
 def _dual_row(plucker: Sequence[CycloNum], i: int) -> tuple[CycloNum, ...]:
@@ -215,15 +206,15 @@ def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
 
     The Plucker pairing vanishes exactly when the lines meet.  An exact
     zero has residue zero, so a nonzero residue of the pairing proves the
-    pair skew with no exact arithmetic.  Otherwise write a = span(p, q)
+    pair skew with no exact arithmetic.  Every other pair, a line with a
+    residue of None included, takes the closed form: write a = span(p, q)
     and take a form f of b that does not vanish at both p and q; the
     second form is needed when a lies in the plane of the first.  Then
     f(q) p - f(p) q is the one point of a on the plane f = 0.  It is
     nonzero and lies on a, so if both forms of b vanish at it, it is the
     meeting point.  If they do not, the exact pairing decides: nonzero
-    means a skew pair whose residue was zero by chance, and zero means
-    the closed form failed, which raises.  A pair with a residue of None
-    takes the exact pairing first.
+    means a skew pair, and zero means the closed form failed, which
+    raises.
     """
     if a == b:
         raise ValueError("line_intersection requires two distinct lines")
@@ -231,11 +222,7 @@ def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
     if b.conductor != m:
         raise ConductorMismatch("lines must share one conductor")
     ra, rb = a.residues, b.residues
-    exact = ra is None or rb is None
-    if exact:
-        if not plucker_pairing(a, b).is_zero():
-            return None
-    elif (
+    if ra is not None and rb is not None and (
         ra[0] * rb[5] - ra[1] * rb[4] + ra[2] * rb[3] + ra[5] * rb[0] - ra[4] * rb[1] + ra[3] * rb[2]
     ) % exactnum.residue_field(m)[0]:
         return None
@@ -247,6 +234,6 @@ def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
     meet = [fq * x - fp * y for x, y in zip(p, q)]
     if all(_dot(form, meet).is_zero() for form in b.forms):
         return ProjPoint(meet)
-    if not exact and not plucker_pairing(a, b).is_zero():
+    if not plucker_pairing(a, b).is_zero():
         return None
     raise AssertionError("lines reported as meeting do not share a point")

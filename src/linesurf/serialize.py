@@ -1,5 +1,9 @@
 """Serialization helpers shared by the CLI: exact text, JSON and CSV pieces.
 
+The JSON encoding of field elements, points, lines, profiles, scans and
+reports is written only here, and the custom lines and profile files are
+read and checked only here.
+
 Rationals travel as decimal-free "p/q" strings (plain "p" when integral).
 The decimal rendering used next to exact values truncates toward zero at
 the requested number of places; it never rounds away digits upward, so
@@ -60,9 +64,12 @@ def rational_json(value: Optional[Union[int, Fraction]], places: int) -> Optiona
 
 
 def profile_json(profile: IncidenceProfile) -> dict:
-    obj = profile.to_json()
-    obj["s"] = profile.s
-    return obj
+    return {
+        "n": profile.n,
+        "d": profile.d,
+        "t": {str(k): c for k, c in profile.t.items()},
+        "s": profile.s,
+    }
 
 
 def report_json(report: HarbourneReport, places: int) -> dict:
@@ -98,7 +105,12 @@ def arrangement_json(arr: Arrangement) -> dict:
         "conductor": arr.conductor,
         "d": arr.d,
         "lines": [
-            {"index": i, **line.to_json()} for i, line in enumerate(arr.lines)
+            {
+                "index": i,
+                "points": [_point_json(pt) for pt in line.base],
+                "plucker": [_element_json(c) for c in line.plucker],
+            }
+            for i, line in enumerate(arr.lines)
         ],
     }
 
@@ -108,7 +120,7 @@ def scan_json(scan: ScanResult) -> dict:
         "meeting_pairs": scan.meeting_pairs,
         "points": [
             {
-                "location": sp.location.to_json(),
+                "location": _point_json(sp.location),
                 "multiplicity": sp.multiplicity,
                 "lines": list(sp.lines),
             }
@@ -138,7 +150,27 @@ def load_custom_profile(path: str) -> IncidenceProfile:
     """Load and validate a profile file ``{n, d, t: {k: count}}``."""
     data = _read_json(path)
     try:
-        profile = IncidenceProfile.from_json(data)
+        n, d, t_raw = data["n"], data["d"], data.get("t", {})
+    except (TypeError, KeyError) as exc:
+        raise SchemaError(f"{path}: profile object must carry n, d, t: {exc}") from exc
+    if not isinstance(t_raw, dict):
+        raise SchemaError(f"{path}: profile field 't' must map multiplicity to count")
+    for k, c in t_raw.items():
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise SchemaError(f"{path}: count t_{k} must be a JSON integer, got {c!r}")
+    try:
+        t = {int(k): c for k, c in t_raw.items()}
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: profile t-vector entries must be integers: {exc}") from exc
+    if len(t) < len(t_raw):
+        keys = sorted(t_raw, key=int)
+        a, b = next((a, b) for a, b in zip(keys, keys[1:]) if int(a) == int(b))
+        raise SchemaError(f"{path}: t-keys {a!r} and {b!r} both name multiplicity {int(a)}")
+    for name, value in (("n", n), ("d", d)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{path}: profile field {name} must be a JSON integer, got {value!r}")
+    try:
+        profile = IncidenceProfile(n, d, t)
     except ProfileError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     bound = max_lines_bound(profile.n)
@@ -148,6 +180,14 @@ def load_custom_profile(path: str) -> IncidenceProfile:
             f"n(7n-12) = {bound} for degree {profile.n}"
         )
     return profile
+
+
+def _element_json(value: CycloNum) -> dict:
+    return {"m": value.m, "coeffs": [str(c) for c in value.coeffs]}
+
+
+def _point_json(pt: ProjPoint) -> list:
+    return [_element_json(c) for c in pt.coords]
 
 
 def _coordinate(value, m: int, where: str) -> CycloNum:

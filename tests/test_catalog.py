@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import pickle
 from types import MappingProxyType
 
@@ -18,6 +19,7 @@ from linesurf.catalog import (
     schur_profile,
 )
 from linesurf.incidence import incidence_count
+from linesurf.serialize import load_custom_profile, profile_json
 
 # The constructor called positionally and by keyword: every check must fire both ways.
 BUILDS = (
@@ -67,9 +69,11 @@ class TestIncidenceProfile:
             with pytest.raises(ProfileError, match="surface degree n"):
                 build(2, 5, {})
 
-    def test_json_round_trip(self):
-        p = schur_profile()
-        assert IncidenceProfile.from_json(p.to_json()) == p
+    def test_json_round_trip(self, tmp_path):
+        path = tmp_path / "profile.json"
+        for p in (schur_profile(), IncidenceProfile(4, 5)):
+            path.write_text(json.dumps(profile_json(p)))
+            assert load_custom_profile(str(path)) == p
 
     @pytest.mark.parametrize(
         "d,t,message",

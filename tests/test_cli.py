@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from linesurf.catalog import fermat_lines
 from linesurf.cli import main
 from linesurf.serialize import (
     SchemaError,
+    arrangement_json,
     decimal_str,
     load_custom_lines,
     load_custom_profile,
@@ -397,6 +399,13 @@ class TestCustomInput:
         arr = load_custom_lines(str(path))
         assert arr.d == 2 and arr.conductor == 8
 
+    def test_written_lines_read_back(self, tmp_path):
+        arr = fermat_lines(3)
+        data = {"n": arr.n, "lines": [e["points"] for e in arrangement_json(arr)["lines"]]}
+        path = tmp_path / "fermat3.json"
+        path.write_text(json.dumps(data))
+        assert load_custom_lines(str(path)) == arr
+
     def test_repeated_line_rejected(self, tmp_path):
         data = {
             "n": 4,
@@ -564,8 +573,15 @@ class TestCustomInput:
                 '{"n": 4, "lines": [[[1, 0, 0, 0], [2, 0, 0, 0]]]}',
                 "line 0: a line needs two distinct points",
             ),
+            ("--lines", '{"n": 2, "lines": []}', "surface degree n must be an integer >= 3"),
+            ("--lines", '{"n": "4", "lines": []}', "surface degree n must be an integer >= 3"),
             ("--profile", '{"n": 4, "d": 6, "t": [1, 2]}', "must map multiplicity to count"),
             ("--profile", '{"n": 4, "t": {}}', "must carry n, d, t"),
+            (
+                "--profile",
+                '{"n": 4, "d": 6, "t": {"x": 1}}',
+                "profile t-vector entries must be integers",
+            ),
         ),
     )
     def test_bad_input_file(self, capsys, tmp_path, flag, text, message):
@@ -661,8 +677,18 @@ class TestOutputBehavior:
                 ("analyze", "--surface", "schur", "--output", "{missing}/x"),
                 "linesurf analyze: cannot write {missing}/x",
             ),
+            (
+                ("analyze", "--surface", "rams", "--degree", "5"),
+                "linesurf analyze: --surface rams requires degree n >= 6",
+            ),
         ],
-        ids=("missing-lines", "directory-profile", "non-utf8-lines", "unwritable-output"),
+        ids=(
+            "missing-lines",
+            "directory-profile",
+            "non-utf8-lines",
+            "unwritable-output",
+            "rams-below-degree-floor",
+        ),
     )
     def test_file_errors_are_one_line(self, capsys, tmp_path, argv, message):
         paths = {"missing": tmp_path / "missing", "dir": tmp_path, "latin1": tmp_path / "l.json"}
@@ -742,7 +768,15 @@ class TestFlags:
         [
             (argv, f"--surface {argv[2]} does not read {flag}") for argv, flag in UNREAD
         ]
-        + [(argv, "--profile and --lines exclude each other") for argv in BOTH],
+        + [(argv, "--profile and --lines exclude each other") for argv in BOTH]
+        + [
+            (("analyze", "--surface", "fermat"), "--surface fermat requires --degree"),
+            (
+                ("profile", "--surface", "custom"),
+                "--surface custom needs --profile PATH or --lines PATH",
+            ),
+            (("sweep", "--surface", "fermat"), "sweep --surface fermat requires --degrees A:B"),
+        ],
     )
     def test_unread_or_conflicting_flag_is_usage_error(self, capsys, tmp_path, argv, message):
         profile, lines = tmp_path / "bauer.json", tmp_path / "pair.json"

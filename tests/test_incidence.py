@@ -256,8 +256,7 @@ class TestModularFilter:
         if forced is UNFORCED:
             assert pairings == []
         else:
-            skew = stats.pairs - stats.meeting
-            assert len(pairings) == (skew if forced == 0 else stats.pairs)
+            assert len(pairings) == stats.pairs - stats.meeting
 
     @pytest.mark.parametrize("forced", (0, None))
     def test_moved_quartic_unchanged_without_filter(
@@ -270,7 +269,7 @@ class TestModularFilter:
         assert exact == filtered
         stats = exact.stats
         assert stats == filtered.stats == fermat_scans[4].stats
-        assert len(pairings) == (stats.pairs - stats.meeting if forced == 0 else stats.pairs)
+        assert len(pairings) == stats.pairs - stats.meeting
         assert incidences(filtered) == incidences(fermat_scans[4])
 
     def test_prime_in_a_denominator_takes_the_exact_path(self, fermat_scans, shear_quartic):
