@@ -8,8 +8,14 @@ from one base point pair and one such form, so no linear system is ever
 solved.  Canonical equality and point-on-line are decided by exact field
 arithmetic, never by tolerances.  Meet-or-skew is decided in two ways,
 both certified: a pair is proved skew by a nonzero residue of its Plucker
-pairing in F_p (``exactnum.residue_field``), and proved to meet by the
-exact check that the closed-form point lies on both lines.
+pairing in F_p (``exactnum.residue_field``), and proved to meet by a
+2x2 minor.  For a = span(p, q) and b cut out by f and g, the minor
+f(q) g(p) - f(p) g(q) is the value of g at the closed-form point
+f(q) p - f(p) q, at which f vanishes identically, so it is zero exactly
+when that point lies on both lines.  Only the four values of b's forms
+at a's base points are computed.  The meeting point x p + y q is then
+written down in canonical form with one scalar inverse, or is p or q
+itself, and is never built as a vector and normalised.
 """
 
 from __future__ import annotations
@@ -201,20 +207,59 @@ def plucker_pairing(a: ProjLine, b: ProjLine) -> CycloNum:
     )
 
 
+def _span_point(p: ProjPoint, q: ProjPoint, x: CycloNum, y: CycloNum) -> ProjPoint:
+    """The canonical point x p + y q of the line through p and q, (x, y) != (0, 0).
+
+    The vector is never built and normalised.  With i and j the lead
+    indices of p and q, its first nonzero coordinate is x at i if i < j,
+    y at j if j < i, and x + y at i if i = j and x + y != 0; dividing by
+    it leaves p + (y/x) q, q + (x/y) p or p + (y/(x+y)) (q - p), one
+    scalar inverse each.  Zero coordinates of the second vector cost
+    nothing, and y = 0 or x = 0 returns p or q itself.  When i = j and
+    x + y = 0, the lead cancels: the point is that of p - q, normalised
+    by ``ProjPoint``.  The canonical point is unique, so every branch
+    gives the coordinates that normalising x p + y q would.
+    """
+    if y.is_zero():
+        return p
+    if x.is_zero():
+        return q
+    u, v = p.coords, q.coords
+    i = next(k for k, c in enumerate(u) if not c.is_zero())
+    j = next(k for k, c in enumerate(v) if not c.is_zero())
+    if j < i:
+        u, v, x, y = v, u, y, x
+    elif i == j:
+        lead = x + y
+        if lead.is_zero():
+            return ProjPoint([a - b for a, b in zip(u, v)])
+        v = [b - a for a, b in zip(u, v)]
+        x = lead
+    t = y * x.inverse()
+    pt = ProjPoint.__new__(ProjPoint)
+    pt.coords = tuple(
+        a if b.is_zero() else (t * b if a.is_zero() else a + t * b) for a, b in zip(u, v)
+    )
+    return pt
+
+
 def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
     """The common point of two distinct lines, or None if they are skew.
 
     The Plucker pairing vanishes exactly when the lines meet.  An exact
     zero has residue zero, so a nonzero residue of the pairing proves the
     pair skew with no exact arithmetic.  Every other pair, a line with a
-    residue of None included, takes the closed form: write a = span(p, q)
-    and take a form f of b that does not vanish at both p and q; the
-    second form is needed when a lies in the plane of the first.  Then
-    f(q) p - f(p) q is the one point of a on the plane f = 0.  It is
-    nonzero and lies on a, so if both forms of b vanish at it, it is the
-    meeting point.  If they do not, the exact pairing decides: nonzero
-    means a skew pair, and zero means the closed form failed, which
-    raises.
+    residue of None included, is decided from a's base points: write
+    a = span(p, q) and let f, g be b's forms.  If f vanishes at p and q,
+    a lies in the plane f = 0, which holds b too, so the lines meet, at
+    g(q) p - g(p) q.  Otherwise f(q) p - f(p) q is the one point of a on
+    the plane f = 0.  It is nonzero and lies on a; f vanishes there
+    identically, and by linearity g takes the value of the minor
+    f(q) g(p) - f(p) g(q).  So the minor is zero exactly when that point
+    lies on both lines, and then it is the meeting point, built by
+    ``_span_point``.  A nonzero minor leaves the exact pairing to decide:
+    nonzero means a skew pair, and zero means the closed form failed,
+    which raises.
     """
     if a == b:
         raise ValueError("line_intersection requires two distinct lines")
@@ -226,14 +271,14 @@ def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
         ra[0] * rb[5] - ra[1] * rb[4] + ra[2] * rb[3] + ra[5] * rb[0] - ra[4] * rb[1] + ra[3] * rb[2]
     ) % exactnum.residue_field(m)[0]:
         return None
-    p, q = a.base[0].coords, a.base[1].coords
-    for form in b.forms:
-        fp, fq = _dot(form, p), _dot(form, q)
-        if not (fp.is_zero() and fq.is_zero()):
-            break
-    meet = [fq * x - fp * y for x, y in zip(p, q)]
-    if all(_dot(form, meet).is_zero() for form in b.forms):
-        return ProjPoint(meet)
+    p, q = a.base
+    f, g = b.forms
+    fp, fq = _dot(f, p.coords), _dot(f, q.coords)
+    gp, gq = _dot(g, p.coords), _dot(g, q.coords)
+    if fp.is_zero() and fq.is_zero():
+        return _span_point(p, q, gq, -gp)
+    if (fq * gp - fp * gq).is_zero():
+        return _span_point(p, q, fq, -fp)
     if not plucker_pairing(a, b).is_zero():
         return None
     raise AssertionError("lines reported as meeting do not share a point")

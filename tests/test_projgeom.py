@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -243,6 +244,16 @@ class TestIntersection:
             assert on_line_by_rank(meet, a) and on_line_by_rank(meet, b)
             checked += 1
 
+    def test_meet_at_a_base_point_is_that_point(self):
+        # the meet is a's own base point object: no arithmetic builds it
+        rng = random.Random(1618)
+        for _ in range(5):
+            p, q, r = (pt(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)), 1)
+                       for _ in range(3))
+            a = line_through(p, q)
+            assert line_intersection(a, line_through(p, r)) is p
+            assert line_intersection(a, line_through(r, q)) is q
+
     def test_skew_pair_reported_as_meeting_fails(self, monkeypatch):
         calls = []
         pairing = projgeom.plucker_pairing
@@ -272,6 +283,60 @@ class TestIntersection:
             )
 
 
+class TestSpanPoint:
+    """``_span_point`` against the normalised vector x p + y q, on every branch."""
+
+    @pytest.mark.parametrize("m", (5, 7, 8, 12))
+    def test_every_branch_matches_the_normalised_vector(self, m, monkeypatch):
+        rng = random.Random(300 + m)
+        size = len(zeta(m).coeffs)
+        zero = CycloNum.zero(m)
+
+        def value():
+            while True:
+                v = CycloNum(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(size)])
+                if not v.is_zero():
+                    return v
+
+        def point(lead):
+            return ProjPoint([zero] * lead + [value() for _ in range(4 - lead)])
+
+        inverses = []
+        inverse = CycloNum.inverse
+        monkeypatch.setattr(CycloNum, "inverse", lambda self: inverses.append(1) or inverse(self))
+        branches = set()
+        for i, j in itertools.product(range(4), repeat=2):
+            p, q = point(i), point(j)
+            if p == q:
+                continue
+            x = value()
+            cases = [(x, zero), (zero, x), (x, value()), (x, -x)]
+            for x, y in cases if i == j else cases[:3]:
+                expected = ProjPoint([x * u + y * v for u, v in zip(p.coords, q.coords)])
+                inverses.clear()
+                got = projgeom._span_point(p, q, x, y)
+                assert got == expected
+                if y.is_zero():
+                    assert got is p and not inverses
+                    branches.add("y = 0")
+                elif x.is_zero():
+                    assert got is q and not inverses
+                    branches.add("x = 0")
+                elif i != j or not (x + y).is_zero():
+                    # one scalar inverse, and the coordinates need no normalising
+                    assert len(inverses) == 1
+                    branches.add("i < j" if i < j else "j < i" if j < i else "i = j")
+                else:
+                    branches.add("i = j, x + y = 0")
+        assert branches == {"y = 0", "x = 0", "i < j", "j < i", "i = j", "i = j, x + y = 0"}
+
+    def test_equal_leads_cancelling(self):
+        # i = j and x + y = 0: the lead cancels, and the point is p - q
+        p, q = pt(1, 1, 0, 0), pt(1, 0, 1, 0)
+        one = CycloNum.one(M)
+        assert projgeom._span_point(p, q, one, -one) == pt(0, 1, -1, 0)
+
+
 class TestSympyRankOracle:
     """line_intersection against sympy: the rank of the coordinate rows over Q(zeta_m).
 
@@ -295,7 +360,7 @@ class TestSympyRankOracle:
                         return size
         return 0
 
-    @pytest.mark.parametrize("m", (8, 12, 14))
+    @pytest.mark.parametrize("m", (5, 8, 12, 14))
     def test_random_meeting_and_skew_pairs(self, m):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
