@@ -91,6 +91,27 @@ class IncidenceProfile:
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return type(self), (self.n, self.d, self.t)
 
+    def _with_t2(self, t2: int) -> "IncidenceProfile":
+        """This profile with t_2 lowered to ``t2``, without running ``__init__``.
+
+        Lowering t_2 lowers only the pair weight sum (k^2-k) t_k and leaves
+        every other entry as it is, so a valid profile stays valid: the
+        range 0 <= t2 <= t_2 is the one check left.  The new profile owns
+        a fresh t in increasing k, without key 2 when ``t2`` is 0.
+        """
+        if type(t2) is not int or not 0 <= t2 <= self.t2:
+            raise ProfileError(f"t_2 = {t2!r} is not an integer in 0..{self.t2}")
+        t = self.t.copy()  # key 2, when kept, keeps its place: first
+        if t2:
+            t[2] = t2
+        else:
+            t.pop(2, None)
+        profile = object.__new__(IncidenceProfile)
+        object.__setattr__(profile, "n", self.n)
+        object.__setattr__(profile, "d", self.d)
+        object.__setattr__(profile, "t", t)
+        return profile
+
     @property
     def s(self) -> int:
         """Number of singular points."""

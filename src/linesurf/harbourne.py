@@ -297,9 +297,12 @@ def extremal_profile_search(
     computed once, H_L = (a - 2 t_2)/(s_tail + t_2) in closed form.  That
     form is certified once per run: ``harbourne_linear`` of the run's first
     profile with s > 0 must equal it, or the search raises
-    ``AssertionError``.  Only the rows returned, the first ``limit`` when
-    it is given, are built, each as a validated ``IncidenceProfile`` with
-    its value from the closed form.
+    ``AssertionError``.  The run's upper end, the profile with t_2 = hi,
+    is built and validated by ``IncidenceProfile.__init__`` once per run:
+    it certifies the pair budget.  Only the rows returned, the first
+    ``limit`` when it is given, are built, each from its run's upper end
+    by lowering t_2, which one range check 0 <= t_2 <= hi guards (a lower
+    t_2 only lowers the pair weight), with its value from the closed form.
 
     The sort key is exact and made of integers.  Every s is at most
     S = d(d-1)/2, since each point uses at least one pair of lines, so two
@@ -350,9 +353,9 @@ def extremal_profile_search(
     pairs = budget // 2
     scale = pairs * pairs
     top = pairs + 1  # above every t_2: stands for t_2 = 0 in a key
-    # (floor(S^2 H_L), t_2 or top, tail items, run (a, s_tail, tail)); the
-    # first three already identify a row, so the run is never compared.
-    keys: list[tuple[int, int, tuple, tuple[int, int, dict[int, int]]]] = []
+    # (floor(S^2 H_L), t_2 or top, tail items, run (a, s_tail, upper end));
+    # the first three already identify a row, so the run is never compared.
+    keys: list[tuple[int, int, tuple, tuple[int, int, IncidenceProfile]]] = []
     has_empty = False
 
     # Acyclic from here on (see above): no cyclic collection can free anything.
@@ -389,7 +392,9 @@ def extremal_profile_search(
             if harbourne_linear(first) != Fraction(a - 2 * lo, s_tail + lo):
                 raise AssertionError(f"closed-form H_L disagrees at t_2 = {lo} for tail {tail}")
             items = tuple(sorted(tail.items()))
-            run = (a, s_tail, tail)
+            # The run's upper end, validated by __init__ once: it certifies
+            # the pair budget for the whole run, whose rows only lower t_2.
+            run = (a, s_tail, IncidenceProfile(n, d, {2: hi, **tail}))
             keys.extend(
                 ((a - 2 * t2) * scale // (s_tail + t2), t2 or top, items, run)
                 for t2 in range(lo, hi + 1)
@@ -401,12 +406,11 @@ def extremal_profile_search(
         # Equal first elements mean equal H_L, so one Fraction serves each value.
         rows: list = keys
         last = value = None
-        for i, (floor_h, t2, _, (a, s_tail, tail)) in enumerate(keys):
+        for i, (floor_h, t2, _, (a, s_tail, end)) in enumerate(keys):
             t2 = 0 if t2 == top else t2
             if floor_h != last:
                 last, value = floor_h, Fraction(a - 2 * t2, s_tail + t2)
-            # The profile copies t, so the run's tail can be passed as it is.
-            rows[i] = (IncidenceProfile(n, d, {2: t2, **tail} if t2 else tail), value)
+            rows[i] = (end._with_t2(t2), value)
         if has_empty and (limit is None or len(rows) < limit):
             rows.append((IncidenceProfile(n=n, d=d), None))
     finally:

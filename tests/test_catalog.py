@@ -130,6 +130,44 @@ class TestIncidenceProfile:
         assert dataclasses.replace(p, d=65) == IncidenceProfile(4, 65, p.t)
 
 
+class TestWithT2:
+    """A profile with t_2 lowered, built without ``__init__`` but range-checked."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [schur_profile(), IncidenceProfile(4, 10, {2: 5, 3: 2})],
+        ids=["schur", "d10"],
+    )
+    def test_equals_a_validated_build(self, p):
+        before = list(p.t.items())
+        for t2 in range(p.t2 + 1):
+            q = p._with_t2(t2)
+            built = IncidenceProfile(p.n, p.d, {**p.t, 2: t2})
+            assert q == built and hash(q) == hash(built)
+            assert list(q.t.items()) == list(built.t.items())
+            assert list(q.t) == sorted(q.t) and (2 in q.t) == (t2 > 0)
+            assert type(q.t) is dict and q.t is not p.t
+        assert list(p.t.items()) == before
+
+    def test_frozen_and_copies(self):
+        q = schur_profile()._with_t2(7)
+        assert not hasattr(q, "__dict__")
+        for name in ("t", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(q, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(q, name)
+        for r in (copy.copy(q), pickle.loads(pickle.dumps(q))):
+            assert r == q == IncidenceProfile(4, 64, {2: 7, 3: 64, 4: 8})
+
+    @pytest.mark.parametrize("p", [schur_profile(), IncidenceProfile(4, 16, {4: 8})])
+    def test_bad_t2_raises(self, p):
+        for bad in (p.t2 + 1, -1, True, 1.0):
+            with pytest.raises(ProfileError, match="t_2"):
+                p._with_t2(bad)
+        assert p._with_t2(0) == IncidenceProfile(p.n, p.d, {**p.t, 2: 0})
+
+
 class TestFermatLines:
     @pytest.mark.parametrize("n,count", [(3, 27), (4, 48)])
     def test_counts(self, n, count, fermat_arrs):

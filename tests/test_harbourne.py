@@ -351,6 +351,31 @@ class TestExtremalSearchOracle:
         extremal_profile_search(*case)
         assert (counts["miyaoka_check"], counts["harbourne_linear"]) == calls
 
+    @pytest.mark.parametrize(
+        "case,builds",
+        [
+            # The run-end certificates above, one upper end per nonempty run
+            # (one closed-form check each) and, when the empty profile is
+            # listed, the empty tail's t_2 = 1 profile and the empty row.
+            ((4, 12, 4), 144 + 144 + 2),
+            ((4, 19, 2), 2 + 1),
+            ((4, 6, 3), 6 + 6 + 2),
+        ],
+    )
+    def test_profile_builds(self, monkeypatch, case, builds):
+        """``IncidenceProfile.__init__`` runs per run, never per row."""
+        count = 0
+        exact = IncidenceProfile.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal count
+            count += 1
+            exact(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncidenceProfile, "__init__", counted)
+        rows = extremal_profile_search(*case)
+        assert count == builds < len(rows)
+
     @pytest.mark.parametrize("holds", (False, True))
     def test_run_certification_can_fail(self, monkeypatch, holds):
         # Miyaoka reported as always failing breaks the lower end of a run;
