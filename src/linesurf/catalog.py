@@ -99,17 +99,18 @@ class IncidenceProfile:
         range 0 <= t2 <= t_2 is the one check left.  The new profile owns
         a fresh t in increasing k, without key 2 when ``t2`` is 0.
         """
-        if type(t2) is not int or not 0 <= t2 <= self.t2:
-            raise ProfileError(f"t_2 = {t2!r} is not an integer in 0..{self.t2}")
-        t = self.t.copy()  # key 2, when kept, keeps its place: first
+        t = self.t
+        if type(t2) is not int or not 0 <= t2 <= t.get(2, 0):
+            raise ProfileError(f"t_2 = {t2!r} is not an integer in 0..{t.get(2, 0)}")
+        t = t.copy()  # key 2, when kept, keeps its place: first
         if t2:
             t[2] = t2
         else:
             t.pop(2, None)
         profile = object.__new__(IncidenceProfile)
-        object.__setattr__(profile, "n", self.n)
-        object.__setattr__(profile, "d", self.d)
-        object.__setattr__(profile, "t", t)
+        _set_n(profile, self.n)
+        _set_d(profile, self.d)
+        _set_t(profile, t)
         return profile
 
     @property
@@ -120,6 +121,13 @@ class IncidenceProfile:
     @property
     def t2(self) -> int:
         return self.t.get(2, 0)
+
+
+# The slots' own setters, which write past the frozen __setattr__: the rows
+# made by _with_t2 set their three slots through these.
+_set_n = IncidenceProfile.n.__set__
+_set_d = IncidenceProfile.d.__set__
+_set_t = IncidenceProfile.t.__set__
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .catalog import Arrangement, IncidenceProfile, max_lines_bound
@@ -304,16 +305,23 @@ def extremal_profile_search(
     by lowering t_2, which one range check 0 <= t_2 <= hi guards (a lower
     t_2 only lowers the pair weight), with its value from the closed form.
 
-    The sort key is exact and made of integers.  Every s is at most
+    The sort key is one exact integer per row.  Every s is at most
     S = d(d-1)/2, since each point uses at least one pair of lines, so two
     distinct values p/s and p'/s' of H_L differ by at least
     1/(s s') >= 1/S^2, and floor(S^2 * H_L) = (a - 2 t_2) S^2 // (s_tail + t_2)
     orders them exactly: their scaled values differ by at least 1, so
-    their floors differ.  Conversely equal values get equal keys, so equal
-    first key elements mean equal H_L, and the rows of one value, which
-    are adjacent after the sort, share one ``Fraction``.  Ties go by t:
-    t_2, with t_2 = 0 after every t_2 > 0 (its t starts at a larger
-    multiplicity), then the tail's items.
+    their floors differ.  Conversely equal values get equal floors.  Ties
+    go by t: t_2, with t_2 = 0 after every t_2 > 0 (its t starts at a
+    larger multiplicity), then the tail's items.  The runs are sorted once
+    by their tail items, and a run's place in that order is its rank.
+    With top = S + 1 standing for t_2 = 0 and R runs, a row's key is
+
+        (floor(S^2 * H_L) * (top + 1) + (t_2 or top)) * R + rank.
+
+    Since 1 <= (t_2 or top) <= top and 0 <= rank < R, the integers sort as
+    the triples (floor, t_2 or top, tail items) do, and floor ``divmod``
+    decodes each key exactly, negative floors included.  The rows of one
+    floor, which are adjacent after the sort, share one ``Fraction``.
 
     The search makes no reference cycle, so the returned rows are freed
     by refcount as soon as the caller drops them.  Everything made while
@@ -353,9 +361,9 @@ def extremal_profile_search(
     pairs = budget // 2
     scale = pairs * pairs
     top = pairs + 1  # above every t_2: stands for t_2 = 0 in a key
-    # (floor(S^2 H_L), t_2 or top, tail items, run (a, s_tail, upper end));
-    # the first three already identify a row, so the run is never compared.
-    keys: list[tuple[int, int, tuple, tuple[int, int, IncidenceProfile]]] = []
+    radix = top + 1
+    # Each nonempty run as (tail items, (a, s_tail, lo, hi, upper end)).
+    tail_runs: list[tuple[tuple, tuple[int, int, int, int, IncidenceProfile]]] = []
     has_empty = False
 
     # Acyclic from here on (see above): no cyclic collection can free anything.
@@ -391,23 +399,33 @@ def extremal_profile_search(
             s_tail = sum(tail.values())
             if harbourne_linear(first) != Fraction(a - 2 * lo, s_tail + lo):
                 raise AssertionError(f"closed-form H_L disagrees at t_2 = {lo} for tail {tail}")
-            items = tuple(sorted(tail.items()))
             # The run's upper end, validated by __init__ once: it certifies
             # the pair budget for the whole run, whose rows only lower t_2.
-            run = (a, s_tail, IncidenceProfile(n, d, {2: hi, **tail}))
+            end = IncidenceProfile(n, d, {2: hi, **tail})
+            tail_runs.append((tuple(sorted(tail.items())), (a, s_tail, lo, hi, end)))
+        # A run's rank is its place in the order of tail items (tails are distinct).
+        runs = [run for _, run in sorted(tail_runs, key=itemgetter(0))]
+        ranks = len(runs)
+        # One int per row: (floor(S^2 H_L) * radix + (t_2 or top)) * ranks + rank.
+        keys: list[int] = []
+        for rank, (a, s_tail, lo, hi, _) in enumerate(runs):
             keys.extend(
-                ((a - 2 * t2) * scale // (s_tail + t2), t2 or top, items, run)
+                ((a - 2 * t2) * scale // (s_tail + t2) * radix + (t2 or top)) * ranks + rank
                 for t2 in range(lo, hi + 1)
             )
         keys.sort()
         if limit is not None:
             del keys[limit:]
         # Each key is replaced in place by its row, so the two lists never coexist.
-        # Equal first elements mean equal H_L, so one Fraction serves each value.
+        # Equal floors mean equal H_L, so one Fraction serves each value.
         rows: list = keys
         last = value = None
-        for i, (floor_h, t2, _, (a, s_tail, end)) in enumerate(keys):
-            t2 = 0 if t2 == top else t2
+        for i, key in enumerate(keys):
+            key, rank = divmod(key, ranks)
+            floor_h, t2 = divmod(key, radix)
+            if t2 == top:
+                t2 = 0
+            a, s_tail, _, _, end = runs[rank]
             if floor_h != last:
                 last, value = floor_h, Fraction(a - 2 * t2, s_tail + t2)
             rows[i] = (end._with_t2(t2), value)

@@ -167,6 +167,19 @@ class TestWithT2:
                 p._with_t2(bad)
         assert p._with_t2(0) == IncidenceProfile(p.n, p.d, {**p.t, 2: 0})
 
+    def test_slots_read_back(self):
+        p = IncidenceProfile(5, 20, {2: 9, 3: 4, 5: 1})
+        q = p._with_t2(3)
+        assert type(q) is IncidenceProfile
+        for name in ("n", "d", "t"):
+            slot = getattr(IncidenceProfile, name)
+            assert getattr(q, name) == slot.__get__(q, IncidenceProfile)
+        assert (q.n, q.d, q.t) == (5, 20, {2: 3, 3: 4, 5: 1})
+
+    def test_error_names_the_range_without_key_2(self):
+        with pytest.raises(ProfileError, match=r"^t_2 = 1 is not an integer in 0\.\.0$"):
+            IncidenceProfile(4, 16, {4: 8})._with_t2(1)
+
 
 class TestFermatLines:
     @pytest.mark.parametrize("n,count", [(3, 27), (4, 48)])

@@ -387,6 +387,57 @@ class TestExtremalSearchOracle:
             extremal_profile_search(4, 19, 2)
 
 
+def tie_order(rows):
+    """Rows in the documented order, by a key written out entry by entry.
+
+    H_L as a ``Fraction``, then t_2 with t_2 = 0 after every t_2 > 0, then
+    the items of the tail t_3..t_k; the s = 0 row comes last.
+    """
+
+    def key(row):
+        profile, value = row
+        if value is None:
+            return (True,)
+        tail = tuple((k, c) for k, c in profile.t.items() if k > 2)
+        return (False, value, profile.t2 == 0, profile.t2, tail)
+
+    return sorted(rows, key=key)
+
+
+class TestTieOrder:
+    """The integer sort key gives the order of the key written out in full."""
+
+    # Every floor is negative (H_L < 0 here), and the grid has equal H_L at
+    # equal t_2 on several runs, where the run's rank decides (checked below).
+    CASES = [(n, d, k) for n in (4, 6) for d in (9, 12, 14) for k in (3, 4)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_order_and_every_limit(self, case):
+        expected = listed(tie_order(brute_force_search(*case)))
+        found = extremal_profile_search(*case)
+        assert listed(found) == expected
+        # The floor decoded from each key groups the rows of one value.
+        values = [v for _, v in found if v is not None]
+        assert len({id(v) for v in values}) == len(set(values))
+        for limit in (0, 1, 3, len(expected), len(expected) + 5):
+            assert listed(extremal_profile_search(*case, limit=limit)) == expected[:limit]
+
+    def test_grid_reaches_the_rank(self):
+        # Some group of equal H_L and equal t_2 spans several tails whose
+        # items order differs from the order in which the tails are listed.
+        reached = False
+        for case in self.CASES:
+            groups = {}
+            for p, value in extremal_profile_search(*case):
+                if value is not None:
+                    tail = tuple(p.t.get(k, 0) for k in range(3, case[2] + 1))
+                    groups.setdefault((value, p.t2), []).append(tail)
+            reached = reached or any(
+                len(tails) > 1 and tails != sorted(tails) for tails in groups.values()
+            )
+        assert reached
+
+
 class TestExtremalRows:
     """The rows are pinned byte for byte, and rows of one value share one Fraction."""
 
