@@ -165,7 +165,17 @@ class Arrangement:
 
 
 def max_lines_bound(n: int) -> int:
-    """Upper bound n(7n - 12) for the number of lines on a smooth degree-n surface."""
+    """The line count n(7n - 12) that degree-n profiles and searches are held to.
+
+    It is a count, not a proved bound for every n.  The split surfaces
+    reach it at n = 4 (Schur, 64), n = 6 (180) and n = 12 (864).  Beyond
+    the 27 lines of a smooth cubic it is proved only for smooth quartics
+    (n = 4: Rams and Schütt, "64 lines on smooth quartic surfaces",
+    arXiv:1212.3511).  The general bound is 11n^2 - 32n + 24 (Bauer and
+    Rams, "Counting lines on projective surfaces", arXiv:1902.05133): equal
+    at n = 3, larger by 4(n - 2)(n - 3) above.  Both citations are from
+    memory and unchecked.
+    """
     if n < 3:
         raise ValueError("the line-count bound applies to degree n >= 3")
     return n * (7 * n - 12)
@@ -189,19 +199,16 @@ def fermat_lines(n: int) -> Arrangement:
     zero = CycloNum.zero(m)
     one = CycloNum.one(m)
 
-    def pt(a, b, c, d):
-        return ProjPoint((a, b, c, d))
-
     lines: list[ProjLine] = []
-    for z in roots:
-        for x in roots:
-            lines.append(line_through(pt(z, one, zero, zero), pt(zero, zero, x, one)))
-    for z in roots:
-        for x in roots:
-            lines.append(line_through(pt(z, zero, one, zero), pt(zero, x, zero, one)))
-    for z in roots:
-        for x in roots:
-            lines.append(line_through(pt(z, zero, zero, one), pt(zero, x, one, zero)))
+    # Family A, B, C puts the first point's 1 in slot a = 1, 2, 3; the
+    # second point takes xi and 1 in the other two slots b < c.
+    for a in (1, 2, 3):
+        b, c = (slot for slot in (1, 2, 3) if slot != a)
+        for z in roots:
+            for x in roots:
+                p, q = [zero] * 4, [zero] * 4
+                p[0], p[a], q[b], q[c] = z, one, x, one
+                lines.append(line_through(ProjPoint(p), ProjPoint(q)))
     return Arrangement(n, tuple(lines))
 
 

@@ -1,21 +1,17 @@
 """Command-line front end.
 
-Subcommands::
+Every subcommand is one row of the table ``SUBCOMMANDS``, which
+``build_parser`` walks in order: the name and help line, the handler, the
+--surface choices, the surface flags and the subcommand's own arguments,
+and whether it prints decimals (and so takes --places).  A subcommand
+registers only the flags it reads, then --format, --places and --output.
+``exact_cell`` and ``decimal_cell`` render every value that may be absent:
+None is a blank cell, or null in JSON.
 
-    catalog          construct explicit lines (fermat, or a custom lines file)
-    profile          emit an incidence profile
-    analyze          full exact report for a configuration
-    verify           combinatorial identity / valency / on-surface checks
-    bound            Miyaoka inequality and the H_L lower bound (degree >= 4)
-    sweep            one report row per parameter in a range
-    search-bauer     quadruple-point subconfiguration search
-    search-extremal  enumerate Miyaoka-compatible abstract profiles
-
-Each subcommand registers only the flags it reads.  --surface with
---degree, --eckardt, --profile, --lines and --from-lines selects a
-configuration through ``resolve``, one rule for every subcommand.  Giving a
-flag the chosen surface does not read (``READS``), or --profile with
---lines, is a usage error.
+--surface with --degree, --eckardt, --profile, --lines and --from-lines
+selects a configuration through ``resolve``, one rule for every
+subcommand.  Giving a flag the chosen surface does not read (``READS``), or
+--profile with --lines, is a usage error.
 
 Output formats are an aligned text table (default), CSV with a mandatory
 header row, or JSON carrying exact rationals as strings alongside their
@@ -64,12 +60,11 @@ from .incidence import (
 )
 from .serialize import (
     arrangement_json,
-    decimal_str,
+    decimal_cell,
     exact_cell,
     load_custom_lines,
     load_custom_profile,
     profile_json,
-    rational_str,
     report_json,
     scan_json,
     t_vector_str,
@@ -86,45 +81,21 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; we use 1
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class _SubcommandParser(_Parser):
-    """Reports arguments it does not know itself, with its own usage line.
+    """Exits 1 on a usage error, and reports unknown arguments itself.
 
     Left to argparse, a subcommand hands unknown arguments up to the
     top-level parser, whose usage names no subcommand option.
     """
+
+    def error(self, message):  # argparse defaults to exit code 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error("unrecognized arguments: " + " ".join(extras))
         return namespace, extras
-
-
-def _common_options(parser: argparse.ArgumentParser, places: bool = True) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("table", "csv", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
-    if places:
-        parser.add_argument(
-            "--places",
-            type=int,
-            default=3,
-            metavar="N",
-            help="decimal places for rounded renderings (default: 3)",
-        )
-    parser.add_argument(
-        "--output",
-        metavar="PATH",
-        help="write the report to PATH instead of stdout",
-    )
 
 
 # The flags that select a configuration.  Each defaults to None, so a flag
@@ -151,84 +122,6 @@ READS = {
     "cubic": ("--eckardt",),
     "custom": ("--profile", "--lines"),
 }
-
-
-def _surface_options(parser, surfaces, flags=tuple(SURFACE_FLAGS)) -> None:
-    parser.add_argument("--surface", choices=surfaces, required=True)
-    for flag in flags:
-        parser.add_argument(flag, **SURFACE_FLAGS[flag])
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="linesurf", description=__doc__.split("\n\n")[0])
-    parser.add_argument("--version", action="version", version=f"linesurf {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-
-    p = sub.add_parser("catalog", help="construct explicit lines")
-    p.set_defaults(run=cmd_catalog)
-    _surface_options(p, ("fermat", "custom"), ("--degree", "--lines"))
-    p.add_argument(
-        "--singular",
-        action="store_true",
-        help="emit the singular points of the arrangement instead of its lines",
-    )
-    _common_options(p, places=False)
-
-    for name, summary, run in (
-        ("profile", "emit an incidence profile", cmd_profile),
-        ("analyze", "full exact report", cmd_analyze),
-        ("verify", "identity / valency / on-surface checks", cmd_verify),
-        ("bound", "Miyaoka inequality and H_L lower bound", cmd_bound),
-    ):
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
-        if name == "verify":  # verify scans explicit lines whenever there are any
-            _surface_options(p, tuple(READS), ("--degree", "--eckardt", "--profile", "--lines"))
-            p.add_argument(
-                "--valency",
-                type=int,
-                metavar="V",
-                help="check that every line meets exactly V others",
-            )
-        else:
-            _surface_options(p, tuple(READS))
-        _common_options(p, places=name in ("analyze", "bound"))
-
-    p = sub.add_parser("sweep", help="one row per parameter in a range")
-    p.set_defaults(run=cmd_sweep)
-    p.add_argument("--surface", choices=("fermat", "rams", "cubic"), required=True)
-    p.add_argument(
-        "--degrees", metavar="A:B", help="inclusive degree range for fermat/rams"
-    )
-    p.add_argument(
-        "--eckardt-range",
-        metavar="A:B",
-        help="inclusive triple-point range for cubic",
-    )
-    _common_options(p)
-
-    p = sub.add_parser("search-bauer", help="quadruple-point subconfiguration search")
-    p.set_defaults(run=cmd_search_bauer)
-    _surface_options(p, ("fermat", "custom"), ("--degree", "--lines"))
-    p.add_argument("--size", type=int, required=True, metavar="S", help="lines per subconfiguration")
-    p.add_argument(
-        "--max-solutions",
-        type=int,
-        default=1,
-        metavar="K",
-        help="stop after K solutions; 0 means all (default: 1)",
-    )
-    _common_options(p)
-
-    p = sub.add_parser("search-extremal", help="enumerate Miyaoka-compatible profiles")
-    p.set_defaults(run=cmd_search_extremal)
-    p.add_argument("--degree", type=int, required=True, metavar="N")
-    p.add_argument("--num-lines", type=int, required=True, metavar="D")
-    p.add_argument("--k-max", type=int, required=True, metavar="K")
-    p.add_argument("--limit", type=int, metavar="L", help="report only the L most negative")
-    _common_options(p)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +205,18 @@ REPORT_COLUMNS = (
 )
 
 
-def report_row(report: HarbourneReport, places: int) -> list[str]:
+def report_row(report: HarbourneReport, places: int) -> list:
     return [
-        str(report.n),
-        str(report.d),
-        str(report.s),
+        report.n,
+        report.d,
+        report.s,
         t_vector_str(report.t),
         exact_cell(report.h_linear),
-        "" if report.h_linear is None else decimal_str(report.h_linear, places),
-        "" if report.miyaoka_lhs is None else str(report.miyaoka_lhs),
-        "" if report.miyaoka_rhs is None else str(report.miyaoka_rhs),
+        decimal_cell(report.h_linear, places),
+        exact_cell(report.miyaoka_lhs),
+        exact_cell(report.miyaoka_rhs),
         exact_cell(report.h_lower_bound),
     ]
-
-
-def exact_and_decimal(value, places: int) -> str:
-    return f"{rational_str(value)} ({decimal_str(value, places)})"
 
 
 @dataclass(frozen=True)
@@ -364,14 +253,11 @@ def render(out: Output, fmt: str) -> str:
         if out.note:
             print(f"note: {out.note}", file=sys.stderr)
         return buffer.getvalue()
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    lines = [
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+        for row in [header, ["-" * w for w in widths], *rows]
+    ]
     if out.note:
         lines.append(f"note: {out.note}")
     return "\n".join(lines) + "\n"
@@ -413,29 +299,34 @@ def cmd_profile(args) -> Output:
     )
 
 
+def _verdict(ok: bool, word: str = "satisfied") -> str:
+    return word if ok else "VIOLATED"
+
+
 def _analyze_table(report: HarbourneReport, places: int):
     rows = [
-        ["n", str(report.n)],
-        ["d", str(report.d)],
-        ["s", str(report.s)],
+        ["n", report.n],
+        ["d", report.d],
+        ["s", report.s],
         ["t", t_vector_str(report.t)],
-        ["incidences", str(report.incidences)],
-        ["strict_transform_sq", str(report.strict_transform_sq)],
-        ["h_linear", exact_and_decimal(report.h_linear, places)],
+        ["incidences", report.incidences],
+        ["strict_transform_sq", report.strict_transform_sq],
+        ["h_linear", exact_cell(report.h_linear, places)],
     ]
     if report.miyaoka_lhs is None:
-        rows.append(["miyaoka", "inapplicable (requires degree n >= 4)"])
-        rows.append(["h_lower_bound", "inapplicable (requires degree n >= 4)"])
+        inapplicable = "inapplicable (requires degree n >= 4)"
+        rows += [["miyaoka", inapplicable], ["h_lower_bound", inapplicable]]
     else:
-        verdict = "holds" if report.miyaoka_holds else "VIOLATED"
-        rows.append(
-            ["miyaoka", f"lhs {report.miyaoka_lhs} <= rhs {report.miyaoka_rhs}: {verdict}"]
-        )
-        verdict = "satisfied" if report.h_bound_holds else "VIOLATED"
-        bound = exact_and_decimal(report.h_lower_bound, places)
-        rows.append(["h_lower_bound", f"{bound}: {verdict}"])
-        verdict = "satisfied" if report.strict_bound_holds else "VIOLATED"
-        rows.append(["strict_sq_lower", f"{report.strict_sq_lower} (strict): {verdict}"])
+        miyaoka = f"lhs {report.miyaoka_lhs} <= rhs {report.miyaoka_rhs}"
+        bound = exact_cell(report.h_lower_bound, places)
+        rows += [
+            ["miyaoka", f"{miyaoka}: {_verdict(report.miyaoka_holds, 'holds')}"],
+            ["h_lower_bound", f"{bound}: {_verdict(report.h_bound_holds)}"],
+            [
+                "strict_sq_lower",
+                f"{report.strict_sq_lower} (strict): {_verdict(report.strict_bound_holds)}",
+            ],
+        ]
     return ["quantity", "value"], rows
 
 
@@ -499,7 +390,6 @@ def cmd_bound(args) -> Output:
     profile = resolve_profile(args)
     miyaoka_check(profile)  # raises InapplicableDegree for n = 3
     report = analyze_profile(profile)
-    h_bound, h = report.h_lower_bound, report.h_linear
     return Output(
         ["quantity", "value"],
         lambda: [
@@ -509,8 +399,8 @@ def cmd_bound(args) -> Output:
             ["miyaoka_lhs", report.miyaoka_lhs],
             ["miyaoka_rhs", report.miyaoka_rhs],
             ["miyaoka_holds", "yes" if report.miyaoka_holds else "no"],
-            ["h_lower_bound", "" if h_bound is None else exact_and_decimal(h_bound, args.places)],
-            ["h_linear", "" if h is None else exact_and_decimal(h, args.places)],
+            ["h_lower_bound", exact_cell(report.h_lower_bound, args.places)],
+            ["h_linear", exact_cell(report.h_linear, args.places)],
             ["strict_sq_lower", report.strict_sq_lower],
         ],
         lambda: {
@@ -522,8 +412,9 @@ def cmd_bound(args) -> Output:
                 "rhs": report.miyaoka_rhs,
                 "holds": report.miyaoka_holds,
             },
-            "h_lower_bound": None if h_bound is None else rational_str(h_bound),
-            "h_linear": None if h is None else rational_str(h),
+            # JSON null where the cell is blank
+            "h_lower_bound": exact_cell(report.h_lower_bound) or None,
+            "h_linear": exact_cell(report.h_linear) or None,
             "strict_sq_lower": report.strict_sq_lower,
         },
     )
@@ -561,8 +452,8 @@ def cmd_search_bauer(args) -> Output:
                 i,
                 ";".join(map(str, chosen)),
                 t_vector_str(profile.t),
-                rational_str(value),
-                decimal_str(value, args.places),
+                exact_cell(value),
+                decimal_cell(value, args.places),
             ]
             for i, (chosen, profile, value) in enumerate(entries)
         ],
@@ -572,7 +463,7 @@ def cmd_search_bauer(args) -> Output:
                 {
                     "lines": list(chosen),
                     "profile": profile_json(profile),
-                    "h_linear": rational_str(value),
+                    "h_linear": exact_cell(value),
                 }
                 for chosen, profile, value in entries
             ],
@@ -591,7 +482,7 @@ def cmd_search_extremal(args) -> Output:
                 t_vector_str(profile.t),
                 profile.s,
                 exact_cell(value),
-                "" if value is None else decimal_str(value, args.places),
+                decimal_cell(value, args.places),
                 *miyaoka_check(profile)[:2],
             ]
             for profile, value in results
@@ -601,7 +492,7 @@ def cmd_search_extremal(args) -> Output:
             "profiles": [
                 {
                     "profile": profile_json(profile),
-                    "h_linear": None if value is None else rational_str(value),
+                    "h_linear": exact_cell(value) or None,
                 }
                 for profile, value in results
             ],
@@ -610,10 +501,79 @@ def cmd_search_extremal(args) -> Output:
     )
 
 
+# ---------------------------------------------------------------------------
+# Subcommands.
+
+# Registered after each subcommand's own arguments; --places only where it prints decimals.
+OUTPUT_FLAGS = {
+    "--format": dict(choices=("table", "csv", "json"), default="table",
+                     help="output format (default: table)"),
+    "--places": dict(type=int, default=3, metavar="N",
+                     help="decimal places for rounded renderings (default: 3)"),
+    "--output": dict(metavar="PATH", help="write the report to PATH instead of stdout"),
+}
+
+# One row per subcommand, in registration order: name, help, handler, --surface
+# choices (None: no --surface), the SURFACE_FLAGS it registers after --surface,
+# its own arguments, and whether it prints decimals.
+SUBCOMMANDS = (
+    ("catalog", "construct explicit lines", cmd_catalog,
+     ("fermat", "custom"), ("--degree", "--lines"),
+     {"--singular": dict(action="store_true",
+                         help="emit the singular points of the arrangement instead of its lines")},
+     False),
+    ("profile", "emit an incidence profile", cmd_profile,
+     tuple(READS), tuple(SURFACE_FLAGS), {}, False),
+    ("analyze", "full exact report", cmd_analyze,
+     tuple(READS), tuple(SURFACE_FLAGS), {}, True),
+    # verify scans explicit lines whenever there are any, so it has no --from-lines
+    ("verify", "identity / valency / on-surface checks", cmd_verify,
+     tuple(READS), ("--degree", "--eckardt", "--profile", "--lines"),
+     {"--valency": dict(type=int, metavar="V",
+                        help="check that every line meets exactly V others")},
+     False),
+    ("bound", "Miyaoka inequality and H_L lower bound", cmd_bound,
+     tuple(READS), tuple(SURFACE_FLAGS), {}, True),
+    ("sweep", "one row per parameter in a range", cmd_sweep,
+     ("fermat", "rams", "cubic"), (),
+     {"--degrees": dict(metavar="A:B", help="inclusive degree range for fermat/rams"),
+      "--eckardt-range": dict(metavar="A:B", help="inclusive triple-point range for cubic")},
+     True),
+    ("search-bauer", "quadruple-point subconfiguration search", cmd_search_bauer,
+     ("fermat", "custom"), ("--degree", "--lines"),
+     {"--size": dict(type=int, required=True, metavar="S", help="lines per subconfiguration"),
+      "--max-solutions": dict(type=int, default=1, metavar="K",
+                              help="stop after K solutions; 0 means all (default: 1)")},
+     True),
+    ("search-extremal", "enumerate Miyaoka-compatible profiles", cmd_search_extremal,
+     None, (),
+     {"--degree": dict(type=int, required=True, metavar="N"),
+      "--num-lines": dict(type=int, required=True, metavar="D"),
+      "--k-max": dict(type=int, required=True, metavar="K"),
+      "--limit": dict(type=int, metavar="L", help="report only the L most negative")},
+     True),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="linesurf", description=__doc__.split("\n\n")[0])
+    parser.add_argument("--version", action="version", version=f"linesurf {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, summary, run, surfaces, flags, own, decimals in SUBCOMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if surfaces:
+            p.add_argument("--surface", choices=surfaces, required=True)
+        options = {**{f: SURFACE_FLAGS[f] for f in flags}, **own, **OUTPUT_FLAGS}
+        for flag, spec in options.items():
+            if decimals or flag != "--places":
+                p.add_argument(flag, **spec)
+    return parser
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message (help, usage error)
         return int(exc.code or 0)
     try:

@@ -44,8 +44,17 @@ def decimal_str(value: Union[int, Fraction], places: int = 3) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-def exact_cell(value: Optional[Union[int, Fraction]]) -> str:
-    return "" if value is None else rational_str(value)
+def exact_cell(value: Optional[Union[int, Fraction]], places: Optional[int] = None) -> str:
+    """``p/q``, followed by ``(decimal)`` when ``places`` is given; blank for None."""
+    if value is None:
+        return ""
+    text = rational_str(value)
+    return text if places is None else f"{text} ({decimal_str(value, places)})"
+
+
+def decimal_cell(value: Optional[Union[int, Fraction]], places: int) -> str:
+    """Decimal counterpart of ``exact_cell``: blank when the value is absent."""
+    return "" if value is None else decimal_str(value, places)
 
 
 def t_vector_str(t: dict) -> str:

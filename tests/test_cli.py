@@ -627,8 +627,48 @@ class TestOutputBehavior:
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_verify_scans_once(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv,scans",
+        [
+            pytest.param(("verify", "--surface", "fermat", "--degree", "3"), [27], id="verify"),
+            pytest.param(
+                ("catalog", "--surface", "fermat", "--degree", "3", "--singular"), [27],
+                id="catalog-singular",
+            ),
+            pytest.param(
+                ("analyze", "--surface", "fermat", "--degree", "3"), [], id="analyze-closed-form"
+            ),
+        ]
+        + [
+            pytest.param(
+                (name, "--surface", "fermat", "--degree", degree, "--from-lines"), [scanned],
+                id=f"{name}-from-lines",
+            )
+            for name, degree, scanned in (
+                ("profile", "3", 27), ("analyze", "3", 27), ("bound", "4", 48)
+            )
+        ]
+        + [
+            pytest.param(
+                (name, "--surface", "custom", "--lines", "{L}", *extra), [2], id=f"{name}-lines"
+            )
+            for name, *extra in (
+                ("catalog", "--singular"), ("profile",), ("analyze",), ("verify",), ("bound",)
+            )
+        ]
+        + [
+            # the ambient scan, then one rescan of each witness found
+            pytest.param(
+                ("search-bauer", "--surface", "fermat", "--degree", "4", "--size", "16",
+                 "--max-solutions", "2"),
+                [48, 16, 16],
+                id="search-bauer",
+            ),
+        ],
+    )
+    def test_verify_scans_once(self, capsys, monkeypatch, tmp_path, argv, scans):
         import linesurf.cli
+        import linesurf.harbourne
         import linesurf.incidence
 
         calls = []
@@ -638,12 +678,15 @@ class TestOutputBehavior:
             calls.append(arr.d)
             return original(arr)
 
-        # both bindings, so a scan through incidence helpers is counted too
-        monkeypatch.setattr(linesurf.cli, "scan_arrangement", counting)
-        monkeypatch.setattr(linesurf.incidence, "scan_arrangement", counting)
-        code, out, _ = run(capsys, "verify", "--surface", "fermat", "--degree", "3")
+        # every binding, so a scan through incidence or search helpers is counted too
+        for module in (linesurf.cli, linesurf.incidence, linesurf.harbourne):
+            monkeypatch.setattr(module, "scan_arrangement", counting)
+        lines = tmp_path / "pair.json"
+        pair = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]]]
+        lines.write_text(json.dumps({"n": 4, "lines": pair}))
+        code, out, _ = run(capsys, *(a.format(L=lines) for a in argv))
         assert code == 0 and "FAIL" not in out
-        assert calls == [27]
+        assert calls == scans
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "--surface", "fermat", "--nope")
