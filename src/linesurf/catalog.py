@@ -75,9 +75,9 @@ class IncidenceProfile:
                 "pair-count feasibility violated: "
                 f"sum (k^2-k) t_k = {pair_weight} exceeds d(d-1) = {d * (d - 1)}"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "t", cleaned)
+        _set_n(self, n)
+        _set_d(self, d)
+        _set_t(self, cleaned)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -123,8 +123,8 @@ class IncidenceProfile:
         return self.t.get(2, 0)
 
 
-# The slots' own setters, which write past the frozen __setattr__: the rows
-# made by _with_t2 set their three slots through these.
+# The slots' own setters, which write past the frozen __setattr__: __init__
+# and _with_t2 fill every profile's three slots through these.
 _set_n = IncidenceProfile.n.__set__
 _set_d = IncidenceProfile.d.__set__
 _set_t = IncidenceProfile.t.__set__

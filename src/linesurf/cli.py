@@ -577,8 +577,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse prints its own message (help, usage error)
         return int(exc.code or 0)
     try:
-        if getattr(args, "places", 0) < 0:
+        places = getattr(args, "places", 0)
+        if places < 0:
             raise ValueError("places must be nonnegative")
+        if places > 4300:  # CPython's default digit limit for int-to-str conversion
+            raise ValueError("places must be at most 4300")
         payload = render(args.run(args), args.format)
     except UsageError as exc:
         print(f"linesurf {args.command}: error: {exc}", file=sys.stderr)

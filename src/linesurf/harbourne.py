@@ -264,14 +264,6 @@ def bauer_search(
     return sorted(solutions)
 
 
-def _run_end(n: int, d: int, tail: dict[int, int], t2: int, holds: bool) -> IncidenceProfile:
-    """The profile with this tail and t_2, which Miyaoka must pass iff ``holds``."""
-    profile = IncidenceProfile(n=n, d=d, t={2: t2, **tail})
-    if miyaoka_check(profile).holds != holds:
-        raise AssertionError(f"Miyaoka run endpoint t_2 = {t2} misplaced for tail {tail}")
-    return profile
-
-
 def extremal_profile_search(
     n: int,
     d: int,
@@ -290,20 +282,21 @@ def extremal_profile_search(
     per unit of t_2, so it gives the lower end
     lo = max(0, n*d + sum_{k>=3} (k-4) t_k - 2n(n-1)^2), and pair
     feasibility gives the upper end hi = (d(d-1) - sum_{k>=3} (k^2-k) t_k) // 2.
-    Each run is certified by ``miyaoka_check`` itself: it must hold at lo
-    and, when lo > 0, fail at lo - 1 (an empty run must fail at hi);
-    otherwise the search raises ``AssertionError``.
 
-    On a run, with a = (2-n)d - sum_{k>=3} k t_k and s_tail = sum_{k>=3} t_k
-    computed once, H_L = (a - 2 t_2)/(s_tail + t_2) in closed form.  That
-    form is certified once per run: ``harbourne_linear`` of the run's first
-    profile with s > 0 must equal it, or the search raises
-    ``AssertionError``.  The run's upper end, the profile with t_2 = hi,
-    is built and validated by ``IncidenceProfile.__init__`` once per run:
-    it certifies the pair budget.  Only the rows returned, the first
-    ``limit`` when it is given, are built, each from its run's upper end
-    by lowering t_2, which one range check 0 <= t_2 <= hi guards (a lower
-    t_2 only lowers the pair weight), with its value from the closed form.
+    Each tail builds one profile through ``IncidenceProfile.__init__``,
+    its run's upper end with t_2 = hi, whose validation certifies the pair
+    budget for the whole run.  Every other profile of the run is lowered
+    from it by ``_with_t2``, behind one range check 0 <= t_2 <= hi (a
+    lower t_2 only lowers the pair weight): the certificates' profiles
+    and the rows alike, so the certificates see what the rows are built
+    by.  ``miyaoka_check`` must hold at lo and, when lo > 0, fail at
+    lo - 1 (an empty run must fail at hi).  On a run, with
+    a = (2-n)d - sum_{k>=3} k t_k and s_tail = sum_{k>=3} t_k computed
+    once, H_L = (a - 2 t_2)/(s_tail + t_2) in closed form, and
+    ``harbourne_linear`` of the run's first profile with s > 0 must equal
+    it.  A failed certificate raises ``AssertionError``.  Only the rows
+    returned, the first ``limit`` when it is given, are built, each with
+    its value from the closed form.
 
     The sort key is one exact integer per row.  Every s is at most
     S = d(d-1)/2, since each point uses at least one pair of lines, so two
@@ -379,29 +372,28 @@ def extremal_profile_search(
                 for tail, left in tails
                 for count in range(left // weight + 1)
             ]
-        # Each tail's run t_2 = lo..hi, certified at its ends.
+        # Each tail's run t_2 = lo..hi, certified on profiles lowered from
+        # its upper end, the one profile validated by __init__ per tail.
         for tail, left in tails:
             lo = max(0, n * d + sum((k - 4) * c for k, c in tail.items()) - rhs)
             hi = left // 2
-            if lo > hi:
-                _run_end(n, d, tail, hi, False)
-                continue
-            first = _run_end(n, d, tail, lo, True)
-            if lo > 0:
-                _run_end(n, d, tail, lo - 1, False)
-            if not first.t:  # s = 0: the empty profile, listed last with no value
+            end = IncidenceProfile(n, d, {2: hi, **tail})
+            # Miyaoka holds at lo and fails just below it, when lo > 0; an
+            # empty run fails at hi.
+            for t2, holds in ((hi, False),) if lo > hi else ((lo, True), (lo - 1, False)):
+                if t2 >= 0 and miyaoka_check(end._with_t2(t2)).holds != holds:
+                    raise AssertionError(
+                        f"Miyaoka run endpoint t_2 = {t2} misplaced for tail {tail}"
+                    )
+            if not tail and not lo:  # s = 0: the empty profile, listed last with no value
                 has_empty = True
                 lo = 1
-                if lo > hi:
-                    continue
-                first = IncidenceProfile(n=n, d=d, t={2: lo})
+            if lo > hi:
+                continue
             a = (2 - n) * d - sum(k * c for k, c in tail.items())
             s_tail = sum(tail.values())
-            if harbourne_linear(first) != Fraction(a - 2 * lo, s_tail + lo):
+            if harbourne_linear(end._with_t2(lo)) != Fraction(a - 2 * lo, s_tail + lo):
                 raise AssertionError(f"closed-form H_L disagrees at t_2 = {lo} for tail {tail}")
-            # The run's upper end, validated by __init__ once: it certifies
-            # the pair budget for the whole run, whose rows only lower t_2.
-            end = IncidenceProfile(n, d, {2: hi, **tail})
             tail_runs.append((tuple(sorted(tail.items())), (a, s_tail, lo, hi, end)))
         # A run's rank is its place in the order of tail items (tails are distinct).
         runs = [run for _, run in sorted(tail_runs, key=itemgetter(0))]

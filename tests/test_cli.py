@@ -265,6 +265,20 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"linesurf {argv[0]}: places must be nonnegative\n"
 
+    @pytest.mark.parametrize("fmt", ("table", "csv", "json"))
+    @pytest.mark.parametrize(
+        "argv", (("analyze", "--surface", "schur"), ("bound", "--surface", "schur"))
+    )
+    def test_places_capped_at_the_int_digit_limit(self, capsys, argv, fmt):
+        # Python converts ints of at most 4300 digits to str by default, and
+        # a decimal's fractional part is one int of `places` digits.  JSON
+        # from bound prints no decimal, but is held to the same cap.
+        code, _, err = run(capsys, *argv, "--format", fmt, "--places", "4300")
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, *argv, "--format", fmt, "--places", "4301")
+        assert (code, out) == (2, "")
+        assert err == f"linesurf {argv[0]}: places must be at most 4300\n"
+
     def test_empty_range_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sweep", "--surface", "fermat", "--degrees", "5:3")
         assert (code, out) == (1, "")

@@ -373,16 +373,15 @@ class TestExtremalSearchOracle:
     @pytest.mark.parametrize(
         "case,builds",
         [
-            # The run-end certificates above, one upper end per nonempty run
-            # (one closed-form check each) and, when the empty profile is
-            # listed, the empty tail's t_2 = 1 profile and the empty row.
-            ((4, 12, 4), 144 + 144 + 2),
-            ((4, 19, 2), 2 + 1),
-            ((4, 6, 3), 6 + 6 + 2),
+            # One upper end per tail, whose run's certificates and rows are
+            # all lowered from it, and the empty row when it is listed.
+            ((4, 12, 4), 144 + 1),
+            ((4, 19, 2), 1),
+            ((4, 6, 3), 6 + 1),
         ],
     )
     def test_profile_builds(self, monkeypatch, case, builds):
-        """``IncidenceProfile.__init__`` runs per run, never per row."""
+        """``IncidenceProfile.__init__`` runs once per tail, never per row."""
         count = 0
         exact = IncidenceProfile.__init__
 
@@ -394,6 +393,16 @@ class TestExtremalSearchOracle:
         monkeypatch.setattr(IncidenceProfile, "__init__", counted)
         rows = extremal_profile_search(*case)
         assert count == builds < len(rows)
+
+    @pytest.mark.parametrize(
+        "case,message", (((4, 12, 4), "closed-form H_L"), ((4, 19, 2), "Miyaoka run endpoint"))
+    )
+    def test_certificates_see_the_row_builder(self, monkeypatch, case, message):
+        # The certificates run on profiles lowered by _with_t2, as the rows
+        # are: a _with_t2 that lowers nothing must break them.
+        monkeypatch.setattr(IncidenceProfile, "_with_t2", lambda self, t2: self)
+        with pytest.raises(AssertionError, match=message):
+            extremal_profile_search(*case)
 
     @pytest.mark.parametrize("holds", (False, True))
     def test_run_certification_can_fail(self, monkeypatch, holds):
