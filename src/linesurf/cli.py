@@ -580,8 +580,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         places = getattr(args, "places", 0)
         if places < 0:
             raise ValueError("places must be nonnegative")
-        if places > 4300:  # CPython's default digit limit for int-to-str conversion
-            raise ValueError("places must be at most 4300")
+        # A decimal's fractional part is one int of `places` digits, and ints
+        # longer than the interpreter's limit do not convert to str (0: no limit).
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if cap and places > cap:
+            raise ValueError(f"places must be at most {cap}")
         payload = render(args.run(args), args.format)
     except UsageError as exc:
         print(f"linesurf {args.command}: error: {exc}", file=sys.stderr)

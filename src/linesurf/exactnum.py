@@ -14,9 +14,12 @@ every exact geometric predicate downstream relies on.
 Every operation computes on integers and passes its result through one
 reduce-and-sign step (:func:`_reduced`), which divides out the common
 gcd and makes the denominator positive; with denominator 1, as most
-Fermat coordinates have, the step does nothing.  ``fractions.Fraction``
-appears only where rationals cross the boundary: parsing input, the
-:attr:`CycloNum.coeffs` view, and comparing or hashing against a rational.
+Fermat coordinates have, the step does nothing.  A sum of products,
+:func:`dot`, is convolved term by term over one common denominator and
+takes that step once, not once per product and partial sum.
+``fractions.Fraction`` appears only where rationals cross the boundary:
+parsing input, the :attr:`CycloNum.coeffs` view, and comparing or
+hashing against a rational.
 
 No floating point is used anywhere in this module.  Values are immutable
 and all operations are pure.
@@ -95,31 +98,34 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _shift_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Coefficient vectors of x^f, x^(f+1), ..., x^(2f-2) mod Phi_m, f = phi(m)."""
+def _shift_rows(m: int) -> tuple:
+    """Pairs (k, the nonzero (index, value) entries of x^k mod Phi_m), k = f..2f-2, f = phi(m)."""
     f = len(cyclotomic_polynomial(m)) - 1
-    return tuple(_zeta_pow_vec(m, k) for k in range(f, 2 * f - 1))
+    return tuple(
+        (k, tuple((i, c) for i, c in enumerate(_zeta_pow_vec(m, k)) if c))
+        for k in range(f, 2 * f - 1)
+    )
 
 
 def _mul_vec(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The product of two integer coefficient vectors, reduced modulo Phi_m."""
-    f = len(a)
-    acc = [0] * (2 * f - 1)
+    acc = [0] * (2 * len(a) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     acc[i + j] += ai * bj
-    if f > 1:
-        rows = _shift_rows(m)
-        for k in range(2 * f - 2, f - 1, -1):
-            c = acc[k]
-            if c:
-                row = rows[k - f]
-                for idx, r in enumerate(row):
-                    if r:
-                        acc[idx] += c * r
-    return acc[:f]
+    return _fold(m, acc)
+
+
+def _fold(m: int, acc: list[int]) -> list[int]:
+    """A convolution of length 2 phi(m) - 1, reduced modulo Phi_m."""
+    for k, row in _shift_rows(m):
+        c = acc[k]
+        if c:
+            for i, r in row:
+                acc[i] += c * r
+    return acc[: (len(acc) + 1) // 2]
 
 
 def _combine(nums: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
@@ -400,6 +406,41 @@ class CycloNum:
         if not self.den % p:
             return None
         return acc * pow(self.den, -1, p) % p
+
+
+def dot(m: int, xs: Sequence[CycloNum], ys: Sequence[CycloNum]) -> CycloNum:
+    """The sum of x_k * y_k over Q(zeta_m), with one reduction in all.
+
+    Each term with both factors nonzero is convolved on its integer
+    numerators, scaled to D, the lcm of the terms' denominators
+    x_k.den * y_k.den; the integer sum is reduced modulo Phi_m once and
+    put in lowest terms over D once, by ``_reduced``.  Raises
+    ConductorMismatch if a factor's conductor is not m, and ValueError if
+    the sequences differ in length.
+    """
+    terms = []
+    den = 1
+    for x, y in zip(xs, ys, strict=True):
+        if x.m != m or y.m != m:
+            raise ConductorMismatch(f"dot over Q(zeta_{m}) met Q(zeta_{x.m}) and Q(zeta_{y.m})")
+        if any(x.nums) and any(y.nums):
+            d = x.den * y.den
+            terms.append((x.nums, y.nums, d))
+            if den % d:
+                den = lcm(den, d)
+    if not terms:
+        return CycloNum.zero(m)
+    acc = [0] * (2 * len(terms[0][0]) - 1)
+    for a, b, d in terms:
+        scale = den // d
+        for i, ai in enumerate(a):
+            if ai:
+                if scale != 1:
+                    ai *= scale
+                for j, bj in enumerate(b):
+                    if bj:
+                        acc[i + j] += ai * bj
+    return _reduced(m, _fold(m, acc), den)
 
 
 # Deterministic Miller-Rabin witnesses: exact for every n below 3.3 * 10^24.

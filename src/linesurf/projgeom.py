@@ -16,6 +16,13 @@ when that point lies on both lines.  Only the four values of b's forms
 at a's base points are computed.  The meeting point x p + y q is then
 written down in canonical form with one scalar inverse, or is p or q
 itself, and is never built as a vector and normalised.
+
+Every sum of products here is one ``exactnum.dot`` call, which reduces
+modulo Phi_m and takes one gcd per sum, not per product and partial sum:
+each Plucker coordinate and the Plucker relation, a form's value at a
+point, the 2x2 minor and the pairing.  The coordinates a + t b of
+``_span_point`` stay a product and a sum: a fused form measured slower on
+the moved quartic lines and no faster on the Fermat lines.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import exactnum  # residue_field read where CycloNum.residue reads it
-from .exactnum import ConductorMismatch, CycloNum, Scalar
+from .exactnum import ConductorMismatch, CycloNum, Scalar, dot
 
 #: Index order of the six Plucker coordinates.
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -116,16 +123,17 @@ class ProjLine:
             raise ConductorMismatch("base points must share one conductor")
         if p == q:
             raise ValueError("a line needs two distinct points")
+        m = p.conductor
         a, b = p.coords, q.coords
-        raw = [a[i] * b[j] - a[j] * b[i] for i, j in PLUCKER_PAIRS]
+        nb = [-c for c in b]
+        raw = [dot(m, (a[i], a[j]), (b[j], nb[i])) for i, j in PLUCKER_PAIRS]
         lead_index = next(i for i, c in enumerate(raw) if not c.is_zero())
         lead = raw[lead_index]
         if lead != 1:
             inv = lead.inverse()
             raw = [c * inv for c in raw]
         plucker = tuple(raw)
-        rel = plucker[0] * plucker[5] - plucker[1] * plucker[4] + plucker[2] * plucker[3]
-        if not rel.is_zero():
+        if not dot(m, plucker[:3], (plucker[5], -plucker[4], plucker[3])).is_zero():
             raise AssertionError("Plucker relation violated; construction bug")
         self.base = (p, q)
         self.plucker = plucker
@@ -176,35 +184,18 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     return ProjLine(p, q)
 
 
-def _dot(form: Sequence[CycloNum], x: Sequence[CycloNum]) -> CycloNum:
-    """The value of a linear form at a coordinate vector."""
-    acc = None
-    for a, b in zip(form, x):
-        if a.is_zero() or b.is_zero():
-            continue
-        term = a * b
-        acc = term if acc is None else acc + term
-    return CycloNum.zero(x[0].m) if acc is None else acc
-
-
 def point_on_line(pt: ProjPoint, line: ProjLine) -> bool:
     """Exact membership test: both defining forms vanish at the point."""
-    if pt.conductor != line.conductor:
+    m = pt.conductor
+    if line.conductor != m:
         raise ConductorMismatch("point and line must share one conductor")
-    return all(_dot(form, pt.coords).is_zero() for form in line.forms)
+    return all(dot(m, form, pt.coords).is_zero() for form in line.forms)
 
 
 def plucker_pairing(a: ProjLine, b: ProjLine) -> CycloNum:
     """The bilinear pairing that vanishes exactly when two lines meet."""
-    pa, pb = a.plucker, b.plucker
-    return (
-        pa[0] * pb[5]
-        - pa[1] * pb[4]
-        + pa[2] * pb[3]
-        + pa[5] * pb[0]
-        - pa[4] * pb[1]
-        + pa[3] * pb[2]
-    )
+    pb = b.plucker
+    return dot(a.conductor, a.plucker, (pb[5], -pb[4], pb[3], pb[2], -pb[1], pb[0]))
 
 
 def _span_point(p: ProjPoint, q: ProjPoint, x: CycloNum, y: CycloNum) -> ProjPoint:
@@ -257,9 +248,10 @@ def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
     identically, and by linearity g takes the value of the minor
     f(q) g(p) - f(p) g(q).  So the minor is zero exactly when that point
     lies on both lines, and then it is the meeting point, built by
-    ``_span_point``.  A nonzero minor leaves the exact pairing to decide:
-    nonzero means a skew pair, and zero means the closed form failed,
-    which raises.
+    ``_span_point``.  The four form values and the minor are one
+    ``exactnum.dot`` each.  A nonzero minor leaves the exact pairing to
+    decide: nonzero means a skew pair, and zero means the closed form
+    failed, which raises.
     """
     if a == b:
         raise ValueError("line_intersection requires two distinct lines")
@@ -273,12 +265,13 @@ def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
         return None
     p, q = a.base
     f, g = b.forms
-    fp, fq = _dot(f, p.coords), _dot(f, q.coords)
-    gp, gq = _dot(g, p.coords), _dot(g, q.coords)
+    fp, fq = dot(m, f, p.coords), dot(m, f, q.coords)
+    gp, gq = dot(m, g, p.coords), dot(m, g, q.coords)
     if fp.is_zero() and fq.is_zero():
         return _span_point(p, q, gq, -gp)
-    if (fq * gp - fp * gq).is_zero():
-        return _span_point(p, q, fq, -fp)
+    nfp = -fp
+    if dot(m, (fq, nfp), (gp, gq)).is_zero():
+        return _span_point(p, q, fq, nfp)
     if not plucker_pairing(a, b).is_zero():
         return None
     raise AssertionError("lines reported as meeting do not share a point")

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -278,6 +279,46 @@ class TestSweep:
         code, out, err = run(capsys, *argv, "--format", fmt, "--places", "4301")
         assert (code, out) == (2, "")
         assert err == f"linesurf {argv[0]}: places must be at most 4300\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit before 3.10.7"
+    )
+    @pytest.mark.parametrize("fmt", ("table", "csv", "json"))
+    @pytest.mark.parametrize(
+        "argv", (("analyze", "--surface", "schur"), ("bound", "--surface", "schur"))
+    )
+    def test_places_cap_follows_the_interpreter_limit(self, capsys, argv, fmt):
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            code, _, err = run(capsys, *argv, "--format", fmt, "--places", "640")
+            assert (code, err) == (0, "")
+            code, out, err = run(capsys, *argv, "--format", fmt, "--places", "641")
+            assert (code, out) == (2, "")
+            assert err == f"linesurf {argv[0]}: places must be at most 640\n"
+            sys.set_int_max_str_digits(0)  # no limit, so no cap
+            code, _, err = run(capsys, *argv, "--format", fmt, "--places", "4301")
+            assert (code, err) == (0, "")
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_no_cap_without_an_int_digit_limit(self, capsys, monkeypatch):
+        # Python 3.10 before 3.10.7 has neither the limit nor get_int_max_str_digits.
+        setter = getattr(sys, "set_int_max_str_digits", None)
+        saved = sys.get_int_max_str_digits() if setter else None
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        try:
+            if setter:
+                setter(0)
+            code, out, err = run(
+                capsys, "analyze", "--surface", "schur", "--format", "csv", "--places", "4301"
+            )
+        finally:
+            if setter:
+                setter(saved)
+        assert (code, err) == (0, "")
+        header, row = (line.split(",") for line in out.splitlines())
+        assert len(row[header.index("h_decimal")]) == len("-2.") + 4301
 
     def test_empty_range_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sweep", "--surface", "fermat", "--degrees", "5:3")

@@ -302,11 +302,10 @@ def fraction_mul_vec(m, a, b):
                 if bj:
                     acc[i + j] += ai * bj
     if f > 1:
-        rows = exactnum._shift_rows(m)
         for k in range(2 * f - 2, f - 1, -1):
             c = acc[k]
             if c:
-                row = rows[k - f]
+                row = exactnum._zeta_pow_vec(m, k)
                 for idx, r in enumerate(row):
                     if r:
                         acc[idx] += c * r
@@ -375,6 +374,17 @@ def kernel_vectors(draw, count):
     return m, [tuple(map(qnorm, draw(entries))) for _ in range(count)]
 
 
+@st.composite
+def dot_operands(draw):
+    """Two equal-length lists of 0 to 6 values over one conductor m in 1..16 or 21."""
+    m = draw(st.sampled_from(tuple(range(1, 17)) + (21,)))
+    f = euler_phi(m)
+    entries = st.lists(st.one_of(st.just(0), scalars), min_size=f, max_size=f)
+    values = st.one_of(st.just(CycloNum.zero(m)), entries.map(lambda c: CycloNum(m, c)))
+    k = draw(st.integers(0, 6))
+    return m, *(draw(st.lists(values, min_size=k, max_size=k)) for _ in range(2))
+
+
 class TestIntegerKernels:
     """The integer operations equal the Fraction arithmetic, types included."""
 
@@ -383,6 +393,25 @@ class TestIntegerKernels:
     def test_mul_vec(self, case):
         m, (a, b) = case
         assert_canonical(CycloNum(m, a) * CycloNum(m, b), fraction_mul_vec(m, a, b))
+
+    @given(dot_operands())
+    @settings(max_examples=300)
+    def test_dot_is_the_summed_products(self, case):
+        m, xs, ys = case
+        summed = sum((x * y for x, y in zip(xs, ys)), CycloNum.zero(m))
+        got = exactnum.dot(m, xs, ys)
+        assert (got.m, got.nums, got.den) == (summed.m, summed.nums, summed.den)
+        assert_canonical(got, summed.coeffs)
+
+    def test_dot_rejects_mixed_conductors_and_lengths(self):
+        z8, z16 = zeta(8), zeta(16)
+        for xs, ys in (([z8], [z16]), ([z16], [z16]), ([z8, z16], [z8, z8])):
+            with pytest.raises(ConductorMismatch):
+                exactnum.dot(8, xs, ys)
+        for xs, ys in (([z8], []), ([], [z8]), ([z8, z8], [z8])):
+            with pytest.raises(ValueError) as excinfo:
+                exactnum.dot(8, xs, ys)
+            assert excinfo.type is ValueError
 
     @given(kernel_vectors(1))
     def test_combine_over_conjugate_rows(self, case):

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import MOVE, moved
 
 from linesurf import exactnum, incidence, projgeom
 from linesurf.catalog import (
@@ -178,22 +179,6 @@ class TestValency:
         assert valency_consistent(IncidenceProfile(n=4, d=2, t={2: 1}), 1)
 
 
-def moved(arr, matrix):
-    """The arrangement with both base points of every line multiplied by ``matrix``."""
-    m = arr.conductor
-
-    def move(pt):
-        return ProjPoint(
-            [sum((x * c for c, x in zip(row, pt.coords)), CycloNum.zero(m)) for row in matrix]
-        )
-
-    return Arrangement(arr.n, tuple(line_through(*map(move, line.base)) for line in arr.lines))
-
-
-# Determinant 1, so the moved quartic is projectively equivalent to Fermat's.
-MOVE = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2))
-
-
 def incidences(scan):
     """The line sets of the singular points: invariant under a projective motion."""
     return sorted(sp.lines for sp in scan.points)
@@ -218,21 +203,6 @@ def scan_with_residue(monkeypatch, arr, value=UNFORCED):
             patch.setattr(CycloNum, "residue", lambda self: value)
         rebuilt = Arrangement(arr.n, tuple(line_through(*line.base) for line in arr.lines))
         return scan_arrangement(rebuilt), pairings
-
-
-@pytest.fixture(scope="module")
-def moved_quartic():
-    arr = moved(fermat_lines(4), MOVE)
-    return arr, scan_arrangement(arr)
-
-
-@pytest.fixture(scope="module")
-def shear_quartic():
-    """The quartic sheared by 1/p, with p the residue prime: some residues are None."""
-    p, _ = residue_field(8)
-    shear = ((1, 0, 0, 0), (0, 1, 0, 0), (Fraction(1, p), 0, 1, 0), (0, Fraction(1, p), 0, 1))
-    arr = moved(fermat_lines(4), shear)
-    return arr, scan_arrangement(arr)
 
 
 class TestModularFilter:

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from linesurf import projgeom
-from linesurf.exactnum import ConductorMismatch, CycloNum, nth_roots_of_minus_one, zeta
+from linesurf.exactnum import ConductorMismatch, CycloNum, dot, nth_roots_of_minus_one, zeta
 from linesurf.projgeom import (
+    PLUCKER_PAIRS,
     ProjPoint,
     line_intersection,
     line_through,
@@ -208,7 +209,7 @@ class TestIntersection:
         # a lies in the plane w = 0 of b.forms[0], so that form gives no point on a
         e0, e1, e2 = pt(1, 0, 0, 0), pt(0, 1, 0, 0), pt(0, 0, 1, 0)
         a, b = line_through(e0, e2), line_through(e0, e1)
-        assert all(projgeom._dot(b.forms[0], p.coords).is_zero() for p in a.base)
+        assert all(dot(M, b.forms[0], p.coords).is_zero() for p in a.base)
         assert line_intersection(a, b) == e0
         assert line_intersection(b, a) == e0
 
@@ -335,6 +336,67 @@ class TestSpanPoint:
         p, q = pt(1, 1, 0, 0), pt(1, 0, 1, 0)
         one = CycloNum.one(M)
         assert projgeom._span_point(p, q, one, -one) == pt(0, 1, -1, 0)
+
+
+# The product-sum expressions the kernel sites replaced, kept as the reference:
+# one CycloNum product per term, added left to right.
+
+
+def summed_form_value(form, x):
+    acc = None
+    for a, b in zip(form, x):
+        if a.is_zero() or b.is_zero():
+            continue
+        term = a * b
+        acc = term if acc is None else acc + term
+    return CycloNum.zero(x[0].m) if acc is None else acc
+
+
+def summed_plucker(p, q):
+    a, b = p.coords, q.coords
+    raw = [a[i] * b[j] - a[j] * b[i] for i, j in PLUCKER_PAIRS]
+    lead = next(c for c in raw if not c.is_zero())
+    return tuple(raw) if lead == 1 else tuple(c * lead.inverse() for c in raw)
+
+
+def summed_relation(pl):
+    return pl[0] * pl[5] - pl[1] * pl[4] + pl[2] * pl[3]
+
+
+def summed_pairing(pa, pb):
+    return (
+        pa[0] * pb[5] - pa[1] * pb[4] + pa[2] * pb[3] + pa[5] * pb[0] - pa[4] * pb[1] + pa[3] * pb[2]
+    )
+
+
+class TestKernelSites:
+    """Every ``dot`` site equals the product sum it replaced.
+
+    CycloNum equality compares the stored ``nums`` and ``den``, so equal
+    values are stored alike.
+    """
+
+    @pytest.fixture(params=("moved_quartic", "shear_quartic", "fermat_quartic"))
+    def lines(self, request):
+        if request.param == "fermat_quartic":
+            return request.getfixturevalue("fermat_arrs")[4].lines
+        return request.getfixturevalue(request.param)[0].lines
+
+    def test_plucker_vectors_and_relation(self, lines):
+        for line in lines:
+            assert line.plucker == summed_plucker(*line.base)
+            assert summed_relation(line.plucker).is_zero()
+
+    def test_pairings_form_values_and_minors(self, lines):
+        m = lines[0].conductor
+        for a, b in itertools.combinations(lines, 2):
+            assert plucker_pairing(a, b) == summed_pairing(a.plucker, b.plucker)
+            (p, q), (f, g) = a.base, b.forms
+            sites = [(h, x.coords) for h in (f, g) for x in (p, q)]
+            fp, fq, gp, gq = (dot(m, h, x) for h, x in sites)
+            assert [fp, fq, gp, gq] == [summed_form_value(h, x) for h, x in sites]
+            assert dot(m, (fq, -fp), (gp, gq)) == fq * gp - fp * gq
+            assert point_on_line(p, b) == (fp.is_zero() and gp.is_zero())
 
 
 class TestSympyRankOracle:

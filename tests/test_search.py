@@ -1,5 +1,5 @@
 import pytest
-from test_incidence import MOVE, moved
+from conftest import MOVE, moved
 
 from linesurf.catalog import fermat_lines
 from linesurf.harbourne import bauer_search, harbourne_linear
