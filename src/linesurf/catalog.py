@@ -181,6 +181,16 @@ def max_lines_bound(n: int) -> int:
     return n * (7 * n - 12)
 
 
+def check_line_count(n: int, d: int) -> int:
+    """``max_lines_bound(n)``; the one check that refuses a d above it (``ProfileError``)."""
+    bound = max_lines_bound(n)
+    if d > bound:
+        raise ProfileError(
+            f"d = {d} exceeds the line-count bound n(7n-12) = {bound} for degree {n}"
+        )
+    return bound
+
+
 def fermat_lines(n: int) -> Arrangement:
     """The classical 3n^2 lines on the Fermat hypersurface of degree n.
 

@@ -35,22 +35,22 @@ from . import __version__
 from .catalog import (
     Arrangement,
     IncidenceProfile,
+    check_line_count,
     cubic_profile,
     fermat_lines,
     fermat_profile,
-    max_lines_bound,
     on_surface,
     rams_profile,
     schur_profile,
 )
 from .harbourne import (
     HarbourneReport,
-    UndefinedConstant,
     analyze_profile,
     bauer_search,
     extremal_profile_search,
     harbourne_linear,
     miyaoka_check,
+    strict_transform_sq,
 )
 from .incidence import (
     incidence_count,
@@ -206,15 +206,15 @@ REPORT_COLUMNS = (
 
 
 def report_row(report: HarbourneReport, places: int) -> list:
+    profile, miyaoka = report.profile, report.miyaoka
     return [
-        report.n,
-        report.d,
-        report.s,
-        t_vector_str(report.t),
+        profile.n,
+        profile.d,
+        profile.s,
+        t_vector_str(profile.t),
         exact_cell(report.h_linear),
         decimal_cell(report.h_linear, places),
-        exact_cell(report.miyaoka_lhs),
-        exact_cell(report.miyaoka_rhs),
+        *(("", "") if miyaoka is None else miyaoka[:2]),
         exact_cell(report.h_lower_bound),
     ]
 
@@ -304,23 +304,24 @@ def _verdict(ok: bool, word: str = "satisfied") -> str:
 
 
 def _analyze_table(report: HarbourneReport, places: int):
+    profile, miyaoka = report.profile, report.miyaoka
     rows = [
-        ["n", report.n],
-        ["d", report.d],
-        ["s", report.s],
-        ["t", t_vector_str(report.t)],
-        ["incidences", report.incidences],
-        ["strict_transform_sq", report.strict_transform_sq],
+        ["n", profile.n],
+        ["d", profile.d],
+        ["s", profile.s],
+        ["t", t_vector_str(profile.t)],
+        ["incidences", incidence_count(profile)],
+        ["strict_transform_sq", strict_transform_sq(profile)],
         ["h_linear", exact_cell(report.h_linear, places)],
     ]
-    if report.miyaoka_lhs is None:
+    if miyaoka is None:
         inapplicable = "inapplicable (requires degree n >= 4)"
         rows += [["miyaoka", inapplicable], ["h_lower_bound", inapplicable]]
     else:
-        miyaoka = f"lhs {report.miyaoka_lhs} <= rhs {report.miyaoka_rhs}"
+        inequality = f"lhs {miyaoka.lhs} <= rhs {miyaoka.rhs}"
         bound = exact_cell(report.h_lower_bound, places)
         rows += [
-            ["miyaoka", f"{miyaoka}: {_verdict(report.miyaoka_holds, 'holds')}"],
+            ["miyaoka", f"{inequality}: {_verdict(miyaoka.holds, 'holds')}"],
             ["h_lower_bound", f"{bound}: {_verdict(report.h_bound_holds)}"],
             [
                 "strict_sq_lower",
@@ -332,10 +333,7 @@ def _analyze_table(report: HarbourneReport, places: int):
 
 def cmd_analyze(args) -> Output:
     profile = resolve_profile(args)
-    if profile.s == 0:
-        raise UndefinedConstant(
-            "H_L is undefined: the configuration has no singular points (s = 0)"
-        )
+    harbourne_linear(profile)  # raises UndefinedConstant for s = 0
     report = analyze_profile(profile)
     return Output(
         REPORT_COLUMNS,
@@ -365,8 +363,9 @@ def cmd_verify(args) -> Output:
         profile = chosen
         pairs, budget = incidence_count(profile), profile.d * (profile.d - 1)
         checks.append(("pair_count_feasible", pairs, budget, pairs <= budget))
-        bound = max_lines_bound(profile.n)
-        checks.append(("max_lines_bound", profile.d, bound, profile.d <= bound))
+        # check_line_count refuses a d above the bound (exit 2), as the loader does.
+        bound = check_line_count(profile.n, profile.d)
+        checks.append(("max_lines_bound", profile.d, bound, True))
     if args.valency is not None:
         lhs, rhs = incidence_count(profile), profile.d * args.valency
         ok = valency_consistent(profile, args.valency)
@@ -388,30 +387,26 @@ def cmd_verify(args) -> Output:
 
 def cmd_bound(args) -> Output:
     profile = resolve_profile(args)
-    miyaoka_check(profile)  # raises InapplicableDegree for n = 3
+    miyaoka = miyaoka_check(profile)  # raises InapplicableDegree for n = 3
     report = analyze_profile(profile)
     return Output(
         ["quantity", "value"],
         lambda: [
-            ["n", report.n],
-            ["d", report.d],
-            ["s", report.s],
-            ["miyaoka_lhs", report.miyaoka_lhs],
-            ["miyaoka_rhs", report.miyaoka_rhs],
-            ["miyaoka_holds", "yes" if report.miyaoka_holds else "no"],
+            ["n", profile.n],
+            ["d", profile.d],
+            ["s", profile.s],
+            ["miyaoka_lhs", miyaoka.lhs],
+            ["miyaoka_rhs", miyaoka.rhs],
+            ["miyaoka_holds", "yes" if miyaoka.holds else "no"],
             ["h_lower_bound", exact_cell(report.h_lower_bound, args.places)],
             ["h_linear", exact_cell(report.h_linear, args.places)],
             ["strict_sq_lower", report.strict_sq_lower],
         ],
         lambda: {
-            "n": report.n,
-            "d": report.d,
-            "s": report.s,
-            "miyaoka": {
-                "lhs": report.miyaoka_lhs,
-                "rhs": report.miyaoka_rhs,
-                "holds": report.miyaoka_holds,
-            },
+            "n": profile.n,
+            "d": profile.d,
+            "s": profile.s,
+            "miyaoka": miyaoka._asdict(),
             # JSON null where the cell is blank
             "h_lower_bound": exact_cell(report.h_lower_bound) or None,
             "h_linear": exact_cell(report.h_linear) or None,

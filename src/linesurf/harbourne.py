@@ -17,6 +17,12 @@ For degree n >= 4, Miyaoka's inequality
 
 yields the lower bound  H_L >= -4 + (2d + t_2 - 2n(n-1)^2)/s,  and in the
 coarser strict form  Ltilde^2 > -4s - 2n(n-1)^2.  Both are reported.
+
+Each hypothesis is decided in one place, and every caller relies on that
+function refusing instead of deciding again: ``_miyaoka_rhs`` raises
+``InapplicableDegree`` below degree 4 and is the only source of
+2n(n-1)^2, and ``_singular_count`` raises ``UndefinedConstant`` at s = 0.
+``analyze_profile`` turns a refusal into None.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .catalog import Arrangement, IncidenceProfile, max_lines_bound
-from .incidence import incidence_count, scan_arrangement
+from .catalog import Arrangement, IncidenceProfile, check_line_count
+from .incidence import scan_arrangement
 
 
 class InapplicableDegree(ValueError):
@@ -39,6 +45,23 @@ class InapplicableDegree(ValueError):
 
 class UndefinedConstant(ArithmeticError):
     """H_L is undefined: the configuration has no singular points (s = 0)."""
+
+
+def _miyaoka_rhs(n: int) -> int:
+    """The right side 2n(n-1)^2 of Miyaoka's inequality; the degree gate n >= 4."""
+    if n < 4:
+        raise InapplicableDegree("Miyaoka's inequality requires surface degree n >= 4")
+    return 2 * n * (n - 1) ** 2
+
+
+def _singular_count(profile: IncidenceProfile) -> int:
+    """The number s of singular points, which H_L divides by; the gate s > 0."""
+    s = profile.s
+    if s == 0:
+        raise UndefinedConstant(
+            "H_L is undefined: the configuration has no singular points (s = 0)"
+        )
+    return s
 
 
 def strict_transform_sq(profile: IncidenceProfile) -> int:
@@ -51,12 +74,7 @@ def strict_transform_sq(profile: IncidenceProfile) -> int:
 
 def harbourne_linear(profile: IncidenceProfile) -> Fraction:
     """The linear Harbourne constant H_L = Ltilde^2 / s of the configuration."""
-    s = profile.s
-    if s == 0:
-        raise UndefinedConstant(
-            "H_L is undefined for a configuration with no singular points"
-        )
-    return Fraction(strict_transform_sq(profile), s)
+    return Fraction(strict_transform_sq(profile), _singular_count(profile))
 
 
 class MiyaokaResult(NamedTuple):
@@ -67,30 +85,21 @@ class MiyaokaResult(NamedTuple):
 
 def miyaoka_check(profile: IncidenceProfile) -> MiyaokaResult:
     """Evaluate Miyaoka's inequality n*d - t_2 + sum_{k>=3}(k-4) t_k <= 2n(n-1)^2."""
-    n = profile.n
-    if n < 4:
-        raise InapplicableDegree("Miyaoka's inequality requires surface degree n >= 4")
-    lhs = n * profile.d - profile.t2
+    rhs = _miyaoka_rhs(profile.n)
+    lhs = profile.n * profile.d - profile.t2
     lhs += sum((k - 4) * c for k, c in profile.t.items() if k >= 3)
-    rhs = 2 * n * (n - 1) ** 2
     return MiyaokaResult(lhs, rhs, lhs <= rhs)
 
 
 def harbourne_lower_bound(profile: IncidenceProfile) -> Fraction:
     """The bound H_L >= -4 + (2d + t_2 - 2n(n-1)^2)/s for degree n >= 4."""
-    n, s = profile.n, profile.s
-    if n < 4:
-        raise InapplicableDegree("the Harbourne lower bound requires degree n >= 4")
-    if s == 0:
-        raise UndefinedConstant("the bound is undefined when s = 0")
-    return -4 + Fraction(2 * profile.d + profile.t2 - 2 * n * (n - 1) ** 2, s)
+    rhs = _miyaoka_rhs(profile.n)
+    return -4 + Fraction(2 * profile.d + profile.t2 - rhs, _singular_count(profile))
 
 
 def strict_transform_sq_lower(n: int, s: int) -> int:
     """The coarse strict lower bound: Ltilde^2 > -4s - 2n(n-1)^2 for n >= 4."""
-    if n < 4:
-        raise InapplicableDegree("the strict-transform bound requires degree n >= 4")
-    return -4 * s - 2 * n * (n - 1) ** 2
+    return -4 * s - _miyaoka_rhs(n)
 
 
 # ---------------------------------------------------------------------------
@@ -124,26 +133,40 @@ def cubic_h(t: int) -> Fraction:
 
 @dataclass(frozen=True)
 class HarbourneReport:
-    """All derived quantities for one incidence profile, exact.
+    """What the four functions of the paper's bounds return for one profile.
 
-    Bound fields are None when the degree makes them inapplicable (n = 3)
-    and h_linear is None when undefined (s = 0).
+    Each field holds its function's value, or None where that function
+    refuses: ``h_linear`` at s = 0, the Miyaoka terms below degree 4 and
+    ``h_lower_bound`` in either case.  The report decides no hypothesis
+    itself; n, d, s and t are read from ``profile``.
     """
 
-    n: int
-    d: int
-    s: int
-    t: dict
-    incidences: int
-    strict_transform_sq: int
+    profile: IncidenceProfile
     h_linear: Optional[Fraction]
-    miyaoka_lhs: Optional[int]
-    miyaoka_rhs: Optional[int]
-    miyaoka_holds: Optional[bool]
+    miyaoka: Optional[MiyaokaResult]
     h_lower_bound: Optional[Fraction]
-    h_bound_holds: Optional[bool]
     strict_sq_lower: Optional[int]
-    strict_bound_holds: Optional[bool]
+
+    @property
+    def t(self):  # read by perfbench's scan oracle
+        return self.profile.t
+
+    @property
+    def h_bound_holds(self) -> Optional[bool]:
+        return None if self.h_lower_bound is None else self.h_linear >= self.h_lower_bound
+
+    @property
+    def strict_bound_holds(self) -> Optional[bool]:
+        lower = self.strict_sq_lower
+        return None if lower is None else strict_transform_sq(self.profile) > lower
+
+
+def _unless_refused(function, *args):
+    """``function(*args)``, or None where a hypothesis gate refuses it."""
+    try:
+        return function(*args)
+    except (InapplicableDegree, UndefinedConstant):
+        return None
 
 
 def analyze_profile(profile: IncidenceProfile) -> HarbourneReport:
@@ -153,36 +176,12 @@ def analyze_profile(profile: IncidenceProfile) -> HarbourneReport:
     cubic configuration still yields its H_L while the degree-gated
     bounds stay empty.
     """
-    n, d, s = profile.n, profile.d, profile.s
-    sts = strict_transform_sq(profile)
-    h = Fraction(sts, s) if s > 0 else None
-
-    miy_lhs = miy_rhs = miy_holds = None
-    h_bound = h_bound_holds = None
-    strict_lower = strict_holds = None
-    if n >= 4:
-        miy = miyaoka_check(profile)
-        miy_lhs, miy_rhs, miy_holds = miy.lhs, miy.rhs, miy.holds
-        strict_lower = strict_transform_sq_lower(n, s)
-        strict_holds = sts > strict_lower
-        if s > 0:
-            h_bound = harbourne_lower_bound(profile)
-            h_bound_holds = h >= h_bound
     return HarbourneReport(
-        n=n,
-        d=d,
-        s=s,
-        t=dict(profile.t),
-        incidences=incidence_count(profile),
-        strict_transform_sq=sts,
-        h_linear=h,
-        miyaoka_lhs=miy_lhs,
-        miyaoka_rhs=miy_rhs,
-        miyaoka_holds=miy_holds,
-        h_lower_bound=h_bound,
-        h_bound_holds=h_bound_holds,
-        strict_sq_lower=strict_lower,
-        strict_bound_holds=strict_holds,
+        profile=profile,
+        h_linear=_unless_refused(harbourne_linear, profile),
+        miyaoka=_unless_refused(miyaoka_check, profile),
+        h_lower_bound=_unless_refused(harbourne_lower_bound, profile),
+        strict_sq_lower=_unless_refused(strict_transform_sq_lower, profile.n, profile.s),
     )
 
 
@@ -324,16 +323,16 @@ def extremal_profile_search(
     that part, so that its passes over the young rows are not paid for,
     and put back in its previous state on return or raise.
 
-    The profiles are purely combinatorial candidates: nothing here
-    certifies that a configuration of actual lines realizes them.
+    The degree gate is ``_miyaoka_rhs``, which refuses n < 4 and gives
+    the right side 2n(n-1)^2; ``catalog.check_line_count`` refuses a d
+    above the line-count bound.  The profiles are purely combinatorial
+    candidates: nothing here certifies that a configuration of actual
+    lines realizes them.
     """
-    if n < 4:
-        raise InapplicableDegree("the extremal search is gated on degree n >= 4")
+    rhs = _miyaoka_rhs(n)
     if d < 1:
         raise ValueError("the search needs at least one line")
-    bound = max_lines_bound(n)
-    if d > bound:
-        raise ValueError(f"d = {d} exceeds the line-count bound {bound} for degree {n}")
+    check_line_count(n, d)
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     if limit is not None and limit < 0:
@@ -350,7 +349,6 @@ def extremal_profile_search(
             "reduce d or k_max"
         )
 
-    rhs = 2 * n * (n - 1) ** 2
     pairs = budget // 2
     scale = pairs * pairs
     top = pairs + 1  # above every t_2: stands for t_2 = 0 in a key

@@ -30,15 +30,18 @@ class SingularPoint:
     """A point where at least two arrangement lines meet."""
 
     location: ProjPoint
-    multiplicity: int
     lines: tuple[int, ...]  # sorted indices into the arrangement
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.lines)
 
 
 class ScanStats(NamedTuple):
     """What one scan did, in counts that repeat exactly from run to run."""
 
     pairs: int  # line pairs, d(d-1)/2, each decided by line_intersection
-    meeting: int  # pairs that meet
+    meeting: int  # pairs that meet, counted pair by pair
     points: int  # distinct singular points
 
 
@@ -50,8 +53,12 @@ class ScanResult:
     """
 
     points: tuple[SingularPoint, ...]  # sorted by canonical point key
-    meeting_pairs: int
     stats: ScanStats = field(compare=False)
+
+    @property
+    def meeting_pairs(self) -> int:
+        """Pairs of lines that meet, C(k, 2) summed over the points."""
+        return sum(sp.multiplicity * (sp.multiplicity - 1) // 2 for sp in self.points)
 
     def tally(self) -> dict[int, int]:
         """Count distinct points by multiplicity: the t-vector of the scan."""
@@ -84,17 +91,13 @@ def scan_arrangement(arr: Arrangement) -> ScanResult:
                 members.add(i)
                 members.add(j)
 
-    points = [
-        SingularPoint(pt, len(members), tuple(sorted(members)))
-        for pt, members in groups.items()
-    ]
+    points = [SingularPoint(pt, tuple(sorted(members))) for pt, members in groups.items()]
     points.sort(key=lambda sp: sp.location.sort_key())
 
-    total_pairs = sum(sp.multiplicity * (sp.multiplicity - 1) // 2 for sp in points)
-    if total_pairs != meeting:
+    scan = ScanResult(tuple(points), ScanStats(d * (d - 1) // 2, meeting, len(points)))
+    if scan.meeting_pairs != meeting:
         raise AssertionError("pair scan and per-point multiplicities disagree")
-    stats = ScanStats(d * (d - 1) // 2, meeting, len(points))
-    return ScanResult(tuple(points), meeting, stats)
+    return scan
 
 
 def profile_from_arrangement(arr: Arrangement) -> IncidenceProfile:

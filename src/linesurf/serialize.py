@@ -16,10 +16,10 @@ import json
 from fractions import Fraction
 from typing import Optional, Union
 
-from .catalog import Arrangement, IncidenceProfile, ProfileError, max_lines_bound
+from .catalog import Arrangement, IncidenceProfile, ProfileError, check_line_count
 from .exactnum import CycloNum
-from .harbourne import HarbourneReport
-from .incidence import ScanResult
+from .harbourne import HarbourneReport, strict_transform_sq
+from .incidence import ScanResult, incidence_count
 from .projgeom import ProjPoint, line_through
 
 
@@ -82,21 +82,16 @@ def profile_json(profile: IncidenceProfile) -> dict:
 
 
 def report_json(report: HarbourneReport, places: int) -> dict:
+    profile, miyaoka = report.profile, report.miyaoka
     return {
-        "n": report.n,
-        "d": report.d,
-        "s": report.s,
-        "t": {str(k): c for k, c in sorted(report.t.items())},
-        "incidences": report.incidences,
-        "strict_transform_sq": rational_str(report.strict_transform_sq),
+        "n": profile.n,
+        "d": profile.d,
+        "s": profile.s,
+        "t": {str(k): c for k, c in profile.t.items()},
+        "incidences": incidence_count(profile),
+        "strict_transform_sq": rational_str(strict_transform_sq(profile)),
         "h_linear": rational_json(report.h_linear, places),
-        "miyaoka": None
-        if report.miyaoka_lhs is None
-        else {
-            "lhs": report.miyaoka_lhs,
-            "rhs": report.miyaoka_rhs,
-            "holds": report.miyaoka_holds,
-        },
+        "miyaoka": None if miyaoka is None else miyaoka._asdict(),
         "h_lower_bound": None
         if report.h_lower_bound is None
         else {
@@ -180,14 +175,9 @@ def load_custom_profile(path: str) -> IncidenceProfile:
             raise SchemaError(f"{path}: profile field {name} must be a JSON integer, got {value!r}")
     try:
         profile = IncidenceProfile(n, d, t)
+        check_line_count(n, d)
     except ProfileError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    bound = max_lines_bound(profile.n)
-    if profile.d > bound:
-        raise SchemaError(
-            f"{path}: d = {profile.d} exceeds the line-count bound "
-            f"n(7n-12) = {bound} for degree {profile.n}"
-        )
     return profile
 
 

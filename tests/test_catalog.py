@@ -10,6 +10,7 @@ from linesurf.catalog import (
     Arrangement,
     IncidenceProfile,
     ProfileError,
+    check_line_count,
     cubic_profile,
     fermat_lines,
     fermat_profile,
@@ -18,8 +19,9 @@ from linesurf.catalog import (
     rams_profile,
     schur_profile,
 )
+from linesurf.harbourne import extremal_profile_search
 from linesurf.incidence import incidence_count
-from linesurf.serialize import load_custom_profile, profile_json
+from linesurf.serialize import SchemaError, load_custom_profile, profile_json
 
 # The constructor called positionally and by keyword: every check must fire both ways.
 BUILDS = (
@@ -309,6 +311,28 @@ class TestMaxLinesBound:
             assert p.d <= max_lines_bound(p.n)
             pair_weight = sum((k * k - k) * c for k, c in p.t.items())
             assert pair_weight <= p.d * (p.d - 1)
+
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_loader_and_search_share_one_rule(self, n, tmp_path):
+        bound = n * (7 * n - 12)
+        message = f"d = {bound + 1} exceeds the line-count bound n(7n-12) = {bound} for degree {n}"
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"n": n, "d": bound + 1, "t": {}}))
+        with pytest.raises(SchemaError) as loaded:
+            load_custom_profile(str(path))
+        assert str(loaded.value) == f"{path}: {message}"
+        with pytest.raises(ProfileError) as searched:
+            extremal_profile_search(n, bound + 1, 2, limit=1)
+        assert str(searched.value) == message
+        with pytest.raises(ProfileError) as checked:
+            check_line_count(n, bound + 1)
+        assert str(checked.value) == message
+
+        assert check_line_count(n, bound) == bound
+        path.write_text(json.dumps({"n": n, "d": bound, "t": {}}))
+        assert load_custom_profile(str(path)) == IncidenceProfile(n, bound)
+        [(row, _)] = extremal_profile_search(n, bound, 2, limit=1)
+        assert row.d == bound
 
 
 class TestArrangement:

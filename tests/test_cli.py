@@ -75,6 +75,10 @@ class TestAnalyze:
         )
         assert code == 2
         assert "s = 0" in err
+        assert err == (
+            "linesurf analyze: H_L is undefined: "
+            "the configuration has no singular points (s = 0)\n"
+        )
 
 
 class TestProfileAndCatalog:
@@ -251,6 +255,26 @@ class TestSweep:
         assert code == 0
         payload = json.loads(out)
         assert payload["h_linear"]["decimal"] == "-2.509803"
+
+    @pytest.mark.parametrize(
+        "argv, carries_decimals",
+        (
+            (("analyze", "--surface", "schur"), True),
+            (("sweep", "--surface", "cubic", "--eckardt-range", "0:2"), True),
+            (("bound", "--surface", "schur"), False),
+            (("search-bauer", "--surface", "fermat", "--degree", "4", "--size", "16"), False),
+            (("search-extremal", "--degree", "4", "--num-lines", "6", "--k-max", "3"), False),
+        ),
+    )
+    def test_places_shapes_json_only_where_it_carries_decimals(
+        self, capsys, argv, carries_decimals
+    ):
+        outputs = []
+        for places in ("0", "7"):
+            code, out, err = run(capsys, *argv, "--format", "json", "--places", places)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert (outputs[0] != outputs[1]) == carries_decimals
 
     @pytest.mark.parametrize("fmt", ("table", "csv", "json"))
     @pytest.mark.parametrize(

@@ -220,20 +220,95 @@ class TestAnalyzeProfile:
     def test_schur_report(self):
         report = analyze_profile(schur_profile())
         assert report.h_linear == Fraction(-128, 51)
-        assert report.strict_transform_sq == -1024
-        assert report.miyaoka_holds and report.h_bound_holds and report.strict_bound_holds
-        assert report.h_linear == Fraction(report.strict_transform_sq, report.s)
+        assert strict_transform_sq(report.profile) == -1024
+        assert report.miyaoka.holds and report.h_bound_holds and report.strict_bound_holds
+        assert report.h_linear == Fraction(strict_transform_sq(report.profile), report.profile.s)
 
     def test_cubic_report_has_no_bounds(self):
         report = analyze_profile(cubic_profile(10))
-        assert report.miyaoka_lhs is None
+        assert report.miyaoka is None
         assert report.h_lower_bound is None
         assert report.h_linear == cubic_h(10)
 
     def test_empty_profile_report(self):
         report = analyze_profile(IncidenceProfile(n=4, d=2, t={}))
         assert report.h_linear is None
-        assert report.s == 0
+        assert report.profile.s == 0
+
+    @staticmethod
+    def grid():
+        """Profiles for n = 3..6: s = 0, and Miyaoka holding and failing."""
+        yield IncidenceProfile(4, 19, {2: 4})  # Miyaoka's equality: H_L on its bound
+        for n in range(3, 7):
+            for d in (6, 3 * n * n):
+                for t in ({}, {2: 1}, {3: 1, 2: 3}, {2: d * (d - 1) // 2}, {d: 1}):
+                    yield IncidenceProfile(n, d, t)
+
+    def test_grid_covers_every_gate(self):
+        seen = {
+            (p.n >= 4, p.s > 0, p.n >= 4 and miyaoka_check(p).holds) for p in self.grid()
+        }
+        assert seen == {(a, b, c) for a in (False, True) for b in (False, True) for c in (a, False)}
+
+    def test_each_value_is_its_function_or_none_where_it_refuses(self):
+        for profile in self.grid():
+            report = analyze_profile(profile)
+            assert report.profile is profile
+            assert report.t is profile.t
+            for value, function, args in (
+                (report.h_linear, harbourne_linear, (profile,)),
+                (report.miyaoka, miyaoka_check, (profile,)),
+                (report.h_lower_bound, harbourne_lower_bound, (profile,)),
+                (report.strict_sq_lower, strict_transform_sq_lower, (profile.n, profile.s)),
+            ):
+                try:
+                    expected = function(*args)
+                except (InapplicableDegree, UndefinedConstant):
+                    assert value is None, (profile, function)
+                else:
+                    assert value == expected and value is not None, (profile, function)
+            assert (report.h_linear is None) == (profile.s == 0)
+            assert (report.miyaoka is None) == (profile.n < 4)
+            assert (report.strict_sq_lower is None) == (profile.n < 4)
+            assert (report.h_lower_bound is None) == (profile.n < 4 or profile.s == 0)
+            if report.h_lower_bound is None:
+                assert report.h_bound_holds is None
+            else:
+                assert report.h_bound_holds == (report.h_linear >= report.h_lower_bound)
+                # H_L minus the bound is (rhs - lhs)/s: the bound holds with Miyaoka.
+                assert report.h_bound_holds == report.miyaoka.holds
+            if report.strict_sq_lower is None:
+                assert report.strict_bound_holds is None
+            else:
+                sts = strict_transform_sq(profile)
+                assert report.strict_bound_holds == (sts > report.strict_sq_lower)
+
+
+class TestGates:
+    MIYAOKA = "^Miyaoka's inequality requires surface degree n >= 4$"
+    NO_POINTS = r"^H_L is undefined: the configuration has no singular points \(s = 0\)$"
+
+    def test_every_degree_gated_function_refuses_with_one_message(self):
+        cubic = cubic_profile(0)
+        for call in (
+            lambda: miyaoka_check(cubic),
+            lambda: harbourne_lower_bound(cubic),
+            lambda: strict_transform_sq_lower(3, cubic.s),
+            lambda: extremal_profile_search(3, 5, 3),
+        ):
+            with pytest.raises(InapplicableDegree, match=self.MIYAOKA):
+                call()
+
+    def test_every_s_gated_function_refuses_with_one_message(self):
+        empty = IncidenceProfile(n=4, d=2)
+        for function in (harbourne_linear, harbourne_lower_bound):
+            with pytest.raises(UndefinedConstant, match=self.NO_POINTS):
+                function(empty)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_miyaoka_rhs(self, n):
+        assert miyaoka_check(IncidenceProfile(n, 1)).rhs == 2 * n * (n - 1) ** 2
+        assert strict_transform_sq_lower(n, 5) == -20 - 2 * n * (n - 1) ** 2
 
 
 class TestExtremalSearch:
