@@ -35,7 +35,6 @@ from . import __version__
 from .catalog import (
     Arrangement,
     IncidenceProfile,
-    check_line_count,
     cubic_profile,
     fermat_lines,
     fermat_profile,
@@ -173,9 +172,12 @@ def resolve(args) -> Arrangement | IncidenceProfile:
     raise UsageError("--surface custom needs --lines PATH for this command")
 
 
-def resolve_profile(args) -> IncidenceProfile:
-    chosen = resolve(args)
+def as_profile(chosen: Arrangement | IncidenceProfile) -> IncidenceProfile:
     return profile_from_arrangement(chosen) if isinstance(chosen, Arrangement) else chosen
+
+
+def resolve_profile(args) -> IncidenceProfile:
+    return as_profile(resolve(args))
 
 
 def _parse_range(text: str, what: str) -> range:
@@ -344,32 +346,18 @@ def cmd_analyze(args) -> Output:
 
 
 def cmd_verify(args) -> Output:
-    checks: list[tuple[str, int, int, bool]] = []  # name, lhs, rhs, ok
     chosen = resolve(args)
-    if isinstance(chosen, Arrangement):
-        arr, scan = chosen, scan_arrangement(chosen)
-        tally, mults = scan.tally(), [sp.multiplicity for sp in scan.points]
-        for name, lhs, rhs in (
-            ("multiplicity_sum", sum(mults), sum(k * c for k, c in tally.items())),
-            ("point_count", len(mults), sum(tally.values())),
-            ("meeting_pairs", sum(k * (k - 1) // 2 for k in mults), scan.meeting_pairs),
-        ):
-            checks.append((name, lhs, rhs, lhs == rhs))
-        if args.surface == "fermat":
-            good = sum(1 for line in arr.lines if on_surface(line, arr.n))
-            checks.append(("on_surface", good, arr.d, good == arr.d))
-        profile = IncidenceProfile(n=arr.n, d=arr.d, t=tally)
-    else:
-        profile = chosen
-        pairs, budget = incidence_count(profile), profile.d * (profile.d - 1)
-        checks.append(("pair_count_feasible", pairs, budget, pairs <= budget))
-        # check_line_count refuses a d above the bound (exit 2), as the loader does.
-        bound = check_line_count(profile.n, profile.d)
-        checks.append(("max_lines_bound", profile.d, bound, True))
+    checks: list[tuple[str, int, int, bool]] = []  # name, lhs, rhs, ok
+    if args.surface == "fermat":
+        good = sum(1 for line in chosen.lines if on_surface(line, chosen.n))
+        checks.append(("on_surface", good, chosen.d, good == chosen.d))
     if args.valency is not None:
+        profile = as_profile(chosen)
         lhs, rhs = incidence_count(profile), profile.d * args.valency
         ok = valency_consistent(profile, args.valency)
         checks.append((f"valency_{args.valency}", lhs, rhs, ok))
+    if not checks:
+        raise UsageError(f"--surface {args.surface} has nothing to verify without --valency")
     return Output(
         ["check", "lhs", "rhs", "result"],
         lambda: [
@@ -521,8 +509,8 @@ SUBCOMMANDS = (
      tuple(READS), tuple(SURFACE_FLAGS), {}, False),
     ("analyze", "full exact report", cmd_analyze,
      tuple(READS), tuple(SURFACE_FLAGS), {}, True),
-    # verify scans explicit lines whenever there are any, so it has no --from-lines
-    ("verify", "identity / valency / on-surface checks", cmd_verify,
+    # verify --valency scans explicit lines whenever there are any, so it has no --from-lines
+    ("verify", "on-surface and valency checks", cmd_verify,
      tuple(READS), ("--degree", "--eckardt", "--profile", "--lines"),
      {"--valency": dict(type=int, metavar="V",
                         help="check that every line meets exactly V others")},

@@ -160,8 +160,6 @@ def _coeff(value) -> Scalar:
         return int(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a cyclotomic coefficient")
 
 

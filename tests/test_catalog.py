@@ -345,3 +345,39 @@ class TestArrangement:
         sub = fermat_arrs[3].subset((0, 1, 5))
         assert sub.d == 3
         assert sub.lines == tuple(fermat_arrs[3].lines[i] for i in (0, 1, 5))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build,error,message",
+        [
+            pytest.param(
+                lambda: Arrangement(2, ()),
+                ProfileError,
+                "surface degree n must be an integer >= 3",
+                id="arrangement-degree",
+            ),
+            pytest.param(
+                lambda: Arrangement(4, (fermat_lines(4).lines[0], fermat_lines(3).lines[0])),
+                ProfileError,
+                "all lines must share one conductor",
+                id="arrangement-conductors",
+            ),
+            pytest.param(
+                lambda: max_lines_bound(2),
+                ValueError,
+                "the line-count bound applies to degree n >= 3",
+                id="line-count-degree",
+            ),
+            pytest.param(
+                lambda: fermat_profile(2),
+                ValueError,
+                "fermat_profile requires degree n >= 3",
+                id="fermat-profile-degree",
+            ),
+        ],
+    )
+    def test_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}$") as refused:
+            build()
+        assert refused.type is error

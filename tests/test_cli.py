@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
-from linesurf.catalog import fermat_lines
+from linesurf.catalog import Arrangement, fermat_lines
 from linesurf.cli import main
+from linesurf.harbourne import extremal_profile_search
+from linesurf.projgeom import ProjPoint, line_through
 from linesurf.serialize import (
     SchemaError,
     arrangement_json,
@@ -32,6 +34,10 @@ class TestDecimalRendering:
         assert decimal_str(Fraction(-8), 3) == "-8.000"
         assert decimal_str(Fraction(5, 4), 2) == "1.25"
         assert decimal_str(Fraction(1, 3), 0) == "0"
+
+    def test_negative_places_refused(self):
+        with pytest.raises(ValueError, match="^places must be nonnegative$"):
+            decimal_str(1, -1)
 
 
 class TestAnalyze:
@@ -164,25 +170,33 @@ class TestVerify:
     def test_fermat_identities(self, capsys):
         code, out, _ = run(capsys, "verify", "--surface", "fermat", "--degree", "3")
         assert code == 0
-        for name in ("multiplicity_sum", "point_count", "meeting_pairs", "on_surface"):
-            assert name in out
-        assert "FAIL" not in out
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert rows == [["on_surface", "27", "27", "PASS"]]
+
+    def test_line_off_the_surface_fails(self, capsys, monkeypatch):
+        import linesurf.cli
+
+        arr = fermat_lines(3)
+        axis = line_through(*(ProjPoint.from_values(6, p) for p in ((1, 0, 0, 0), (0, 1, 0, 0))))
+        broken = Arrangement(3, arr.lines[1:] + (axis,))
+        monkeypatch.setattr(linesurf.cli, "fermat_lines", lambda n: broken)
+        code, out, _ = run(capsys, "verify", "--surface", "fermat", "--degree", "3")
+        assert code == 0
+        assert out.splitlines()[2].split() == ["on_surface", "26", "27", "FAIL"]
 
     def test_identities_on_two_concurrent_lines(self, capsys, tmp_path):
         pair = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]]]
         path = tmp_path / "pair.json"
         path.write_text(json.dumps({"n": 4, "lines": pair}))
-        code, out, _ = run(
-            capsys, "verify", "--surface", "custom", "--lines", str(path), "--format", "csv"
+        argv = ("verify", "--surface", "custom", "--lines", str(path), "--format", "csv")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "linesurf verify: error: --surface custom has nothing to verify without --valency\n"
         )
+        code, out, _ = run(capsys, *argv, "--valency", "1")
         assert code == 0
-        assert out.splitlines() == [
-            "check,lhs,rhs,result",
-            "multiplicity_sum,2,2,PASS",
-            "point_count,1,1,PASS",
-            "meeting_pairs,1,1,PASS",
-        ]
-
+        assert out.splitlines() == ["check,lhs,rhs,result", "valency_1,2,2,PASS"]
 
     def test_negative_valency_is_domain_error(self, capsys):
         code, out, err = run(
@@ -439,6 +453,27 @@ class TestSearches:
         )
         assert code == 2
         assert "n >= 4" in err
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ((4, 0, 3), "the search needs at least one line"),
+            ((4, 6, 1), "k_max must be at least 2"),
+            (
+                (4, 64, 4),
+                "infeasible search space: about 457457617 candidate t-vectors; reduce d or k_max",
+            ),
+        ],
+        ids=("no-lines", "k-max-below-2", "search-space"),
+    )
+    def test_search_extremal_refusals(self, capsys, case, message):
+        with pytest.raises(ValueError) as refused:
+            extremal_profile_search(*case)
+        assert (refused.type, str(refused.value)) == (ValueError, message)
+        flags = ("--degree", "--num-lines", "--k-max")
+        argv = [x for flag, value in zip(flags, case) for x in (flag, str(value))]
+        code, out, err = run(capsys, "search-extremal", *argv)
+        assert (code, out, err) == (2, "", f"linesurf search-extremal: {message}\n")
 
 
 class TestCustomInput:
@@ -709,7 +744,14 @@ class TestOutputBehavior:
     @pytest.mark.parametrize(
         "argv,scans",
         [
-            pytest.param(("verify", "--surface", "fermat", "--degree", "3"), [27], id="verify"),
+            pytest.param(
+                ("verify", "--surface", "fermat", "--degree", "3", "--valency", "10"), [27],
+                id="verify",
+            ),
+            # on_surface alone reads the lines without scanning them
+            pytest.param(
+                ("verify", "--surface", "fermat", "--degree", "3"), [], id="verify-on-surface"
+            ),
             pytest.param(
                 ("catalog", "--surface", "fermat", "--degree", "3", "--singular"), [27],
                 id="catalog-singular",
@@ -732,7 +774,8 @@ class TestOutputBehavior:
                 (name, "--surface", "custom", "--lines", "{L}", *extra), [2], id=f"{name}-lines"
             )
             for name, *extra in (
-                ("catalog", "--singular"), ("profile",), ("analyze",), ("verify",), ("bound",)
+                ("catalog", "--singular"), ("profile",), ("analyze",), ("verify", "--valency", "1"),
+                ("bound",),
             )
         ]
         + [

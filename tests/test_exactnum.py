@@ -105,6 +105,22 @@ class TestArithmetic:
         assert not (zeta(6) == zeta(8))
 
 
+@pytest.mark.parametrize(
+    "function,message",
+    [
+        (euler_phi, "euler_phi requires m >= 1"),
+        (cyclotomic_polynomial, "cyclotomic_polynomial requires m >= 1"),
+        (CycloNum, "conductor must be a positive integer"),
+        (zeta, "conductor must be a positive integer"),
+        (nth_roots_of_minus_one, "n must be a positive integer"),
+    ],
+)
+def test_nonpositive_order_refused(function, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as refused:
+        function(0)
+    assert refused.type is ValueError
+
+
 class TestSympyOracle:
     """inverse and long-input reduction against sympy's Q[x] arithmetic mod Phi_m."""
 
@@ -273,6 +289,14 @@ class TestCanonicalCoefficients:
         with pytest.raises(TypeError, match="bool"):
             CycloNum(8, [value, 0, 0, 0])
         with pytest.raises(TypeError, match="bool"):
+            CycloNum.rational(8, value)
+
+    @pytest.mark.parametrize("value", ("1/2", 0.5))
+    def test_inexact_or_text_coefficient_rejected(self, value):
+        message = f"^cannot use {type(value).__name__} as a cyclotomic coefficient$"
+        with pytest.raises(TypeError, match=message):
+            CycloNum(8, [value, 0, 0, 0])
+        with pytest.raises(TypeError, match=message):
             CycloNum.rational(8, value)
 
     def test_int_subclass_stored_as_int(self):

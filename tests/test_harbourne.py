@@ -215,6 +215,19 @@ class TestClosedForms:
     def test_cubic_vs_profile(self, t):
         assert cubic_h(t) == harbourne_linear(cubic_profile(t))
 
+    @pytest.mark.parametrize(
+        "function,argument,message",
+        [
+            (fermat_h_closed, 2, "fermat_h_closed requires degree n >= 3"),
+            (rams_h_closed, 5, "rams_h_closed requires degree n >= 6"),
+            (cubic_h, -1, "the number of triple points on a cubic lies in 0..18"),
+            (cubic_h, 19, "the number of triple points on a cubic lies in 0..18"),
+        ],
+    )
+    def test_out_of_range(self, function, argument, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            function(argument)
+
 
 class TestAnalyzeProfile:
     def test_schur_report(self):

@@ -284,6 +284,44 @@ class TestIntersection:
             )
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build,error,message",
+        [
+            pytest.param(
+                lambda: ProjPoint((CycloNum.one(M), CycloNum.one(8), zeta(M), zeta(M))),
+                ConductorMismatch,
+                "coordinates must share one conductor",
+                id="point-conductors",
+            ),
+            pytest.param(
+                lambda: ProjPoint(pt(1, 2, 3, 4).coords[:3]),
+                ValueError,
+                r"a point of P\^3 needs exactly 4 coordinates",
+                id="three-coordinates",
+            ),
+            pytest.param(
+                lambda: line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0, m=8)),
+                ConductorMismatch,
+                "base points must share one conductor",
+                id="line-conductors",
+            ),
+            pytest.param(
+                lambda: point_on_line(
+                    pt(1, 0, 0, 0, m=8), line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
+                ),
+                ConductorMismatch,
+                "point and line must share one conductor",
+                id="point-on-line-conductors",
+            ),
+        ],
+    )
+    def test_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}$") as refused:
+            build()
+        assert refused.type is error
+
+
 class TestSpanPoint:
     """``_span_point`` against the normalised vector x p + y q, on every branch."""
 
