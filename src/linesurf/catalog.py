@@ -22,6 +22,13 @@ class ProfileError(ValueError):
     """An incidence profile or arrangement violates a structural invariant."""
 
 
+def check_degree(n: int) -> int:
+    """``n``; the one check that a surface degree is an integer n >= 3 (``ProfileError``)."""
+    if type(n) is not int or n < 3:  # bool is an int subclass
+        raise ProfileError("surface degree n must be an integer >= 3")
+    return n
+
+
 # The default t: an empty mapping that cannot be changed, so no state is shared.
 _NO_POINTS: Mapping[int, int] = MappingProxyType({})
 
@@ -31,9 +38,10 @@ class IncidenceProfile:
     """The combinatorial record (n, d, {t_k}) of a line configuration.
 
     ``t[k]`` counts the points where exactly k of the d lines meet;
-    entries with count 0 are dropped.  Feasibility of the pair count
-    (sum of (k^2 - k) t_k cannot exceed d(d-1)) is enforced on
-    construction.
+    entries with count 0 are dropped.  Construction is where every caller,
+    the profile-file loader included, has n (``check_degree``), d and each
+    count checked for type, and the pair count (sum of (k^2 - k) t_k
+    cannot exceed d(d-1)) checked for feasibility.
 
     A profile is frozen: every assignment and ``del`` raises
     ``FrozenInstanceError``, for field and non-field names alike.  ``t``
@@ -46,20 +54,18 @@ class IncidenceProfile:
     t: Mapping[int, int]
 
     def __init__(self, n: int, d: int, t: Mapping[int, int] = _NO_POINTS):
-        if not isinstance(n, int) or n < 3:
-            raise ProfileError("surface degree n must be an integer >= 3")
+        check_degree(n)
         if type(d) is not int or d < 0:  # bool is an int subclass
-            raise ProfileError("line count d must be a nonnegative integer")
-        try:
-            ks = sorted(t)
-        except TypeError as exc:  # keys of mixed types do not sort
-            raise ProfileError("multiplicities and counts must be integers") from exc
+            raise ProfileError(f"line count d must be a nonnegative integer: d = {d!r}")
+        for k, count in t.items():  # first, so that sorted(t) below sees int keys only
+            if type(k) is not int or type(count) is not int:
+                raise ProfileError(
+                    f"multiplicities and counts must be integers: t_{k!r} = {count!r}"
+                )
         cleaned: dict[int, int] = {}
         pair_weight = 0
-        for k in ks:
+        for k in sorted(t):
             count = t[k]
-            if type(k) is not int or type(count) is not int:
-                raise ProfileError("multiplicities and counts must be integers")
             if count < 0:
                 raise ProfileError(f"count t_{k} must be nonnegative")
             if count == 0:
@@ -138,8 +144,7 @@ class Arrangement:
     lines: tuple[ProjLine, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
-            raise ProfileError("surface degree n must be an integer >= 3")
+        check_degree(self.n)
         object.__setattr__(self, "lines", tuple(self.lines))
         seen: dict[ProjLine, int] = {}
         for i, line in enumerate(self.lines):
@@ -176,8 +181,7 @@ def max_lines_bound(n: int) -> int:
     at n = 3, larger by 4(n - 2)(n - 3) above.  Both citations are from
     memory and unchecked.
     """
-    if n < 3:
-        raise ValueError("the line-count bound applies to degree n >= 3")
+    check_degree(n)
     return n * (7 * n - 12)
 
 
@@ -202,9 +206,7 @@ def fermat_lines(n: int) -> Arrangement:
 
     Lines are ordered deterministically by (family, zeta index, xi index).
     """
-    if n < 3:
-        raise ValueError("fermat_lines requires degree n >= 3")
-    m = 2 * n
+    m = 2 * check_degree(n)
     roots = nth_roots_of_minus_one(n)
     zero = CycloNum.zero(m)
     one = CycloNum.one(m)
@@ -242,8 +244,6 @@ def on_surface(line: ProjLine, n: int) -> bool:
 
 def fermat_profile(n: int) -> IncidenceProfile:
     """Incidence profile of the Fermat configuration: d = 3n^2, t_2 = 3n^3, t_n = 6n."""
-    if n < 3:
-        raise ValueError("fermat_profile requires degree n >= 3")
     return IncidenceProfile(n=n, d=3 * n * n, t={2: 3 * n**3, n: 6 * n})
 
 
@@ -255,7 +255,7 @@ def rams_profile(n: int) -> IncidenceProfile:
     else.
     """
     if n < 6:
-        raise ValueError("rams_profile requires degree n >= 6")
+        raise ValueError("the Rams grid configuration requires degree n >= 6")
     return IncidenceProfile(n=n, d=n * (n - 2) + 4, t={2: 2 * n * n - 4 * n + 4})
 
 

@@ -133,13 +133,9 @@ def _reject_unread(args, reads, flags) -> None:
             raise UsageError(f"--surface {args.surface} does not read {flag}")
 
 
-def _need_degree(args, minimum: int) -> int:
+def _need_degree(args) -> int:
     if args.degree is None:
         raise UsageError(f"--surface {args.surface} requires --degree")
-    if args.degree < minimum:
-        raise ValueError(
-            f"--surface {args.surface} requires degree n >= {minimum}"
-        )
     return args.degree
 
 
@@ -152,10 +148,10 @@ def resolve(args) -> Arrangement | IncidenceProfile:
     surface = args.surface
     _reject_unread(args, READS[surface], SURFACE_FLAGS)
     if surface == "fermat":
-        n = _need_degree(args, 3)
+        n = _need_degree(args)
         return fermat_lines(n) if getattr(args, "from_lines", True) else fermat_profile(n)
     if surface == "rams":
-        return rams_profile(_need_degree(args, 6))
+        return rams_profile(_need_degree(args))
     if surface == "schur":
         return schur_profile()
     if surface == "cubic":

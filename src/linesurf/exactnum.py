@@ -86,10 +86,11 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """The m-th cyclotomic polynomial as integer coefficients, constant first.
 
     Computed recursively: x^m - 1 divided by the product of Phi_d over the
-    proper divisors d of m.  Monic of degree phi(m).
+    proper divisors d of m.  Monic of degree phi(m).  The one conductor
+    check: ``CycloNum`` and ``zeta`` call this before using m.
     """
     if m < 1:
-        raise ValueError("cyclotomic_polynomial requires m >= 1")
+        raise ValueError("conductor must be a positive integer")
     poly: tuple[int, ...] = (-1,) + (0,) * (m - 1) + (1,)
     for d in range(1, m):
         if m % d == 0:
@@ -207,8 +208,6 @@ class CycloNum:
     den: int
 
     def __init__(self, m: int, coeffs: Iterable = ()):  # noqa: D107 (class doc covers it)
-        if m < 1:
-            raise ValueError("conductor must be a positive integer")
         f = len(cyclotomic_polynomial(m)) - 1
         vec = [_coeff(c) for c in coeffs]
         den = lcm(*(c.denominator for c in vec))
@@ -508,8 +507,7 @@ def _zeta_pow_vec(m: int, k: int) -> tuple:
 
 def zeta(m: int, k: int = 1) -> CycloNum:
     """zeta_m^k, the k-th power of the chosen primitive m-th root of unity."""
-    if m < 1:
-        raise ValueError("conductor must be a positive integer")
+    cyclotomic_polynomial(m)  # refuses m < 1 before k % m can divide by zero
     return _reduced(m, _zeta_pow_vec(m, k % m), 1)
 
 

@@ -397,8 +397,13 @@ def extremal_profile_search(
         runs = [run for _, run in sorted(tail_runs, key=itemgetter(0))]
         ranks = len(runs)
         # One int per row: (floor(S^2 H_L) * radix + (t_2 or top)) * ranks + rank.
+        # H_L rises strictly along a run, since dH_L/dt_2 has the sign of
+        # (n-2)d + sum_{k>=3} (k-2) t_k > 0, so only a run's first `limit`
+        # rows can be among the `limit` most negative.
         keys: list[int] = []
         for rank, (a, s_tail, lo, hi, _) in enumerate(runs):
+            if limit is not None:
+                hi = min(hi, lo + limit - 1)
             keys.extend(
                 ((a - 2 * t2) * scale // (s_tail + t2) * radix + (t2 or top)) * ranks + rank
                 for t2 in range(lo, hi + 1)

@@ -27,7 +27,6 @@ the moved quartic lines and no faster on the Fermat lines.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import exactnum  # residue_field read where CycloNum.residue reads it
@@ -138,7 +137,8 @@ class ProjLine:
         self.base = (p, q)
         self.plucker = plucker
         lead_pair = PLUCKER_PAIRS[lead_index]
-        self.forms = tuple(_dual_row(plucker, i) for i in range(4) if i not in lead_pair)
+        rows = _dual_rows(plucker)
+        self.forms = tuple(rows[i] for i in range(4) if i not in lead_pair)
         residues = tuple(c.residue() for c in plucker)
         self.residues = None if None in residues else residues
 
@@ -161,22 +161,16 @@ class ProjLine:
         return f"ProjLine({self.base[0]!r}, {self.base[1]!r})"
 
 
-def _dual_row(plucker: Sequence[CycloNum], i: int) -> tuple[CycloNum, ...]:
-    """Row i of the dual Plucker matrix: the form x -> det(p, q, e_i, x).
-
-    Its x_j coefficient is sign(k, l, i, j) * p_kl, where {k, l} is the
-    complement of {i, j}; the x_i coefficient is 0.
-    """
-    row = []
-    for j in range(4):
-        if j == i:
-            row.append(CycloNum.zero(plucker[0].m))
-            continue
-        k, l = (c for c in range(4) if c not in (i, j))
-        value = plucker[PLUCKER_PAIRS.index((k, l))]
-        odd = sum(s > t for s, t in combinations((k, l, i, j), 2)) % 2
-        row.append(-value if odd else value)
-    return tuple(row)
+def _dual_rows(plucker: Sequence[CycloNum]) -> tuple[tuple[CycloNum, ...], ...]:
+    """The dual Plucker matrix: row i is the form x -> det(p, q, e_i, x)."""
+    p01, p02, p03, p12, p13, p23 = plucker
+    zero = CycloNum.zero(p01.m)
+    return (
+        (zero, p23, -p13, p12),
+        (-p23, zero, p03, -p02),
+        (p13, -p03, zero, p01),
+        (-p12, p02, -p01, zero),
+    )
 
 
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:

@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from typing import Optional, Union
 
-from .catalog import Arrangement, IncidenceProfile, ProfileError, check_line_count
+from .catalog import Arrangement, IncidenceProfile, ProfileError, check_degree, check_line_count
 from .exactnum import CycloNum
 from .harbourne import HarbourneReport, strict_transform_sq
 from .incidence import ScanResult, incidence_count
@@ -32,9 +32,7 @@ def rational_str(value: Union[int, Fraction]) -> str:
 
 
 def decimal_str(value: Union[int, Fraction], places: int = 3) -> str:
-    """Fixed-point rendering truncated toward zero at ``places`` digits."""
-    if places < 0:
-        raise ValueError("places must be nonnegative")
+    """Fixed-point rendering truncated toward zero at ``places >= 0`` digits."""
     q = Fraction(value)
     scaled = abs(q.numerator) * 10**places // q.denominator
     sign = "-" if q < 0 and scaled else ""
@@ -151,7 +149,7 @@ def _read_json(path: str):
 
 
 def load_custom_profile(path: str) -> IncidenceProfile:
-    """Load and validate a profile file ``{n, d, t: {k: count}}``."""
+    """Load a profile file ``{n, d, t: {k: count}}``; ``IncidenceProfile`` checks its values."""
     data = _read_json(path)
     try:
         n, d, t_raw = data["n"], data["d"], data.get("t", {})
@@ -159,9 +157,6 @@ def load_custom_profile(path: str) -> IncidenceProfile:
         raise SchemaError(f"{path}: profile object must carry n, d, t: {exc}") from exc
     if not isinstance(t_raw, dict):
         raise SchemaError(f"{path}: profile field 't' must map multiplicity to count")
-    for k, c in t_raw.items():
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise SchemaError(f"{path}: count t_{k} must be a JSON integer, got {c!r}")
     try:
         t = {int(k): c for k, c in t_raw.items()}
     except (TypeError, ValueError) as exc:
@@ -170,9 +165,6 @@ def load_custom_profile(path: str) -> IncidenceProfile:
         keys = sorted(t_raw, key=int)
         a, b = next((a, b) for a, b in zip(keys, keys[1:]) if int(a) == int(b))
         raise SchemaError(f"{path}: t-keys {a!r} and {b!r} both name multiplicity {int(a)}")
-    for name, value in (("n", n), ("d", d)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{path}: profile field {name} must be a JSON integer, got {value!r}")
     try:
         profile = IncidenceProfile(n, d, t)
         check_line_count(n, d)
@@ -238,9 +230,10 @@ def load_custom_lines(path: str) -> Arrangement:
     if not isinstance(data, dict) or "n" not in data or "lines" not in data:
         raise SchemaError(f"{path}: expected an object with fields n and lines")
     n = data["n"]
-    if not isinstance(n, int) or n < 3:
-        raise SchemaError(f"{path}: surface degree n must be an integer >= 3")
-    m = 2 * n
+    try:
+        m = 2 * check_degree(n)
+    except ProfileError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     raw_lines = data["lines"]
     if not isinstance(raw_lines, list):
         raise SchemaError(f"{path}: lines must be a list of point pairs")

@@ -365,14 +365,14 @@ class TestRefusals:
             ),
             pytest.param(
                 lambda: max_lines_bound(2),
-                ValueError,
-                "the line-count bound applies to degree n >= 3",
+                ProfileError,
+                "surface degree n must be an integer >= 3",
                 id="line-count-degree",
             ),
             pytest.param(
                 lambda: fermat_profile(2),
-                ValueError,
-                "fermat_profile requires degree n >= 3",
+                ProfileError,
+                "surface degree n must be an integer >= 3",
                 id="fermat-profile-degree",
             ),
         ],

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -34,10 +35,6 @@ class TestDecimalRendering:
         assert decimal_str(Fraction(-8), 3) == "-8.000"
         assert decimal_str(Fraction(5, 4), 2) == "1.25"
         assert decimal_str(Fraction(1, 3), 0) == "0"
-
-    def test_negative_places_refused(self):
-        with pytest.raises(ValueError, match="^places must be nonnegative$"):
-            decimal_str(1, -1)
 
 
 class TestAnalyze:
@@ -476,6 +473,19 @@ class TestSearches:
         assert (code, out, err) == (2, "", f"linesurf search-extremal: {message}\n")
 
 
+# JSON values of every type that are no valid n, d, t or count.
+NON_INTEGERS = (True, False, 4.0, 2.5, "4", "", None, [], [4], {}, {"4": 4})
+# (field, value) pairs that each break the profile {"n": 4, "d": 6, "t": {"2": 3, "3": 1}}:
+# "2" and "3" name a count, "key" replaces t by {value: 1}.
+ODD_PROFILE_FIELDS = [
+    *(("n", v) for v in (-1, 0, 2, *NON_INTEGERS)),
+    *(("d", v) for v in (-1, 1, 65, *NON_INTEGERS)),
+    *(("t", v) for v in (3, *NON_INTEGERS) if v != {}),
+    *((k, v) for k in ("2", "3") for v in (-1, 100, *NON_INTEGERS)),
+    *(("key", k) for k in ("x", "2.0", "", "1", "7")),
+]
+
+
 class TestCustomInput:
     def test_load_schur_profile(self, tmp_path):
         path = tmp_path / "schur.json"
@@ -591,14 +601,15 @@ class TestCustomInput:
     def test_non_integer_count_rejected(self, capsys, tmp_path, count):
         path = tmp_path / "count.json"
         path.write_text(json.dumps({"n": 4, "d": 6, "t": {"2": count}}))
-        with pytest.raises(SchemaError, match="t_2"):
+        message = f"{path}: multiplicities and counts must be integers: t_2 = {count!r}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             load_custom_profile(str(path))
         code, out, err = run(
             capsys, "profile", "--surface", "custom", "--profile", str(path),
             "--format", "csv",
         )
         assert (code, out) == (2, "")
-        assert "JSON integer" in err
+        assert err == f"linesurf profile: {message}\n"
 
     @pytest.mark.parametrize(
         "fields", ({"n": 4, "d": True}, {"n": True, "d": 6}, {"n": 4, "d": False})
@@ -606,14 +617,40 @@ class TestCustomInput:
     def test_boolean_degree_or_line_count_rejected(self, capsys, tmp_path, fields):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({**fields, "t": {}}))
-        with pytest.raises(SchemaError, match="must be a JSON integer"):
+        if fields["n"] is True:
+            message = f"{path}: surface degree n must be an integer >= 3"
+        else:
+            message = f"{path}: line count d must be a nonnegative integer: d = {fields['d']!r}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             load_custom_profile(str(path))
         code, out, err = run(
             capsys, "profile", "--surface", "custom", "--profile", str(path),
             "--format", "csv",
         )
         assert (code, out) == (2, "")
-        assert "JSON integer" in err
+        assert err == f"linesurf profile: {message}\n"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [pytest.param(f, v, id=f"{f}={json.dumps(v)}") for f, v in ODD_PROFILE_FIELDS],
+    )
+    def test_odd_profile_value_refused(self, capsys, tmp_path, field, value):
+        path = tmp_path / "odd.json"
+        profile = {"n": 4, "d": 6, "t": {"2": 3, "3": 1}}
+        path.write_text(json.dumps(profile))
+        assert load_custom_profile(str(path)).s == 4
+        if field == "key":
+            profile["t"] = {value: 1}
+        elif field in profile:
+            profile[field] = value
+        else:
+            profile["t"][field] = value
+        path.write_text(json.dumps(profile))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "):
+            load_custom_profile(str(path))
+        code, out, err = run(capsys, "profile", "--surface", "custom", "--profile", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"linesurf profile: {path}: ") and err.count("\n") == 1
 
     def test_repeated_multiplicity_key_rejected(self, capsys, tmp_path):
         path = tmp_path / "twice.json"
@@ -833,6 +870,27 @@ class TestOutputBehavior:
         assert message == "unrecognized arguments: --threads 4\n"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--surface", "fermat", "--degree", "2"),
+            ("analyze", "--surface", "fermat", "--degree", "2", "--from-lines"),
+            ("catalog", "--surface", "fermat", "--degree", "2"),
+            ("sweep", "--surface", "fermat", "--degrees", "2:4"),
+            ("analyze", "--surface", "custom", "--lines", "{lines}"),
+            ("analyze", "--surface", "custom", "--profile", "{profile}"),
+        ],
+        ids=("analyze", "from-lines", "catalog", "sweep", "lines-file", "profile-file"),
+    )
+    def test_degree_rule_has_one_message(self, capsys, tmp_path, argv):
+        paths = {"lines": tmp_path / "lines.json", "profile": tmp_path / "profile.json"}
+        paths["lines"].write_text('{"n": 2, "lines": []}')
+        paths["profile"].write_text('{"n": 2, "d": 0, "t": {}}')
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        where = "".join(f"{path}: " for name, path in paths.items() if f"{{{name}}}" in argv)
+        assert (code, out) == (2, "")
+        assert err == f"linesurf {argv[0]}: {where}surface degree n must be an integer >= 3\n"
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (("analyze", "--surface", "custom", "--lines", "{missing}"), "{missing}: cannot read"),
@@ -844,7 +902,11 @@ class TestOutputBehavior:
             ),
             (
                 ("analyze", "--surface", "rams", "--degree", "5"),
-                "linesurf analyze: --surface rams requires degree n >= 6",
+                "linesurf analyze: the Rams grid configuration requires degree n >= 6",
+            ),
+            (
+                ("sweep", "--surface", "rams", "--degrees", "5:7"),
+                "linesurf sweep: the Rams grid configuration requires degree n >= 6",
             ),
         ],
         ids=(
@@ -853,6 +915,7 @@ class TestOutputBehavior:
             "non-utf8-lines",
             "unwritable-output",
             "rams-below-degree-floor",
+            "rams-below-degree-floor-sweep",
         ),
     )
     def test_file_errors_are_one_line(self, capsys, tmp_path, argv, message):

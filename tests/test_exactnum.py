@@ -109,7 +109,7 @@ class TestArithmetic:
     "function,message",
     [
         (euler_phi, "euler_phi requires m >= 1"),
-        (cyclotomic_polynomial, "cyclotomic_polynomial requires m >= 1"),
+        (cyclotomic_polynomial, "conductor must be a positive integer"),
         (CycloNum, "conductor must be a positive integer"),
         (zeta, "conductor must be a positive integer"),
         (nth_roots_of_minus_one, "n must be a positive integer"),

@@ -322,6 +322,37 @@ class TestRefusals:
         assert refused.type is error
 
 
+class TestDualRows:
+    """Row i of ``_dual_rows`` is the form x -> det(p, q, e_i, x) of the line through p, q."""
+
+    @pytest.mark.parametrize("m", (6, 8))
+    def test_rows_are_cofactor_expansions(self, m):
+        rng = random.Random(500 + m)
+
+        def value():
+            return CycloNum(m, [rng.randint(-3, 3) for _ in range(4)])
+
+        # Lines led by p01, p12, p23 and p03, then random ones.
+        lines = [line_through(pt(*p, m=m), pt(*q, m=m)) for p, q in (
+            ((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 1, 0, 0), (0, 0, 1, 2)),
+            ((0, 0, 1, 0), (0, 0, 0, 1)), ((1, 0, 5, 0), (0, 0, 0, 1)),
+        )]
+        while len(lines) < 24:
+            p, q = (ProjPoint.from_values(m, [value() for _ in range(4)]) for _ in "pq")
+            if p != q:
+                lines.append(line_through(p, q))
+        for line in lines:
+            a, b = (point.coords for point in line.base)
+            raw = (a[k] * b[l] - a[l] * b[k] for k, l in PLUCKER_PAIRS)
+            lead = next(c for c in raw if not c.is_zero())  # plucker = raw / lead
+            x = [value() for _ in range(4)]
+            for i, row in enumerate(projgeom._dual_rows(line.plucker)):
+                # Expanded along the e_i row, whose one entry sits in column i.
+                cols = [c for c in range(4) if c != i]
+                minor = det3([[r[c] for c in cols] for r in (a, b, x)])
+                assert dot(m, row, x) * lead == (-minor if i % 2 else minor)
+
+
 class TestSpanPoint:
     """``_span_point`` against the normalised vector x p + y q, on every branch."""
 
