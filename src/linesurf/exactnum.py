@@ -102,10 +102,13 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 def _shift_rows(m: int) -> tuple:
     """Pairs (k, the nonzero (index, value) entries of x^k mod Phi_m), k = f..2f-2, f = phi(m)."""
     f = len(cyclotomic_polynomial(m)) - 1
-    return tuple(
-        (k, tuple((i, c) for i, c in enumerate(_zeta_pow_vec(m, k)) if c))
-        for k in range(f, 2 * f - 1)
-    )
+    base = tuple(-c for c in cyclotomic_polynomial(m)[:f])
+    rows = []
+    vec = base  # x^f mod Phi_m; each next row is this one times x, reduced
+    for k in range(f, 2 * f - 1):
+        rows.append((k, tuple((i, c) for i, c in enumerate(vec) if c)))
+        vec = tuple(o + vec[-1] * b for o, b in zip((0,) + vec[:-1], base))
+    return tuple(rows)
 
 
 def _mul_vec(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:

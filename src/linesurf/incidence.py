@@ -6,14 +6,16 @@ singular point, and its members are its lines.
 
 ``line_intersection`` certifies every answer: a nonzero residue of the
 Plucker pairing in F_p, or a nonzero exact pairing, proves a pair skew,
-and a closed-form meet is checked exactly on both lines.  The check is
-one 2x2 minor of the second line's forms at the first line's base
-points: the value of one form at the closed-form point, where the other
-form vanishes identically.  A line through a singular point therefore
-meets every other line there, and its pairs have already put it in the
-group.  The scan checks that the multiplicities account for every
-meeting pair, which holds only if every group is a clique: a missed
-meeting or a point split in two fails it.
+and a closed-form meet is checked exactly on both lines.  The residue
+test comes before any exact work, the comparison of the two lines
+included.  The meet check is one form value: the closed-form point lies
+on the first line and in the plane of the second line's first form by
+construction, and the second line's other form is evaluated there.  A
+line through a singular point therefore meets every other line there,
+and its pairs have already put it in the group.  The scan checks that
+the multiplicities account for every meeting pair, which holds only if
+every group is a clique: a missed meeting or a point split in two fails
+it.
 """
 
 from __future__ import annotations

@@ -1,28 +1,28 @@
 """Exact projective geometry in P^3 over a cyclotomic field.
 
 Points carry homogeneous coordinates normalized so the first nonzero
-coordinate is 1; lines carry a base point pair, canonically scaled
-Plucker coordinates, and two linear forms cutting the line out, read off
-the dual Plucker matrix.  Meeting lines intersect in a closed form built
-from one base point pair and one such form, so no linear system is ever
-solved.  Canonical equality and point-on-line are decided by exact field
-arithmetic, never by tolerances.  Meet-or-skew is decided in two ways,
-both certified: a pair is proved skew by a nonzero residue of its Plucker
-pairing in F_p (``exactnum.residue_field``), and proved to meet by a
-2x2 minor.  For a = span(p, q) and b cut out by f and g, the minor
-f(q) g(p) - f(p) g(q) is the value of g at the closed-form point
-f(q) p - f(p) q, at which f vanishes identically, so it is zero exactly
-when that point lies on both lines.  Only the four values of b's forms
-at a's base points are computed.  The meeting point x p + y q is then
-written down in canonical form with one scalar inverse, or is p or q
-itself, and is never built as a vector and normalised.
+coordinate is 1; lines carry a base point pair, their conductor,
+canonically scaled Plucker coordinates, and two linear forms cutting the
+line out, read off the dual Plucker matrix.  Meeting lines intersect in
+a closed form built from one base point pair and one such form, so no
+linear system is ever solved.  Canonical equality and point-on-line are
+decided by exact field arithmetic, never by tolerances.  Meet-or-skew is
+decided in two ways, both certified: a pair is proved skew by a nonzero
+residue of its Plucker pairing in F_p (``exactnum.residue_field``),
+before any exact comparison of the two lines, and proved to meet by one
+form value.  For a = span(p, q) and b cut out by f and g, the point
+X = f(q) p - f(p) q lies on a and f vanishes there identically, so the
+lines meet exactly when g(X) = 0.  X is written down in canonical form by
+``_span_point`` with one scalar inverse, or is p or q itself, and is
+never built as a vector and normalised; a meeting pair costs the values
+f(p), f(q) and g(X).
 
 Every sum of products here is one ``exactnum.dot`` call, which reduces
 modulo Phi_m and takes one gcd per sum, not per product and partial sum:
 each Plucker coordinate and the Plucker relation, a form's value at a
-point, the 2x2 minor and the pairing.  The coordinates a + t b of
-``_span_point`` stay a product and a sum: a fused form measured slower on
-the moved quartic lines and no faster on the Fermat lines.
+point and the pairing.  The coordinates a + t b of ``_span_point`` stay
+a product and a sum: a fused form measured slower on the moved quartic
+lines and no faster on the Fermat lines.
 """
 
 from __future__ import annotations
@@ -103,19 +103,20 @@ class ProjPoint:
 class ProjLine:
     """A line of P^3: two distinct base points plus derived exact data.
 
-    ``plucker`` holds the six coordinates (p01, p02, p03, p12, p13, p23),
-    scaled so the first nonzero one is 1; equal lines always have equal
-    Plucker vectors no matter which point pair produced them.  ``forms``
-    holds two linear forms vanishing on the line: the rows i, j of the
-    dual Plucker matrix, where {i, j} is the complement of the pair {k, l}
-    of the leading Plucker coordinate.  Row i is the plane through the
+    ``conductor`` is the base points' conductor m, stored once so a pair
+    test reads one attribute.  ``plucker`` holds the six coordinates
+    (p01, p02, p03, p12, p13, p23), scaled so the first nonzero one is 1;
+    equal lines always have equal Plucker vectors no matter which point
+    pair produced them.  ``forms`` holds two linear forms vanishing on the
+    line: the rows i, j of the dual Plucker matrix, where {i, j} is the
+    complement of the pair {k, l} of the leading Plucker coordinate.  Row i is the plane through the
     line and the coordinate point e_i; the two rows are independent
     because their minor in columns i, j is p_kl^2 = 1.  ``residues`` holds
     the images of the Plucker coordinates in F_p (``CycloNum.residue``),
     or None if any coordinate lies outside the p-integral ring.
     """
 
-    __slots__ = ("base", "plucker", "forms", "residues")
+    __slots__ = ("base", "conductor", "plucker", "forms", "residues")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p.conductor != q.conductor:
@@ -135,16 +136,13 @@ class ProjLine:
         if not dot(m, plucker[:3], (plucker[5], -plucker[4], plucker[3])).is_zero():
             raise AssertionError("Plucker relation violated; construction bug")
         self.base = (p, q)
+        self.conductor = m
         self.plucker = plucker
         lead_pair = PLUCKER_PAIRS[lead_index]
         rows = _dual_rows(plucker)
         self.forms = tuple(rows[i] for i in range(4) if i not in lead_pair)
         residues = tuple(c.residue() for c in plucker)
         self.residues = None if None in residues else residues
-
-    @property
-    def conductor(self) -> int:
-        return self.base[0].conductor
 
     def __eq__(self, other):
         if not isinstance(other, ProjLine):
@@ -233,22 +231,21 @@ def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
 
     The Plucker pairing vanishes exactly when the lines meet.  An exact
     zero has residue zero, so a nonzero residue of the pairing proves the
-    pair skew with no exact arithmetic.  Every other pair, a line with a
+    pair skew with no exact arithmetic.  It proves the lines distinct as
+    well, since a line pairs to zero with itself, so equal lines are
+    refused only after that test.  Every other pair, a line with a
     residue of None included, is decided from a's base points: write
     a = span(p, q) and let f, g be b's forms.  If f vanishes at p and q,
     a lies in the plane f = 0, which holds b too, so the lines meet, at
-    g(q) p - g(p) q.  Otherwise f(q) p - f(p) q is the one point of a on
-    the plane f = 0.  It is nonzero and lies on a; f vanishes there
-    identically, and by linearity g takes the value of the minor
-    f(q) g(p) - f(p) g(q).  So the minor is zero exactly when that point
-    lies on both lines, and then it is the meeting point, built by
-    ``_span_point``.  The four form values and the minor are one
-    ``exactnum.dot`` each.  A nonzero minor leaves the exact pairing to
+    g(q) p - g(p) q.  Otherwise X = f(q) p - f(p) q, built in canonical
+    form by ``_span_point``, is the one point of a on the plane f = 0:
+    it lies on a, and f vanishes there identically.  So the lines meet
+    exactly when g(X) = 0, and then X is the meeting point.  A meeting
+    pair costs three ``exactnum.dot`` calls, f(p), f(q) and g(X), or four
+    when f vanishes on a.  A nonzero g(X) leaves the exact pairing to
     decide: nonzero means a skew pair, and zero means the closed form
     failed, which raises.
     """
-    if a == b:
-        raise ValueError("line_intersection requires two distinct lines")
     m = a.conductor
     if b.conductor != m:
         raise ConductorMismatch("lines must share one conductor")
@@ -257,15 +254,16 @@ def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
         ra[0] * rb[5] - ra[1] * rb[4] + ra[2] * rb[3] + ra[5] * rb[0] - ra[4] * rb[1] + ra[3] * rb[2]
     ) % exactnum.residue_field(m)[0]:
         return None
+    if a == b:
+        raise ValueError("line_intersection requires two distinct lines")
     p, q = a.base
     f, g = b.forms
     fp, fq = dot(m, f, p.coords), dot(m, f, q.coords)
-    gp, gq = dot(m, g, p.coords), dot(m, g, q.coords)
     if fp.is_zero() and fq.is_zero():
-        return _span_point(p, q, gq, -gp)
-    nfp = -fp
-    if dot(m, (fq, nfp), (gp, gq)).is_zero():
-        return _span_point(p, q, fq, nfp)
+        return _span_point(p, q, dot(m, g, q.coords), -dot(m, g, p.coords))
+    x = _span_point(p, q, fq, -fp)
+    if dot(m, g, x.coords).is_zero():
+        return x
     if not plucker_pairing(a, b).is_zero():
         return None
     raise AssertionError("lines reported as meeting do not share a point")

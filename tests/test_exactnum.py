@@ -437,6 +437,19 @@ class TestIntegerKernels:
                 exactnum.dot(8, xs, ys)
             assert excinfo.type is ValueError
 
+    def test_shift_rows_are_the_reduced_powers(self):
+        # The rows are built one multiply-by-x step apart; the reference
+        # reduces each power x^k from x^f on its own.
+        def walked_from_x_f(m):
+            f = euler_phi(m)
+            return tuple(
+                (k, tuple((i, c) for i, c in enumerate(exactnum._zeta_pow_vec(m, k)) if c))
+                for k in range(f, 2 * f - 1)
+            )
+
+        for m in range(1, 121):
+            assert exactnum._shift_rows(m) == walked_from_x_f(m)
+
     @given(kernel_vectors(1))
     def test_combine_over_conjugate_rows(self, case):
         # the conjugate zeta -> zeta^k of a, built from input of degree (f - 1) * k

@@ -284,6 +284,120 @@ class TestIntersection:
             )
 
 
+class TestExactMeet:
+    """Every branch of the exact half of ``line_intersection``.
+
+    Each answer is checked with ``point_on_line`` and with the sympy rank
+    oracle: a meet has rank 2 with each line's base points, and the base
+    points of a skew pair have rank 4.
+    """
+
+    m = 8
+
+    def value(self, rng):
+        return CycloNum(self.m, [rng.randint(-3, 3) for _ in range(4)])
+
+    def point(self, rng):
+        return ProjPoint([self.value(rng) for _ in range(4)])
+
+    def forced(self, monkeypatch, residue, build):
+        """Build lines while every residue reads ``residue``, so no pair is proved skew."""
+        with monkeypatch.context() as patch:
+            patch.setattr(CycloNum, "residue", lambda self: residue)
+            return build()
+
+    def branch(self, a, b):
+        (p, q), f = a.base, b.forms[0]
+        return tuple(dot(self.m, f, x.coords).is_zero() for x in (p, q))
+
+    def rank(self, *points):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        phi = sympy.cyclotomic_poly(self.m, x)
+        return TestSympyRankOracle.rank(sympy, x, phi, [point.coords for point in points])
+
+    def assert_meet(self, a, b, meet):
+        assert point_on_line(meet, a) and point_on_line(meet, b)
+        assert self.rank(*a.base, meet) == 2 and self.rank(*b.base, meet) == 2
+
+    def test_a_in_the_plane_of_the_first_form(self):
+        # b is z = w = 0 with first form w; a lies in w = 0 and meets b off its base points
+        a = line_through(pt(1, 1, 1, 0, m=self.m), pt(1, 2, 3, 0, m=self.m))
+        b = line_through(pt(1, 0, 0, 0, m=self.m), pt(0, 1, 0, 0, m=self.m))
+        assert self.branch(a, b) == (True, True)
+        meet = line_intersection(a, b)
+        assert meet == pt(2, 1, 0, 0, m=self.m) and meet not in a.base
+        self.assert_meet(a, b, meet)
+
+    def test_meet_at_a_base_point(self):
+        rng = random.Random(81)
+        for _ in range(3):
+            p, q, r = self.point(rng), self.point(rng), self.point(rng)
+            a = line_through(p, q)
+            for b, base in ((line_through(p, r), p), (line_through(r, q), q)):
+                assert self.branch(a, b) == (base is p, base is q)
+                meet = line_intersection(a, b)
+                assert meet is base
+                self.assert_meet(a, b, meet)
+
+    def test_general_meet(self):
+        rng = random.Random(82)
+        for _ in range(3):
+            p, q, r, s = self.point(rng), self.point(rng), self.point(rng), self.value(rng)
+            shared = ProjPoint([s * u + v for u, v in zip(p.coords, q.coords)])
+            a, b = line_through(p, q), line_through(shared, r)
+            assert self.branch(a, b) == (False, False)
+            meet = line_intersection(a, b)
+            assert meet == shared and meet not in a.base
+            self.assert_meet(a, b, meet)
+
+    @pytest.mark.parametrize("residue", (0, None))
+    def test_skew_pair_on_the_exact_path(self, monkeypatch, residue):
+        rng = random.Random(83)
+        pairings = []
+        pairing = projgeom.plucker_pairing
+        monkeypatch.setattr(
+            projgeom, "plucker_pairing", lambda a, b: pairings.append(1) or pairing(a, b)
+        )
+        for _ in range(3):
+            a, b = self.forced(monkeypatch, residue, lambda: tuple(
+                line_through(self.point(rng), self.point(rng)) for _ in "ab"
+            ))
+            assert a.residues == b.residues == (None if residue is None else (0,) * 6)
+            pairings.clear()
+            assert line_intersection(a, b) is None
+            assert pairings == [1]
+            assert self.rank(*a.base, *b.base) == 4
+
+    def test_dot_count_per_pair(self, monkeypatch, fermat_arrs):
+        # Fermat quartic: a residue-proved skew pair costs no dot, a meeting
+        # pair f(p), f(q) and g(X), or f(p), f(q), g(p) and g(q) when f
+        # vanishes on a.  Under forced residues a skew pair adds g(X) and the
+        # exact pairing.
+        lines = fermat_arrs[4].lines
+        calls = []
+        monkeypatch.setattr(projgeom, "dot", lambda *args: calls.append(1) or dot(*args))
+        costs, pairs = {}, {}
+        for a, b in itertools.combinations(lines, 2):
+            in_plane = self.branch(a, b) == (True, True)
+            calls.clear()
+            meet = line_intersection(a, b)
+            kind = "skew" if meet is None else "in plane" if in_plane else "general"
+            costs.setdefault(kind, set()).add(len(calls))
+            pairs[kind] = pairs.get(kind, 0) + 1
+        assert costs == {"skew": {0}, "in plane": {4}, "general": {3}}
+        forced = self.forced(
+            monkeypatch, 0, lambda: [line_through(*line.base) for line in lines]
+        )
+        skew = 0
+        for a, b in itertools.combinations(forced, 2):
+            calls.clear()
+            if line_intersection(a, b) is None:
+                assert len(calls) == 4
+                skew += 1
+        assert skew == pairs["skew"] == 792  # 1128 pairs, 336 of them meeting
+
+
 class TestRefusals:
     @pytest.mark.parametrize(
         "build,error,message",
@@ -464,8 +578,16 @@ class TestKernelSites:
             sites = [(h, x.coords) for h in (f, g) for x in (p, q)]
             fp, fq, gp, gq = (dot(m, h, x) for h, x in sites)
             assert [fp, fq, gp, gq] == [summed_form_value(h, x) for h, x in sites]
-            assert dot(m, (fq, -fp), (gp, gq)) == fq * gp - fp * gq
             assert point_on_line(p, b) == (fp.is_zero() and gp.is_zero())
+            if fp.is_zero() and fq.is_zero():
+                continue
+            # g at the closed-form point X, the vector fq p - fp q over its
+            # lead: g(X) times the lead is the minor fq gp - fp gq.
+            x = projgeom._span_point(p, q, fq, -fp)
+            gx = dot(m, g, x.coords)
+            assert gx == summed_form_value(g, x.coords)
+            lead = next(c for c in (fq * u - fp * v for u, v in zip(p.coords, q.coords)) if c)
+            assert gx * lead == fq * gp - fp * gq
 
 
 class TestSympyRankOracle:
