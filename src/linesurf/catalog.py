@@ -10,9 +10,8 @@ that data.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import FrozenInstanceError, dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 from .exactnum import CycloNum, nth_roots_of_minus_one
 from .projgeom import ProjLine, ProjPoint, line_through
@@ -29,8 +28,88 @@ def check_degree(n: int) -> int:
     return n
 
 
-# The default t: an empty mapping that cannot be changed, so no state is shared.
-_NO_POINTS: Mapping[int, int] = MappingProxyType({})
+class TVector(Mapping):
+    """A read-only t-vector {k: t_k}: t_2, and a tail of (k, t_k) pairs for k >= 3.
+
+    Only ``IncidenceProfile`` builds one, from counts it has validated: t_2
+    is 0 when there are no double points, the tail is a tuple in increasing
+    k with every count positive.  Iteration gives 2 first, when t_2 > 0,
+    then the tail's keys.  There is no item assignment, deletion, ``pop``
+    or ``update``, so a profile's hash cannot drift; since nothing can
+    change the tail, the profiles of one run share a single tail tuple.
+    A t-vector equals any mapping with the same items, a dict included.
+    """
+
+    __slots__ = ("_t2", "_tail")
+
+    def __init__(self, t2: int, tail: tuple[tuple[int, int], ...]):
+        self._t2 = t2
+        self._tail = tail
+
+    def __getitem__(self, k):
+        if k == 2 and self._t2:
+            return self._t2
+        for key, count in self._tail:
+            if key == k:
+                return count
+        raise KeyError(k)
+
+    def __iter__(self):
+        if self._t2:
+            yield 2
+        for k, _ in self._tail:
+            yield k
+
+    def __len__(self):
+        return len(self._tail) + (self._t2 > 0)
+
+    def items(self):
+        return _TItems(self)
+
+    def values(self):
+        return _TValues(self)
+
+    def __eq__(self, other):
+        if type(other) is TVector:
+            return self._t2 == other._t2 and self._tail == other._tail
+        return super().__eq__(other)
+
+    __hash__ = None  # equal to dicts, which are unhashable
+
+    def __reduce__(self):  # copy and pickle under every protocol
+        return TVector, (self._t2, self._tail)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _TItems(ItemsView):
+    """``TVector.items()``: the pairs read straight from t_2 and the tail."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        t = self._mapping
+        if t._t2:
+            yield 2, t._t2
+        yield from t._tail
+
+
+class _TValues(ValuesView):
+    """``TVector.values()``: the counts read straight from t_2 and the tail."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        t = self._mapping
+        if t._t2:
+            yield t._t2
+        for _, count in t._tail:
+            yield count
+
+
+# The default t: the empty t-vector, read-only like every other.
+_NO_POINTS = TVector(0, ())
 
 
 @dataclass(slots=True, init=False)
@@ -45,8 +124,11 @@ class IncidenceProfile:
 
     A profile is frozen: every assignment and ``del`` raises
     ``FrozenInstanceError``, for field and non-field names alike.  ``t``
-    is a copy that the profile owns, in increasing k, so a profile
-    hashes over (n, d, t's items) and can be a set member or dict key.
+    is a read-only ``TVector`` in increasing k, built once from the
+    validated counts; ``p.t[k] = c``, ``del p.t[k]`` and ``p.t.pop``
+    raise.  A profile hashes over (n, d, t_2, tail), so it can be a set
+    member or dict key.  The profiles ``_with_t2`` lowers from one profile
+    share its tail: an extremal search's rows of one run hold one tail.
     """
 
     n: int
@@ -83,7 +165,7 @@ class IncidenceProfile:
             )
         _set_n(self, n)
         _set_d(self, d)
-        _set_t(self, cleaned)
+        _set_t(self, TVector(cleaned.pop(2, 0), tuple(cleaned.items())))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -92,31 +174,28 @@ class IncidenceProfile:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __hash__(self):
-        return hash((self.n, self.d, tuple(self.t.items())))
+        t = self.t
+        return hash((self.n, self.d, t._t2, t._tail))
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), (self.n, self.d, self.t)
+    def __reduce__(self):  # copy and pickle rebuild through __init__, from a dict
+        return type(self), (self.n, self.d, dict(self.t.items()))
 
     def _with_t2(self, t2: int) -> "IncidenceProfile":
         """This profile with t_2 lowered to ``t2``, without running ``__init__``.
 
         Lowering t_2 lowers only the pair weight sum (k^2-k) t_k and leaves
         every other entry as it is, so a valid profile stays valid: the
-        range 0 <= t2 <= t_2 is the one check left.  The new profile owns
-        a fresh t in increasing k, without key 2 when ``t2`` is 0.
+        range 0 <= t2 <= t_2 is the one check left.  The new profile's t
+        is one small ``TVector`` that shares this profile's tail: no key 2
+        when ``t2`` is 0.
         """
         t = self.t
-        if type(t2) is not int or not 0 <= t2 <= t.get(2, 0):
-            raise ProfileError(f"t_2 = {t2!r} is not an integer in 0..{t.get(2, 0)}")
-        t = t.copy()  # key 2, when kept, keeps its place: first
-        if t2:
-            t[2] = t2
-        else:
-            t.pop(2, None)
+        if type(t2) is not int or not 0 <= t2 <= t._t2:
+            raise ProfileError(f"t_2 = {t2!r} is not an integer in 0..{t._t2}")
         profile = object.__new__(IncidenceProfile)
         _set_n(profile, self.n)
         _set_d(profile, self.d)
-        _set_t(profile, t)
+        _set_t(profile, TVector(t2, t._tail))
         return profile
 
     @property
@@ -126,7 +205,7 @@ class IncidenceProfile:
 
     @property
     def t2(self) -> int:
-        return self.t.get(2, 0)
+        return self.t._t2
 
 
 # The slots' own setters, which write past the frozen __setattr__: __init__

@@ -148,7 +148,7 @@ def _conjugate_rows(m: int) -> tuple:
     """For each unit k != 1 mod m, the images of zeta^0..zeta^(f-1) under zeta -> zeta^k."""
     f = len(cyclotomic_polynomial(m)) - 1
     return tuple(
-        tuple(_zeta_pow_vec(m, i * k % m) for i in range(f))
+        tuple(_zeta_pow_vec(m, i * k) for i in range(f))
         for k in range(2, m)
         if gcd(k, m) == 1
     )
@@ -216,7 +216,7 @@ class CycloNum:
         den = lcm(*(c.denominator for c in vec))
         nums = [c.numerator * (den // c.denominator) for c in vec]
         if len(nums) > f:
-            nums = _combine(nums, [_zeta_pow_vec(m, i % m) for i in range(len(nums))])
+            nums = _combine(nums, [_zeta_pow_vec(m, i) for i in range(len(nums))])
         nums.extend([0] * (f - len(nums)))
         value = _reduced(m, nums, den)
         self.m, self.nums, self.den = m, value.nums, value.den
@@ -323,7 +323,7 @@ class CycloNum:
             raise ZeroDivisionError(f"inverse of zero in Q(zeta_{m})")
         if len(support) == 1:
             k = support[0]
-            return _reduced(m, [den * x for x in _zeta_pow_vec(m, -k % m)], a[k])
+            return _reduced(m, [den * x for x in _zeta_pow_vec(m, -k)], a[k])
         prod = [1] + [0] * (len(a) - 1)
         for rows in _conjugate_rows(m):
             prod = _mul_vec(m, prod, _combine(a, rows))
@@ -497,21 +497,29 @@ def _residue_powers(m: int) -> tuple[int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _zeta_pow_vec(m: int, k: int) -> tuple:
+def _zeta_powers(m: int) -> tuple:
+    """The coefficient vectors of x^0..x^(m-1) mod Phi_m, each row the one before times x."""
     f = len(cyclotomic_polynomial(m)) - 1
-    if k < f:
-        return (0,) * k + (1,) + (0,) * (f - k - 1)
     base = tuple(-c for c in cyclotomic_polynomial(m)[:f])
-    vec = base
-    for _ in range(k - f):  # multiply by x and reduce mod Phi_m
+    rows = [(0,) * k + (1,) + (0,) * (f - k - 1) for k in range(f)]
+    vec = base  # x^f mod Phi_m
+    for _ in range(f, m):
+        rows.append(vec)
         vec = tuple(o + vec[-1] * b for o, b in zip((0,) + vec[:-1], base))
-    return vec
+    return tuple(rows)
+
+
+def _zeta_pow_vec(m: int, k: int) -> tuple:
+    """The coefficient vector of zeta_m^k, for any integer k (x^m = 1 mod Phi_m).
+
+    ``_zeta_powers`` checks m before ``k % m`` could divide by zero.
+    """
+    return _zeta_powers(m)[k % m]
 
 
 def zeta(m: int, k: int = 1) -> CycloNum:
     """zeta_m^k, the k-th power of the chosen primitive m-th root of unity."""
-    cyclotomic_polynomial(m)  # refuses m < 1 before k % m can divide by zero
-    return _reduced(m, _zeta_pow_vec(m, k % m), 1)
+    return _reduced(m, _zeta_pow_vec(m, k), 1)
 
 
 def nth_roots_of_minus_one(n: int) -> list[CycloNum]:

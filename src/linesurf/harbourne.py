@@ -295,7 +295,8 @@ def extremal_profile_search(
     ``harbourne_linear`` of the run's first profile with s > 0 must equal
     it.  A failed certificate raises ``AssertionError``.  Only the rows
     returned, the first ``limit`` when it is given, are built, each with
-    its value from the closed form.
+    its value from the closed form; the rows of one run share its upper
+    end's read-only tail, so a row costs a profile and a small t-vector.
 
     The sort key is one exact integer per row.  Every s is at most
     S = d(d-1)/2, since each point uses at least one pair of lines, so two
@@ -318,10 +319,10 @@ def extremal_profile_search(
     The search makes no reference cycle, so the returned rows are freed
     by refcount as soon as the caller drops them.  Everything made while
     the search lists its tails, sorts and builds its rows is acyclic (ints,
-    tuples, int-valued dicts, slotted profiles, Fractions), so a cyclic
-    collection could find nothing in it; the collector is paused over
-    that part, so that its passes over the young rows are not paid for,
-    and put back in its previous state on return or raise.
+    tuples, int-valued dicts, slotted profiles and t-vectors, Fractions),
+    so a cyclic collection could find nothing in it; the collector is
+    paused over that part, so that its passes over the young rows are not
+    paid for, and put back in its previous state on return or raise.
 
     The degree gate is ``_miyaoka_rhs``, which refuses n < 4 and gives
     the right side 2n(n-1)^2; ``catalog.check_line_count`` refuses a d

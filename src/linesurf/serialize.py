@@ -13,6 +13,7 @@ the requested number of places; it never rounds away digits upward, so
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -55,9 +56,9 @@ def decimal_cell(value: Optional[Union[int, Fraction]], places: int) -> str:
     return "" if value is None else decimal_str(value, places)
 
 
-def t_vector_str(t: dict) -> str:
+def t_vector_str(t: Mapping[int, int]) -> str:
     """Compact deterministic rendering of a t-vector, e.g. ``2:81;3:18``."""
-    return ";".join(f"{k}:{t[k]}" for k in sorted(t))
+    return ";".join(f"{k}:{c}" for k, c in sorted(t.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -95,15 +95,54 @@ class TestIncidenceProfile:
         source = {4: 8, 2: 0, 3: 2}
         for build in BUILDS:
             p = build(4, 16, MappingProxyType(source))
-            assert type(p.t) is dict and list(p.t.items()) == [(3, 2), (4, 8)]
+            assert list(p.t.items()) == [(3, 2), (4, 8)] and p.t == {3: 2, 4: 8}
+            source[2] = 5  # the profile keeps the counts it validated
+            assert list(p.t.items()) == [(3, 2), (4, 8)] and p.s == 10
+            source[2] = 0
         with pytest.raises(ProfileError, match=r"multiplicity 17 outside"):
             IncidenceProfile(4, 16, MappingProxyType({17: 1}))
 
     def test_omitted_t(self):
         a, b = IncidenceProfile(4, 5), IncidenceProfile(n=4, d=5)
-        assert a.t == b.t == {} and type(a.t) is dict
-        assert a.t is not b.t  # no state shared between instances
-        assert a.s == 0
+        assert a.t == b.t == {} and len(a.t) == 0 and list(a.t.items()) == []
+        with pytest.raises(TypeError):
+            a.t[2] = 1  # the shared empty default cannot be changed
+        assert b.t == {} and a.s == b.s == 0
+
+    @pytest.mark.parametrize(
+        "p",
+        [IncidenceProfile(4, 16, {4: 8}), schur_profile()._with_t2(7)],
+        ids=["built", "lowered"],
+    )
+    def test_t_is_read_only(self, p):
+        """A profile in a set keeps its hash and ``s``: its t cannot be changed."""
+        items, s, h = list(p.t.items()), p.s, hash(p)
+        members = {p}
+        for k in (99, 2):
+            with pytest.raises(TypeError):
+                p.t[k] = 1
+        with pytest.raises(TypeError):
+            del p.t[4]
+        for name in ("pop", "popitem", "update", "setdefault", "clear"):
+            assert not hasattr(p.t, name)
+        assert p in members and list(p.t.items()) == items
+        assert (p.s, hash(p)) == (s, h)
+
+    def test_t_reads_like_a_dict(self):
+        d = {2: 3, 3: 2, 4: 8}
+        t = IncidenceProfile(4, 16, {4: 8, 3: 2, 2: 3}).t
+        assert list(t) == sorted(t) == [2, 3, 4] and len(t) == 3
+        assert list(t.items()) == list(d.items()) and list(t.values()) == [3, 2, 8]
+        assert t == d and d == t and t != {2: 3, 3: 2} and t != [(2, 3)]
+        assert t.items() == d.items() and {**t} == d
+        assert (t[2], t[4], t.get(2, 0), t.get(5, 0), 5 in t, 3 in t) == (3, 8, 3, 0, False, True)
+        with pytest.raises(KeyError):
+            t[5]
+        assert repr(t) == repr(d) == "{2: 3, 3: 2, 4: 8}"
+        assert repr(IncidenceProfile(4, 16, d)) == "IncidenceProfile(n=4, d=16, t={2: 3, 3: 2, 4: 8})"
+        assert IncidenceProfile(4, 16, {4: 8}).t.get(2, 0) == 0
+        for u in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t, 0))):
+            assert list(u.items()) == list(d.items())
 
     def test_slotted_and_frozen(self):
         p = IncidenceProfile(n=4, d=16, t={4: 8, 2: 0, 3: 2})
@@ -148,7 +187,8 @@ class TestWithT2:
             assert q == built and hash(q) == hash(built)
             assert list(q.t.items()) == list(built.t.items())
             assert list(q.t) == sorted(q.t) and (2 in q.t) == (t2 > 0)
-            assert type(q.t) is dict and q.t is not p.t
+            assert q.t == dict(built.t.items()) and repr(q) == repr(built)
+            assert q.t._tail is p.t._tail  # the run's tail is shared, not copied
         assert list(p.t.items()) == before
 
     def test_frozen_and_copies(self):

@@ -316,6 +316,18 @@ def qnorm(x):
     return x
 
 
+def walked_power(m, k):
+    """x^k mod Phi_m, reduced on its own: k - f multiply-by-x steps from x^f."""
+    f = euler_phi(m)
+    if k < f:
+        return (0,) * k + (1,) + (0,) * (f - k - 1)
+    base = tuple(-c for c in cyclotomic_polynomial(m)[:f])
+    vec = base
+    for _ in range(k - f):
+        vec = tuple(o + vec[-1] * b for o, b in zip((0,) + vec[:-1], base))
+    return vec
+
+
 def fraction_mul_vec(m, a, b):
     """The product of two coefficient vectors, convolved in Fraction arithmetic."""
     f = len(a)
@@ -329,7 +341,7 @@ def fraction_mul_vec(m, a, b):
         for k in range(2 * f - 2, f - 1, -1):
             c = acc[k]
             if c:
-                row = exactnum._zeta_pow_vec(m, k)
+                row = walked_power(m, k)
                 for idx, r in enumerate(row):
                     if r:
                         acc[idx] += c * r
@@ -440,15 +452,21 @@ class TestIntegerKernels:
     def test_shift_rows_are_the_reduced_powers(self):
         # The rows are built one multiply-by-x step apart; the reference
         # reduces each power x^k from x^f on its own.
-        def walked_from_x_f(m):
+        for m in range(1, 121):
             f = euler_phi(m)
-            return tuple(
-                (k, tuple((i, c) for i, c in enumerate(exactnum._zeta_pow_vec(m, k)) if c))
+            assert exactnum._shift_rows(m) == tuple(
+                (k, tuple((i, c) for i, c in enumerate(walked_power(m, k)) if c))
                 for k in range(f, 2 * f - 1)
             )
 
+    def test_zeta_powers_are_the_reduced_powers(self):
+        # One table of x^0..x^(m-1), built row from row; any k reads row k mod m.
         for m in range(1, 121):
-            assert exactnum._shift_rows(m) == walked_from_x_f(m)
+            assert [exactnum._zeta_pow_vec(m, k) for k in range(m)] == [
+                walked_power(m, k) for k in range(m)
+            ]
+            for k in (-1, -m - 2, m, 2 * m + 3):
+                assert exactnum._zeta_pow_vec(m, k) == walked_power(m, k % m)
 
     @given(kernel_vectors(1))
     def test_combine_over_conjugate_rows(self, case):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -652,6 +653,25 @@ class TestCollector:
         assert pauses == []
         extremal_profile_search(4, 6, 3)
         assert len(pauses) == 1
+
+
+class TestRowMemory:
+    def test_bytes_held_per_row(self):
+        """A row holds its profile and one small t-vector; its run's tail is shared.
+
+        Measured with tracemalloc over the 18,291 rows of (4, 16, 4): about
+        184 bytes a row, against about 355 when each row copied its run's dict.
+        """
+        extremal_profile_search(4, 16, 4)  # fill the caches that outlive a search
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = extremal_profile_search(4, 16, 4)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 18_291
+        assert held / len(rows) <= 250
 
 
 class TestBoundSoundness:
