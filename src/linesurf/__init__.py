@@ -35,13 +35,10 @@ from .harbourne import (
     UndefinedConstant,
     analyze_profile,
     bauer_search,
-    cubic_h,
     extremal_profile_search,
-    fermat_h_closed,
     harbourne_linear,
     harbourne_lower_bound,
     miyaoka_check,
-    rams_h_closed,
     strict_transform_sq,
     strict_transform_sq_lower,
 )
@@ -81,12 +78,10 @@ __all__ = [
     "UndefinedConstant",
     "analyze_profile",
     "bauer_search",
-    "cubic_h",
     "cubic_profile",
     "cyclotomic_polynomial",
     "euler_phi",
     "extremal_profile_search",
-    "fermat_h_closed",
     "fermat_lines",
     "fermat_profile",
     "harbourne_linear",
@@ -103,7 +98,6 @@ __all__ = [
     "plucker_pairing",
     "point_on_line",
     "profile_from_arrangement",
-    "rams_h_closed",
     "rams_profile",
     "scan_arrangement",
     "schur_profile",

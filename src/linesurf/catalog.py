@@ -6,12 +6,17 @@ families indexed by pairs of n-th roots of -1.  The Rams grid, the Schur
 quartic and the cubic-surface configurations enter as abstract incidence
 profiles (n, d, {t_k}): every derived quantity downstream depends only on
 that data.
+
+``NAMED`` is the one home of the named configurations: each entry gives
+its parameter, its profile builder and its line builder, and the CLI
+derives its --surface choices and flags from it.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Callable, ItemsView, Mapping, ValuesView
 from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple, Optional
 
 from .exactnum import CycloNum, nth_roots_of_minus_one
 from .projgeom import ProjLine, ProjPoint, line_through
@@ -334,7 +339,7 @@ def rams_profile(n: int) -> IncidenceProfile:
     else.
     """
     if n < 6:
-        raise ValueError("the Rams grid configuration requires degree n >= 6")
+        raise ProfileError("the Rams grid configuration requires degree n >= 6")
     return IncidenceProfile(n=n, d=n * (n - 2) + 4, t={2: 2 * n * n - 4 * n + 4})
 
 
@@ -350,5 +355,27 @@ def cubic_profile(t3: int) -> IncidenceProfile:
     18 Eckardt points exist, attained by the Fermat cubic.
     """
     if not 0 <= t3 <= 18:
-        raise ValueError("the number of Eckardt points must lie in 0..18")
+        raise ProfileError("the number of Eckardt points must lie in 0..18")
     return IncidenceProfile(n=3, d=27, t={2: 135 - 3 * t3, 3: t3})
+
+
+class NamedConfiguration(NamedTuple):
+    """One named configuration: its one parameter, its profile and its lines.
+
+    ``param`` names the integer the builders take ("degree" or "eckardt"),
+    or is None for a builder that takes none.  ``lines`` is None where only
+    a profile exists.
+    """
+
+    param: Optional[str]
+    profile: Callable[..., IncidenceProfile]
+    lines: Optional[Callable[..., Arrangement]]
+
+
+# The named configurations, in the order the CLI lists them.
+NAMED = {
+    "fermat": NamedConfiguration("degree", fermat_profile, fermat_lines),
+    "rams": NamedConfiguration("degree", rams_profile, None),
+    "schur": NamedConfiguration(None, schur_profile, None),
+    "cubic": NamedConfiguration("eckardt", cubic_profile, None),
+}

@@ -10,8 +10,10 @@ None is a blank cell, or null in JSON.
 
 --surface with --degree, --eckardt, --profile, --lines and --from-lines
 selects a configuration through ``resolve``, one rule for every
-subcommand.  Giving a flag the chosen surface does not read (``READS``), or
---profile with --lines, is a usage error.
+subcommand.  The named surfaces are the entries of ``catalog.NAMED``, their
+one home: ``READS``, ``resolve``, ``sweep`` and the --surface choices are
+derived from it.  Giving a flag the chosen surface does not read
+(``READS``), or --profile with --lines, is a usage error.
 
 Output formats are an aligned text table (default), CSV with a mandatory
 header row, or JSON carrying exact rationals as strings alongside their
@@ -32,16 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .catalog import (
-    Arrangement,
-    IncidenceProfile,
-    cubic_profile,
-    fermat_lines,
-    fermat_profile,
-    on_surface,
-    rams_profile,
-    schur_profile,
-)
+from .catalog import NAMED, Arrangement, IncidenceProfile, on_surface
 from .harbourne import (
     HarbourneReport,
     analyze_profile,
@@ -114,50 +107,57 @@ SURFACE_FLAGS = {
 }
 
 # The surface flags each --surface reads; giving any other one is a usage error.
+# A named configuration reads its parameter, and --from-lines where it has lines.
 READS = {
-    "fermat": ("--degree", "--from-lines"),
-    "rams": ("--degree",),
-    "schur": (),
-    "cubic": ("--eckardt",),
+    **{
+        name: ((f"--{entry.param}",) if entry.param else ())
+        + (("--from-lines",) if entry.lines else ())
+        for name, entry in NAMED.items()
+    },
     "custom": ("--profile", "--lines"),
 }
+
+# The --surface choices of the commands that need explicit lines, and of sweep.
+WITH_LINES = (*(name for name, entry in NAMED.items() if entry.lines), "custom")
+SWEPT = tuple(name for name, entry in NAMED.items() if entry.param)
+
+# The range flag sweep reads for each parameter.
+RANGE_FLAGS = {"degree": "--degrees", "eckardt": "--eckardt-range"}
 
 
 # ---------------------------------------------------------------------------
 # Selector resolution.
 
 
+def _given(args, flag: str):
+    """The value of ``flag``, None where it is not given or not registered."""
+    return getattr(args, flag[2:].replace("-", "_"), None)
+
+
 def _reject_unread(args, reads, flags) -> None:
     for flag in flags:
-        if flag not in reads and getattr(args, flag[2:].replace("-", "_"), None) is not None:
+        if flag not in reads and _given(args, flag) is not None:
             raise UsageError(f"--surface {args.surface} does not read {flag}")
-
-
-def _need_degree(args) -> int:
-    if args.degree is None:
-        raise UsageError(f"--surface {args.surface} requires --degree")
-    return args.degree
 
 
 def resolve(args) -> Arrangement | IncidenceProfile:
     """The lines or profile the surface flags name, by one rule for every command.
 
-    Fermat names its lines, or its closed-form profile where the command
-    offers --from-lines and it is not given.
+    A named configuration with a line builder names its lines, or its
+    closed-form profile where the command offers --from-lines and it is
+    not given.
     """
     surface = args.surface
     _reject_unread(args, READS[surface], SURFACE_FLAGS)
-    if surface == "fermat":
-        n = _need_degree(args)
-        return fermat_lines(n) if getattr(args, "from_lines", True) else fermat_profile(n)
-    if surface == "rams":
-        return rams_profile(_need_degree(args))
-    if surface == "schur":
-        return schur_profile()
-    if surface == "cubic":
-        if args.eckardt is None:
-            raise UsageError("--surface cubic requires --eckardt T")
-        return cubic_profile(args.eckardt)
+    if surface in NAMED:
+        entry = NAMED[surface]
+        build = entry.lines if entry.lines and getattr(args, "from_lines", True) else entry.profile
+        if entry.param is None:
+            return build()
+        value = _given(args, f"--{entry.param}")
+        if value is None:
+            raise UsageError(f"--surface {surface} requires --{entry.param}")
+        return build(value)
     lines, profile = args.lines, getattr(args, "profile", None)  # custom
     if lines and profile:
         raise UsageError("--profile and --lines exclude each other")
@@ -400,12 +400,10 @@ def cmd_bound(args) -> Output:
 
 
 def cmd_sweep(args) -> Output:
-    family, flag, text = {
-        "fermat": (fermat_profile, "--degrees", args.degrees),
-        "rams": (rams_profile, "--degrees", args.degrees),
-        "cubic": (cubic_profile, "--eckardt-range", args.eckardt_range),
-    }[args.surface]
-    _reject_unread(args, (flag,), ("--degrees", "--eckardt-range"))
+    entry = NAMED[args.surface]
+    family, flag = entry.profile, RANGE_FLAGS[entry.param]
+    _reject_unread(args, (flag,), RANGE_FLAGS.values())
+    text = _given(args, flag)
     if not text:
         raise UsageError(f"sweep --surface {args.surface} requires {flag} A:B")
     reports = [analyze_profile(family(x)) for x in _parse_range(text, flag)]
@@ -497,7 +495,7 @@ OUTPUT_FLAGS = {
 # its own arguments, and whether it prints decimals.
 SUBCOMMANDS = (
     ("catalog", "construct explicit lines", cmd_catalog,
-     ("fermat", "custom"), ("--degree", "--lines"),
+     WITH_LINES, ("--degree", "--lines"),
      {"--singular": dict(action="store_true",
                          help="emit the singular points of the arrangement instead of its lines")},
      False),
@@ -514,12 +512,12 @@ SUBCOMMANDS = (
     ("bound", "Miyaoka inequality and H_L lower bound", cmd_bound,
      tuple(READS), tuple(SURFACE_FLAGS), {}, True),
     ("sweep", "one row per parameter in a range", cmd_sweep,
-     ("fermat", "rams", "cubic"), (),
+     SWEPT, (),
      {"--degrees": dict(metavar="A:B", help="inclusive degree range for fermat/rams"),
       "--eckardt-range": dict(metavar="A:B", help="inclusive triple-point range for cubic")},
      True),
     ("search-bauer", "quadruple-point subconfiguration search", cmd_search_bauer,
-     ("fermat", "custom"), ("--degree", "--lines"),
+     WITH_LINES, ("--degree", "--lines"),
      {"--size": dict(type=int, required=True, metavar="S", help="lines per subconfiguration"),
       "--max-solutions": dict(type=int, default=1, metavar="K",
                               help="stop after K solutions; 0 means all (default: 1)")},

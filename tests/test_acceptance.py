@@ -14,6 +14,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from closed_forms import cubic_h, fermat_h_closed, rams_h_closed
+
 from linesurf.catalog import (
     IncidenceProfile,
     cubic_profile,
@@ -26,12 +28,9 @@ from linesurf.catalog import (
 from linesurf.exactnum import CycloNum, euler_phi
 from linesurf.harbourne import (
     bauer_search,
-    cubic_h,
-    fermat_h_closed,
     harbourne_linear,
     harbourne_lower_bound,
     miyaoka_check,
-    rams_h_closed,
     strict_transform_sq,
     strict_transform_sq_lower,
 )

@@ -7,6 +7,7 @@ from types import MappingProxyType
 import pytest
 
 from linesurf.catalog import (
+    NAMED,
     Arrangement,
     IncidenceProfile,
     ProfileError,
@@ -20,7 +21,7 @@ from linesurf.catalog import (
     schur_profile,
 )
 from linesurf.harbourne import extremal_profile_search
-from linesurf.incidence import incidence_count
+from linesurf.incidence import incidence_count, profile_from_arrangement
 from linesurf.serialize import SchemaError, load_custom_profile, profile_json
 
 # The constructor called positionally and by keyword: every check must fire both ways.
@@ -338,6 +339,14 @@ class TestProfiles:
             cubic_profile(-1)
 
 
+class TestNamed:
+    @pytest.mark.parametrize("name", [name for name, e in NAMED.items() if e.lines])
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_lines_scan_to_the_profile(self, name, n):
+        entry = NAMED[name]
+        assert profile_from_arrangement(entry.lines(n)) == entry.profile(n)
+
+
 class TestMaxLinesBound:
     @pytest.mark.parametrize("n,bound", [(3, 27), (4, 64), (6, 180)])
     def test_values(self, n, bound):
@@ -414,6 +423,18 @@ class TestRefusals:
                 ProfileError,
                 "surface degree n must be an integer >= 3",
                 id="fermat-profile-degree",
+            ),
+            pytest.param(
+                lambda: rams_profile(5),
+                ProfileError,
+                "the Rams grid configuration requires degree n >= 6",
+                id="rams-profile-degree",
+            ),
+            pytest.param(
+                lambda: cubic_profile(19),
+                ProfileError,
+                r"the number of Eckardt points must lie in 0\.\.18",
+                id="cubic-profile-eckardt",
             ),
         ],
     )

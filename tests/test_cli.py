@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from linesurf.catalog import Arrangement, fermat_lines
+from linesurf.catalog import NAMED, Arrangement, fermat_lines
 from linesurf.cli import main
 from linesurf.harbourne import extremal_profile_search
 from linesurf.projgeom import ProjPoint, line_through
@@ -171,12 +171,10 @@ class TestVerify:
         assert rows == [["on_surface", "27", "27", "PASS"]]
 
     def test_line_off_the_surface_fails(self, capsys, monkeypatch):
-        import linesurf.cli
-
         arr = fermat_lines(3)
         axis = line_through(*(ProjPoint.from_values(6, p) for p in ((1, 0, 0, 0), (0, 1, 0, 0))))
         broken = Arrangement(3, arr.lines[1:] + (axis,))
-        monkeypatch.setattr(linesurf.cli, "fermat_lines", lambda n: broken)
+        monkeypatch.setitem(NAMED, "fermat", NAMED["fermat"]._replace(lines=lambda n: broken))
         code, out, _ = run(capsys, "verify", "--surface", "fermat", "--degree", "3")
         assert code == 0
         assert out.splitlines()[2].split() == ["on_surface", "26", "27", "FAIL"]
@@ -947,6 +945,17 @@ OPTIONS = {
     "search-extremal": "--degree --num-lines --k-max --limit --format --places --output",
 }
 
+# Each subcommand's --surface choices, in order; search-extremal has no --surface.
+SURFACES = {
+    "catalog": "fermat custom",
+    "profile": "fermat rams schur cubic custom",
+    "analyze": "fermat rams schur cubic custom",
+    "verify": "fermat rams schur cubic custom",
+    "bound": "fermat rams schur cubic custom",
+    "sweep": "fermat rams cubic",
+    "search-bauer": "fermat custom",
+}
+
 # (argv, flag named in the error); {P} is a profile file, {L} a lines file.
 # Before each of these was an error, it exited 0 and ignored part of its input.
 UNREAD = [
@@ -990,6 +999,13 @@ class TestFlags:
             assert "--threads" not in options
             assert set(options) - {"-h", "--help"} == set(OPTIONS[name].split())
         assert sum(len(o.split()) for o in OPTIONS.values()) == 61
+        surfaces = {
+            name: " ".join(a.choices)
+            for name, parser in sub.choices.items()
+            for a in parser._actions
+            if a.dest == "surface"
+        }
+        assert surfaces == SURFACES
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -1004,6 +1020,7 @@ class TestFlags:
                 "--surface custom needs --profile PATH or --lines PATH",
             ),
             (("sweep", "--surface", "fermat"), "sweep --surface fermat requires --degrees A:B"),
+            (("profile", "--surface", "cubic"), "--surface cubic requires --eckardt"),
         ],
     )
     def test_unread_or_conflicting_flag_is_usage_error(self, capsys, tmp_path, argv, message):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+from closed_forms import cubic_h, fermat_h_closed, rams_h_closed
 
 import linesurf.harbourne
 from linesurf.catalog import (
@@ -22,13 +23,10 @@ from linesurf.harbourne import (
     UndefinedConstant,
     analyze_profile,
     bauer_search,
-    cubic_h,
     extremal_profile_search,
-    fermat_h_closed,
     harbourne_linear,
     harbourne_lower_bound,
     miyaoka_check,
-    rams_h_closed,
     strict_transform_sq,
     strict_transform_sq_lower,
 )
