@@ -55,7 +55,6 @@ from .projgeom import (
     ProjLine,
     ProjPoint,
     line_intersection,
-    line_through,
     plucker_pairing,
     point_on_line,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "harbourne_lower_bound",
     "incidence_count",
     "line_intersection",
-    "line_through",
     "load_custom_lines",
     "load_custom_profile",
     "max_lines_bound",

@@ -19,7 +19,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple, Optional
 
 from .exactnum import CycloNum, nth_roots_of_minus_one
-from .projgeom import ProjLine, ProjPoint, line_through
+from .projgeom import ProjLine, ProjPoint
 
 
 class ProfileError(ValueError):
@@ -304,7 +304,7 @@ def fermat_lines(n: int) -> Arrangement:
             for x in roots:
                 p, q = [zero] * 4, [zero] * 4
                 p[0], p[a], q[b], q[c] = z, one, x, one
-                lines.append(line_through(ProjPoint(p), ProjPoint(q)))
+                lines.append(ProjLine(ProjPoint(p), ProjPoint(q)))
     return Arrangement(n, tuple(lines))
 
 

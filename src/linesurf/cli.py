@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from . import __version__
 from .catalog import NAMED, Arrangement, IncidenceProfile, on_surface
@@ -168,12 +167,9 @@ def resolve(args) -> Arrangement | IncidenceProfile:
     raise UsageError("--surface custom needs --lines PATH for this command")
 
 
-def as_profile(chosen: Arrangement | IncidenceProfile) -> IncidenceProfile:
-    return profile_from_arrangement(chosen) if isinstance(chosen, Arrangement) else chosen
-
-
 def resolve_profile(args) -> IncidenceProfile:
-    return as_profile(resolve(args))
+    chosen = resolve(args)
+    return profile_from_arrangement(chosen) if isinstance(chosen, Arrangement) else chosen
 
 
 def _parse_range(text: str, what: str) -> range:
@@ -221,44 +217,37 @@ def report_row(report: HarbourneReport, places: int) -> list:
 class Output:
     """What a command produces, before a format is chosen.
 
-    ``rows`` and ``payload`` are thunks, so only the requested view is
-    built; row cells are rendered with ``str``.  ``table`` gives the table
-    format its own (header, rows) where it differs from the CSV view.
-    ``note`` follows a table and goes to stderr next to CSV; JSON payloads
-    carry it themselves.
+    ``rows`` and ``payload`` are thunks raising no domain errors, so only
+    the requested view is built, after every gate; ``rows`` may yield, as
+    CSV writes each row as it comes.  ``table`` gives the table format its
+    own (header, rows) where it differs from the CSV view.  ``note``
+    follows a table and goes to stderr next to CSV; JSON payloads carry it.
     """
 
     header: Sequence[str]
-    rows: Callable[[], list[list]]
+    rows: Callable[[], Iterable[Sequence]]
     payload: Callable[[], object]
-    table: Optional[Callable[[], tuple[Sequence[str], list[list]]]] = None
+    table: Optional[Callable[[], tuple[Sequence[str], Iterable[Sequence]]]] = None
     note: Optional[str] = None
 
 
-def render(out: Output, fmt: str) -> str:
+def render(out: Output, fmt: str, handle: TextIO) -> None:
+    """Write ``out`` to ``handle``; only the table holds its rows, as text, for the widths."""
     if fmt == "json":
-        return json.dumps(out.payload(), indent=2) + "\n"
-    if fmt == "table" and out.table is not None:
-        header, rows = out.table()
-    else:
-        header, rows = out.header, out.rows()
-    rows = [[str(cell) for cell in row] for row in rows]
+        print(json.dumps(out.payload(), indent=2), file=handle)
+        return
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        if out.note:
-            print(f"note: {out.note}", file=sys.stderr)
-        return buffer.getvalue()
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(out.header)
+        writer.writerows(out.rows())
+        return
+    header, rows = out.table() if out.table is not None else (out.header, out.rows())
+    rows = [[str(cell) for cell in row] for row in rows]
     widths = [max(map(len, column)) for column in zip(header, *rows)]
-    lines = [
-        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-        for row in [header, ["-" * w for w in widths], *rows]
-    ]
+    for row in [header, ["-" * w for w in widths], *rows]:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip(), file=handle)
     if out.note:
-        lines.append(f"note: {out.note}")
-    return "\n".join(lines) + "\n"
+        print(f"note: {out.note}", file=handle)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +337,14 @@ def cmd_verify(args) -> Output:
         good = sum(1 for line in chosen.lines if on_surface(line, chosen.n))
         checks.append(("on_surface", good, chosen.d, good == chosen.d))
     if args.valency is not None:
-        profile = as_profile(chosen)
+        # Explicit lines pass only if each line meets V others; a profile has only the sum.
+        profile, each = chosen, True
+        if isinstance(chosen, Arrangement):
+            scan = scan_arrangement(chosen)
+            profile = IncidenceProfile(chosen.n, chosen.d, scan.tally())
+            each = all(v == args.valency for v in scan.valencies(chosen.d))
         lhs, rhs = incidence_count(profile), profile.d * args.valency
-        ok = valency_consistent(profile, args.valency)
+        ok = valency_consistent(profile, args.valency) and each
         checks.append((f"valency_{args.valency}", lhs, rhs, ok))
     if not checks:
         raise UsageError(f"--surface {args.surface} has nothing to verify without --valency")
@@ -454,7 +448,7 @@ def cmd_search_extremal(args) -> Output:
     )
     return Output(
         ["t", "s", "h_exact", "h_decimal", "miyaoka_lhs", "miyaoka_rhs"],
-        lambda: [
+        lambda: (
             [
                 t_vector_str(profile.t),
                 profile.s,
@@ -463,7 +457,7 @@ def cmd_search_extremal(args) -> Output:
                 *miyaoka_check(profile)[:2],
             ]
             for profile, value in results
-        ],
+        ),
         lambda: {
             "note": EXTREMAL_NOTE,
             "profiles": [
@@ -562,25 +556,28 @@ def main(argv: Optional[list[str]] = None) -> int:
         cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if cap and places > cap:
             raise ValueError(f"places must be at most {cap}")
-        payload = render(args.run(args), args.format)
+        out = args.run(args)
     except UsageError as exc:
         print(f"linesurf {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"linesurf {args.command}: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(payload)
-        except OSError as exc:
-            print(
-                f"linesurf {args.command}: cannot write {args.output}: {exc.strerror or exc}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        sys.stdout.write(payload)
+    # The handler has passed every gate, so no file is made for a refused run.
+    if out.note and args.format == "csv":
+        print(f"note: {out.note}", file=sys.stderr)
+    if not args.output:
+        render(out, args.format, sys.stdout)
+        return 0
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            render(out, args.format, handle)
+    except OSError as exc:
+        print(
+            f"linesurf {args.command}: cannot write {args.output}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 

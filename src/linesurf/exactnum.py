@@ -43,6 +43,11 @@ class ConductorMismatch(ValueError):
     """Combining cyclotomic numbers that live in different fields."""
 
 
+def mismatch(a: int, b: int) -> ConductorMismatch:
+    """The one error for mixed fields; hot paths compare inline and call this to raise."""
+    return ConductorMismatch(f"cannot combine Q(zeta_{a}) with Q(zeta_{b})")
+
+
 def euler_phi(m: int) -> int:
     """Euler's totient, computed by trial-division factorization."""
     if m < 1:
@@ -262,9 +267,7 @@ class CycloNum:
     def _coerce(self, other):
         if isinstance(other, CycloNum):
             if other.m != self.m:
-                raise ConductorMismatch(
-                    f"cannot combine Q(zeta_{self.m}) with Q(zeta_{other.m})"
-                )
+                raise mismatch(self.m, other.m)
             return other
         if isinstance(other, (int, Fraction)):
             return CycloNum.rational(self.m, other)
@@ -299,9 +302,7 @@ class CycloNum:
             return _reduced(self.m, [x * p for x in self.nums], self.den * other.denominator)
         if isinstance(other, CycloNum):
             if other.m != self.m:
-                raise ConductorMismatch(
-                    f"cannot combine Q(zeta_{self.m}) with Q(zeta_{other.m})"
-                )
+                raise mismatch(self.m, other.m)
             return _reduced(self.m, _mul_vec(self.m, self.nums, other.nums), self.den * other.den)
         return NotImplemented
 
@@ -422,7 +423,7 @@ def dot(m: int, xs: Sequence[CycloNum], ys: Sequence[CycloNum]) -> CycloNum:
     den = 1
     for x, y in zip(xs, ys, strict=True):
         if x.m != m or y.m != m:
-            raise ConductorMismatch(f"dot over Q(zeta_{m}) met Q(zeta_{x.m}) and Q(zeta_{y.m})")
+            raise mismatch(m, y.m if x.m == m else x.m)
         if any(x.nums) and any(y.nums):
             d = x.den * y.den
             terms.append((x.nums, y.nums, d))

@@ -62,6 +62,14 @@ class ScanResult:
         """Pairs of lines that meet, C(k, 2) summed over the points."""
         return sum(sp.multiplicity * (sp.multiplicity - 1) // 2 for sp in self.points)
 
+    def valencies(self, d: int) -> list[int]:
+        """How many others each of the d lines meets: k - 1 at each of its points."""
+        out = [0] * d
+        for sp in self.points:
+            for i in sp.lines:
+                out[i] += sp.multiplicity - 1
+        return out
+
     def tally(self) -> dict[int, int]:
         """Count distinct points by multiplicity: the t-vector of the scan."""
         out: dict[int, int] = {}

@@ -23,6 +23,9 @@ each Plucker coordinate and the Plucker relation, a form's value at a
 point and the pairing.  The coordinates a + t b of ``_span_point`` stay
 a product and a sum: a fused form measured slower on the moved quartic
 lines and no faster on the Fermat lines.
+
+Mixed conductors raise ``exactnum.mismatch``; a line's base points and a
+point tested on a line are checked by the first ``dot`` they meet.
 """
 
 from __future__ import annotations
@@ -30,18 +33,10 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from . import exactnum  # residue_field read where CycloNum.residue reads it
-from .exactnum import ConductorMismatch, CycloNum, Scalar, dot
+from .exactnum import CycloNum, Scalar, dot, mismatch
 
 #: Index order of the six Plucker coordinates.
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _same_conductor(values: Sequence[CycloNum]) -> int:
-    m = values[0].m
-    for v in values[1:]:
-        if v.m != m:
-            raise ConductorMismatch("coordinates must share one conductor")
-    return m
 
 
 class ProjPoint:
@@ -59,7 +54,10 @@ class ProjPoint:
         coords = tuple(coords)
         if len(coords) != 4:
             raise ValueError("a point of P^3 needs exactly 4 coordinates")
-        _same_conductor(coords)
+        m = coords[0].m
+        for c in coords[1:]:
+            if c.m != m:
+                raise mismatch(m, c.m)
         lead = next((c for c in coords if not c.is_zero()), None)
         if lead is None:
             raise ValueError("homogeneous coordinates cannot all be zero")
@@ -119,8 +117,6 @@ class ProjLine:
     __slots__ = ("base", "conductor", "plucker", "forms", "residues")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
-        if p.conductor != q.conductor:
-            raise ConductorMismatch("base points must share one conductor")
         if p == q:
             raise ValueError("a line needs two distinct points")
         m = p.conductor
@@ -171,16 +167,9 @@ def _dual_rows(plucker: Sequence[CycloNum]) -> tuple[tuple[CycloNum, ...], ...]:
     )
 
 
-def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
-    """The unique line through two distinct points."""
-    return ProjLine(p, q)
-
-
 def point_on_line(pt: ProjPoint, line: ProjLine) -> bool:
     """Exact membership test: both defining forms vanish at the point."""
     m = pt.conductor
-    if line.conductor != m:
-        raise ConductorMismatch("point and line must share one conductor")
     return all(dot(m, form, pt.coords).is_zero() for form in line.forms)
 
 
@@ -248,7 +237,7 @@ def line_intersection(a: ProjLine, b: ProjLine) -> Optional[ProjPoint]:
     """
     m = a.conductor
     if b.conductor != m:
-        raise ConductorMismatch("lines must share one conductor")
+        raise mismatch(m, b.conductor)
     ra, rb = a.residues, b.residues
     if ra is not None and rb is not None and (
         ra[0] * rb[5] - ra[1] * rb[4] + ra[2] * rb[3] + ra[5] * rb[0] - ra[4] * rb[1] + ra[3] * rb[2]

@@ -21,7 +21,7 @@ from .catalog import Arrangement, IncidenceProfile, ProfileError, check_degree, 
 from .exactnum import CycloNum
 from .harbourne import HarbourneReport, strict_transform_sq
 from .incidence import ScanResult, incidence_count
-from .projgeom import ProjPoint, line_through
+from .projgeom import ProjLine, ProjPoint
 
 
 class SchemaError(ValueError):
@@ -249,7 +249,7 @@ def load_custom_lines(path: str) -> Arrangement:
                 raise SchemaError(f"{where}: a point needs 4 coordinates")
             coords.append([_coordinate(c, m, where) for c in pt])
         try:
-            lines.append(line_through(ProjPoint(coords[0]), ProjPoint(coords[1])))
+            lines.append(ProjLine(ProjPoint(coords[0]), ProjPoint(coords[1])))
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     try:

@@ -5,7 +5,7 @@ import pytest
 from linesurf.catalog import Arrangement, IncidenceProfile, fermat_lines
 from linesurf.exactnum import CycloNum, residue_field
 from linesurf.incidence import scan_arrangement
-from linesurf.projgeom import ProjPoint, line_through
+from linesurf.projgeom import ProjLine, ProjPoint
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +37,7 @@ def moved(arr, matrix):
             [sum((x * c for c, x in zip(row, pt.coords)), CycloNum.zero(m)) for row in matrix]
         )
 
-    return Arrangement(arr.n, tuple(line_through(*map(move, line.base)) for line in arr.lines))
+    return Arrangement(arr.n, tuple(ProjLine(*map(move, line.base)) for line in arr.lines))
 
 
 # Determinant 1, so the moved quartic is projectively equivalent to Fermat's.

@@ -253,9 +253,9 @@ class TestOnSurface:
         assert on_surface(fermat_arrs[3].lines[0], 3)
 
     def test_coordinate_axis_not_on_cubic(self):
-        from linesurf.projgeom import ProjPoint, line_through
+        from linesurf.projgeom import ProjLine, ProjPoint
 
-        axis = line_through(
+        axis = ProjLine(
             ProjPoint.from_values(6, (1, 0, 0, 0)),
             ProjPoint.from_values(6, (0, 1, 0, 0)),
         )
@@ -269,13 +269,13 @@ class TestOnSurface:
         # p and q lie on the surface, but F(p + q) = (1 + zeta)^n is not zero,
         # so a test that sampled only the base points would accept this line
         from linesurf.exactnum import CycloNum, zeta
-        from linesurf.projgeom import ProjPoint, line_through
+        from linesurf.projgeom import ProjLine, ProjPoint
 
         z, one, zero = zeta(2 * n), CycloNum.one(2 * n), CycloNum.zero(2 * n)
         p, q = ProjPoint((z, one, zero, zero)), ProjPoint((zero, z, one, zero))
         for point in (p, q):
             assert sum((c**n for c in point.coords), zero).is_zero()
-        assert not on_surface(line_through(p, q), n)
+        assert not on_surface(ProjLine(p, q), n)
 
 
 class TestProfiles:

@@ -7,7 +7,7 @@ import pytest
 from linesurf.catalog import NAMED, Arrangement, fermat_lines
 from linesurf.cli import main
 from linesurf.harbourne import extremal_profile_search
-from linesurf.projgeom import ProjPoint, line_through
+from linesurf.projgeom import ProjLine, ProjPoint
 from linesurf.serialize import (
     SchemaError,
     arrangement_json,
@@ -172,7 +172,7 @@ class TestVerify:
 
     def test_line_off_the_surface_fails(self, capsys, monkeypatch):
         arr = fermat_lines(3)
-        axis = line_through(*(ProjPoint.from_values(6, p) for p in ((1, 0, 0, 0), (0, 1, 0, 0))))
+        axis = ProjLine(*(ProjPoint.from_values(6, p) for p in ((1, 0, 0, 0), (0, 1, 0, 0))))
         broken = Arrangement(3, arr.lines[1:] + (axis,))
         monkeypatch.setitem(NAMED, "fermat", NAMED["fermat"]._replace(lines=lambda n: broken))
         code, out, _ = run(capsys, "verify", "--surface", "fermat", "--degree", "3")
@@ -192,6 +192,22 @@ class TestVerify:
         code, out, _ = run(capsys, *argv, "--valency", "1")
         assert code == 0
         assert out.splitlines() == ["check,lhs,rhs,result", "valency_1,2,2,PASS"]
+
+    def test_unequal_valencies_fail(self, capsys, tmp_path):
+        # The lines meet 1, 2, 1 and 0 others: 4 incidences fit d * V = 4, yet
+        # not every line meets exactly one other.
+        chain = [
+            [[1, 0, 0, 0], [0, 1, 0, 0]],
+            [[0, 1, 0, 0], [0, 0, 1, 0]],
+            [[0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 1, 0], [0, 1, 0, 1]],
+        ]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"n": 4, "lines": chain}))
+        argv = ("verify", "--surface", "custom", "--lines", str(path), "--format", "csv")
+        code, out, _ = run(capsys, *argv, "--valency", "1")
+        assert code == 0
+        assert out.splitlines() == ["check,lhs,rhs,result", "valency_1,4,4,FAIL"]
 
     def test_negative_valency_is_domain_error(self, capsys):
         code, out, err = run(
@@ -775,6 +791,35 @@ class TestOutputBehavior:
             )
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ("table", "csv", "json"))
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        argv = ("search-extremal", "--degree", "4", "--num-lines", "16", "--k-max", "4",
+                "--format", fmt)
+        code, printed, err = run(capsys, *argv)
+        assert code == 0 and printed
+        target = tmp_path / "report"
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", err)
+        assert target.read_bytes() == printed.encode("utf-8")
+
+    def test_csv_holds_little_more_than_the_search(self, tmp_path):
+        # CSV rows are written as they are made, so the report's peak is the
+        # search's rows plus a little, not a second copy of them as text.
+        import tracemalloc
+
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        argv = ["search-extremal", "--degree", "4", "--num-lines", "16", "--k-max", "4",
+                "--format", "csv", "--output", str(tmp_path / "search.csv")]
+        searched = peak(lambda: extremal_profile_search(4, 16, 4))
+        written = peak(lambda: main(argv))
+        assert written <= 1.5 * searched
 
     @pytest.mark.parametrize(
         "argv,scans",

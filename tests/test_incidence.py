@@ -22,13 +22,13 @@ from linesurf.incidence import (
     scan_arrangement,
     valency_consistent,
 )
-from linesurf.projgeom import ProjPoint, line_intersection, line_through, point_on_line
+from linesurf.projgeom import ProjLine, ProjPoint, line_intersection, point_on_line
 from linesurf.serialize import arrangement_json, scan_json
 
 
 def simple_arrangement(point_pairs, n=4, m=8):
     lines = [
-        line_through(ProjPoint.from_values(m, a), ProjPoint.from_values(m, b))
+        ProjLine(ProjPoint.from_values(m, a), ProjPoint.from_values(m, b))
         for a, b in point_pairs
     ]
     return Arrangement(n, tuple(lines))
@@ -60,6 +60,10 @@ class TestSingularPoints:
     def test_fermat_quartic_pair_count(self, fermat_scans):
         meeting = fermat_scans[4].meeting_pairs
         assert meeting == 192 * 1 + 24 * 6 == 336
+
+    def test_every_fermat_line_meets_the_same_number(self, fermat_scans):
+        assert fermat_scans[3].valencies(27) == [10] * 27  # the 27 lines of a cubic
+        assert fermat_scans[4].valencies(48) == [14] * 48  # 2 * 336 incidences over 48
 
     def test_every_listed_line_passes_through(
         self, fermat_arrs, fermat_scans, moved_quartic, shear_quartic
@@ -201,7 +205,7 @@ def scan_with_residue(monkeypatch, arr, value=UNFORCED):
         patch.setattr(projgeom, "plucker_pairing", lambda a, b: pairings.append((a, b)) or pairing(a, b))
         if value is not UNFORCED:
             patch.setattr(CycloNum, "residue", lambda self: value)
-        rebuilt = Arrangement(arr.n, tuple(line_through(*line.base) for line in arr.lines))
+        rebuilt = Arrangement(arr.n, tuple(ProjLine(*line.base) for line in arr.lines))
         return scan_arrangement(rebuilt), pairings
 
 

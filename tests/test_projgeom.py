@@ -8,9 +8,9 @@ from linesurf import projgeom
 from linesurf.exactnum import ConductorMismatch, CycloNum, dot, nth_roots_of_minus_one, zeta
 from linesurf.projgeom import (
     PLUCKER_PAIRS,
+    ProjLine,
     ProjPoint,
     line_intersection,
-    line_through,
     plucker_pairing,
     point_on_line,
 )
@@ -69,19 +69,19 @@ class TestNormalization:
 
 class TestLineThrough:
     def test_coordinate_axis(self):
-        line = line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
+        line = ProjLine(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
         assert [str(c) for c in line.plucker] == ["1", "0", "0", "0", "0", "0"]
 
     def test_orientation_absorbed(self):
         p, q = pt(1, 2, 3, 4), pt(0, 1, -1, 2)
-        assert line_through(p, q) == line_through(q, p)
+        assert ProjLine(p, q) == ProjLine(q, p)
 
     def test_fermat_style_line(self):
         # x = zeta*y, z = xi*w realized through (zeta,1,0,0) and (0,0,xi,1)
         zr, xr = nth_roots_of_minus_one(3)[0], nth_roots_of_minus_one(3)[1]
         p = ProjPoint.from_values(M, (zr, 1, 0, 0))
         q = ProjPoint.from_values(M, (0, 0, xr, 1))
-        line = line_through(p, q)
+        line = ProjLine(p, q)
         for point in (p, q):
             x, y, z, w = point.coords
             assert (x - zr * y).is_zero()
@@ -90,14 +90,14 @@ class TestLineThrough:
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
-            line_through(pt(1, 2, 0, 0), pt(2, 4, 0, 0))
+            ProjLine(pt(1, 2, 0, 0), pt(2, 4, 0, 0))
 
     def test_plucker_relation(self):
         rng = random.Random(777)
         for _ in range(40):
             coords = [rng.randint(-5, 5) for _ in range(8)]
             try:
-                line = line_through(pt(*coords[:4]), pt(*coords[4:]))
+                line = ProjLine(pt(*coords[:4]), pt(*coords[4:]))
             except ValueError:
                 continue
             p = line.plucker
@@ -105,27 +105,27 @@ class TestLineThrough:
 
     def test_canonical_equality_different_spans(self):
         p, q = pt(1, 0, 2, 1), pt(0, 1, 1, 3)
-        line = line_through(p, q)
+        line = ProjLine(p, q)
         # p + q and p - q span the same line
         r = ProjPoint([a + b for a, b in zip(p.coords, q.coords)])
         s = ProjPoint([a - b for a, b in zip(p.coords, q.coords)])
-        assert line_through(r, s) == line
-        assert hash(line_through(r, s)) == hash(line)
+        assert ProjLine(r, s) == line
+        assert hash(ProjLine(r, s)) == hash(line)
 
 
 class TestPointOnLine:
     def test_base_points(self):
-        line = line_through(pt(1, 1, 0, 2), pt(0, 5, 1, 1))
+        line = ProjLine(pt(1, 1, 0, 2), pt(0, 5, 1, 1))
         assert point_on_line(line.base[0], line)
         assert point_on_line(line.base[1], line)
 
     def test_off_line(self):
-        line = line_through(pt(0, 1, 0, 0), pt(0, 0, 1, 0))
+        line = ProjLine(pt(0, 1, 0, 0), pt(0, 0, 1, 0))
         assert not point_on_line(pt(1, 0, 0, 0), line)
 
     def test_combination_stays_on_line(self):
         p, q = pt(1, 2, 0, 1), pt(0, 1, 1, 1)
-        line = line_through(p, q)
+        line = ProjLine(p, q)
         combo = ProjPoint([a + b for a, b in zip(p.coords, q.coords)])
         assert point_on_line(combo, line)
 
@@ -134,7 +134,7 @@ class TestPointOnLine:
         lines, points = [], []
         for _ in range(8):
             try:
-                lines.append(line_through(pt(*(rng.randint(-3, 3) for _ in range(4))),
+                lines.append(ProjLine(pt(*(rng.randint(-3, 3) for _ in range(4))),
                                           pt(*(rng.randint(-3, 3) for _ in range(4)))))
                 points.append(pt(*(rng.randint(-3, 3) for _ in range(4))))
             except ValueError:
@@ -149,15 +149,15 @@ class TestPointOnLine:
 
 class TestIntersection:
     def test_shared_base_point(self):
-        a = line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
-        b = line_through(pt(1, 0, 0, 0), pt(0, 0, 1, 0))
+        a = ProjLine(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
+        b = ProjLine(pt(1, 0, 0, 0), pt(0, 0, 1, 0))
         assert line_intersection(a, b) == pt(1, 0, 0, 0)
 
     def test_fermat_family_skew(self):
         roots = nth_roots_of_minus_one(3)
 
         def fam_a(zr, xr):
-            return line_through(
+            return ProjLine(
                 ProjPoint.from_values(M, (zr, 1, 0, 0)),
                 ProjPoint.from_values(M, (0, 0, xr, 1)),
             )
@@ -170,7 +170,7 @@ class TestIntersection:
         roots = nth_roots_of_minus_one(3)
 
         def fam_a(zr, xr):
-            return line_through(
+            return ProjLine(
                 ProjPoint.from_values(M, (zr, 1, 0, 0)),
                 ProjPoint.from_values(M, (0, 0, xr, 1)),
             )
@@ -179,28 +179,28 @@ class TestIntersection:
         assert meet == ProjPoint.from_values(M, (roots[0], 1, 0, 0))
 
     def test_symmetry(self):
-        a = line_through(pt(1, 2, 3, 4), pt(0, 1, 0, 1))
-        b = line_through(pt(1, 2, 3, 4), pt(1, 1, 1, 1))
+        a = ProjLine(pt(1, 2, 3, 4), pt(0, 1, 0, 1))
+        b = ProjLine(pt(1, 2, 3, 4), pt(1, 1, 1, 1))
         assert line_intersection(a, b) == line_intersection(b, a)
 
     def test_result_lies_on_both(self):
         # both lines lie in the plane w = 0, so they must meet
-        a = line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
-        b = line_through(pt(0, 0, 1, 0), pt(1, 1, 1, 0))
+        a = ProjLine(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
+        b = ProjLine(pt(0, 0, 1, 0), pt(1, 1, 1, 0))
         meet = line_intersection(a, b)
         assert meet is not None
         assert point_on_line(meet, a) and point_on_line(meet, b)
 
     def test_three_points_pairwise(self):
         p, q, r = pt(1, 0, 0, 0), pt(0, 1, 0, 0), pt(0, 0, 1, 0)
-        pq, pr, qr = line_through(p, q), line_through(p, r), line_through(q, r)
+        pq, pr, qr = ProjLine(p, q), ProjLine(p, r), ProjLine(q, r)
         assert line_intersection(pq, pr) == p
         assert line_intersection(pq, qr) == q
         assert line_intersection(pr, qr) == r
 
     def test_identical_lines_rejected(self):
-        a = line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
-        b = line_through(pt(1, 1, 0, 0), pt(1, -1, 0, 0))
+        a = ProjLine(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
+        b = ProjLine(pt(1, 1, 0, 0), pt(1, -1, 0, 0))
         assert a == b
         with pytest.raises(ValueError):
             line_intersection(a, b)
@@ -208,7 +208,7 @@ class TestIntersection:
     def test_line_in_plane_of_first_form(self):
         # a lies in the plane w = 0 of b.forms[0], so that form gives no point on a
         e0, e1, e2 = pt(1, 0, 0, 0), pt(0, 1, 0, 0), pt(0, 0, 1, 0)
-        a, b = line_through(e0, e2), line_through(e0, e1)
+        a, b = ProjLine(e0, e2), ProjLine(e0, e1)
         assert all(dot(M, b.forms[0], p.coords).is_zero() for p in a.base)
         assert line_intersection(a, b) == e0
         assert line_intersection(b, a) == e0
@@ -229,7 +229,7 @@ class TestIntersection:
             for _ in range(2):
                 s, t = rand_value(), rand_value()
                 base.append(ProjPoint([s * u + t * v for u, v in zip(x.coords, other.coords)]))
-            return line_through(*base)
+            return ProjLine(*base)
 
         checked = 0
         while checked < 25:
@@ -251,23 +251,23 @@ class TestIntersection:
         for _ in range(5):
             p, q, r = (pt(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)), 1)
                        for _ in range(3))
-            a = line_through(p, q)
-            assert line_intersection(a, line_through(p, r)) is p
-            assert line_intersection(a, line_through(r, q)) is q
+            a = ProjLine(p, q)
+            assert line_intersection(a, ProjLine(p, r)) is p
+            assert line_intersection(a, ProjLine(r, q)) is q
 
     def test_skew_pair_reported_as_meeting_fails(self, monkeypatch):
         calls = []
         pairing = projgeom.plucker_pairing
         monkeypatch.setattr(projgeom, "plucker_pairing", lambda a, b: calls.append(1) or pairing(a, b))
         points = (pt(1, 0, 0, 0), pt(0, 1, 0, 0), pt(0, 0, 1, 0), pt(0, 0, 0, 1))
-        a, b = line_through(*points[:2]), line_through(*points[2:])
+        a, b = ProjLine(*points[:2]), ProjLine(*points[2:])
         # the pairing residue proves the pair skew with no exact pairing
         assert line_intersection(a, b) is None
         assert calls == []
         # a zero residue falls back to the exact pairing, which finds the pair skew
         with monkeypatch.context() as patch:
             patch.setattr(CycloNum, "residue", lambda self: 0)
-            a, b = line_through(*points[:2]), line_through(*points[2:])
+            a, b = ProjLine(*points[:2]), ProjLine(*points[2:])
         assert a.residues == b.residues == (0,) * 6
         assert line_intersection(a, b) is None
         assert calls == [1]
@@ -279,8 +279,8 @@ class TestIntersection:
     def test_conductor_mismatch_rejected(self):
         with pytest.raises(ConductorMismatch):
             line_intersection(
-                line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0)),
-                line_through(pt(0, 0, 1, 0, m=8), pt(0, 0, 0, 1, m=8)),
+                ProjLine(pt(1, 0, 0, 0), pt(0, 1, 0, 0)),
+                ProjLine(pt(0, 0, 1, 0, m=8), pt(0, 0, 0, 1, m=8)),
             )
 
 
@@ -322,8 +322,8 @@ class TestExactMeet:
 
     def test_a_in_the_plane_of_the_first_form(self):
         # b is z = w = 0 with first form w; a lies in w = 0 and meets b off its base points
-        a = line_through(pt(1, 1, 1, 0, m=self.m), pt(1, 2, 3, 0, m=self.m))
-        b = line_through(pt(1, 0, 0, 0, m=self.m), pt(0, 1, 0, 0, m=self.m))
+        a = ProjLine(pt(1, 1, 1, 0, m=self.m), pt(1, 2, 3, 0, m=self.m))
+        b = ProjLine(pt(1, 0, 0, 0, m=self.m), pt(0, 1, 0, 0, m=self.m))
         assert self.branch(a, b) == (True, True)
         meet = line_intersection(a, b)
         assert meet == pt(2, 1, 0, 0, m=self.m) and meet not in a.base
@@ -333,8 +333,8 @@ class TestExactMeet:
         rng = random.Random(81)
         for _ in range(3):
             p, q, r = self.point(rng), self.point(rng), self.point(rng)
-            a = line_through(p, q)
-            for b, base in ((line_through(p, r), p), (line_through(r, q), q)):
+            a = ProjLine(p, q)
+            for b, base in ((ProjLine(p, r), p), (ProjLine(r, q), q)):
                 assert self.branch(a, b) == (base is p, base is q)
                 meet = line_intersection(a, b)
                 assert meet is base
@@ -345,7 +345,7 @@ class TestExactMeet:
         for _ in range(3):
             p, q, r, s = self.point(rng), self.point(rng), self.point(rng), self.value(rng)
             shared = ProjPoint([s * u + v for u, v in zip(p.coords, q.coords)])
-            a, b = line_through(p, q), line_through(shared, r)
+            a, b = ProjLine(p, q), ProjLine(shared, r)
             assert self.branch(a, b) == (False, False)
             meet = line_intersection(a, b)
             assert meet == shared and meet not in a.base
@@ -361,7 +361,7 @@ class TestExactMeet:
         )
         for _ in range(3):
             a, b = self.forced(monkeypatch, residue, lambda: tuple(
-                line_through(self.point(rng), self.point(rng)) for _ in "ab"
+                ProjLine(self.point(rng), self.point(rng)) for _ in "ab"
             ))
             assert a.residues == b.residues == (None if residue is None else (0,) * 6)
             pairings.clear()
@@ -387,7 +387,7 @@ class TestExactMeet:
             pairs[kind] = pairs.get(kind, 0) + 1
         assert costs == {"skew": {0}, "in plane": {4}, "general": {3}}
         forced = self.forced(
-            monkeypatch, 0, lambda: [line_through(*line.base) for line in lines]
+            monkeypatch, 0, lambda: [ProjLine(*line.base) for line in lines]
         )
         skew = 0
         for a, b in itertools.combinations(forced, 2):
@@ -405,7 +405,7 @@ class TestRefusals:
             pytest.param(
                 lambda: ProjPoint((CycloNum.one(M), CycloNum.one(8), zeta(M), zeta(M))),
                 ConductorMismatch,
-                "coordinates must share one conductor",
+                r"cannot combine Q\(zeta_6\) with Q\(zeta_8\)",
                 id="point-conductors",
             ),
             pytest.param(
@@ -415,17 +415,17 @@ class TestRefusals:
                 id="three-coordinates",
             ),
             pytest.param(
-                lambda: line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0, m=8)),
+                lambda: ProjLine(pt(1, 0, 0, 0), pt(0, 1, 0, 0, m=8)),
                 ConductorMismatch,
-                "base points must share one conductor",
+                r"cannot combine Q\(zeta_6\) with Q\(zeta_8\)",
                 id="line-conductors",
             ),
             pytest.param(
                 lambda: point_on_line(
-                    pt(1, 0, 0, 0, m=8), line_through(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
+                    pt(1, 0, 0, 0, m=8), ProjLine(pt(1, 0, 0, 0), pt(0, 1, 0, 0))
                 ),
                 ConductorMismatch,
-                "point and line must share one conductor",
+                r"cannot combine Q\(zeta_8\) with Q\(zeta_6\)",
                 id="point-on-line-conductors",
             ),
         ],
@@ -434,6 +434,38 @@ class TestRefusals:
         with pytest.raises(error, match=f"^{message}$") as refused:
             build()
         assert refused.type is error
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: zeta(6) + zeta(8), id="add"),
+            pytest.param(lambda: zeta(6) - zeta(8), id="sub"),
+            pytest.param(lambda: zeta(6) * zeta(8), id="mul"),
+            pytest.param(lambda: dot(6, [zeta(6)], [zeta(8)]), id="dot"),
+            pytest.param(
+                lambda: ProjPoint((CycloNum.one(6), CycloNum.one(8), zeta(6), zeta(6))),
+                id="point",
+            ),
+            pytest.param(lambda: ProjLine(pt(1, 0, 0, 0), pt(0, 1, 0, 0, m=8)), id="line"),
+            pytest.param(
+                lambda: point_on_line(
+                    pt(1, 0, 0, 0), ProjLine(pt(1, 0, 0, 0, m=8), pt(0, 1, 0, 0, m=8))
+                ),
+                id="point-on-line",
+            ),
+            pytest.param(
+                lambda: line_intersection(
+                    ProjLine(pt(1, 0, 0, 0), pt(0, 1, 0, 0)),
+                    ProjLine(pt(0, 0, 1, 0, m=8), pt(0, 0, 0, 1, m=8)),
+                ),
+                id="intersection",
+            ),
+        ],
+    )
+    def test_mixed_conductors_have_one_message(self, build):
+        with pytest.raises(ConductorMismatch) as refused:
+            build()
+        assert str(refused.value) == "cannot combine Q(zeta_6) with Q(zeta_8)"
 
 
 class TestDualRows:
@@ -447,14 +479,14 @@ class TestDualRows:
             return CycloNum(m, [rng.randint(-3, 3) for _ in range(4)])
 
         # Lines led by p01, p12, p23 and p03, then random ones.
-        lines = [line_through(pt(*p, m=m), pt(*q, m=m)) for p, q in (
+        lines = [ProjLine(pt(*p, m=m), pt(*q, m=m)) for p, q in (
             ((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 1, 0, 0), (0, 0, 1, 2)),
             ((0, 0, 1, 0), (0, 0, 0, 1)), ((1, 0, 5, 0), (0, 0, 0, 1)),
         )]
         while len(lines) < 24:
             p, q = (ProjPoint.from_values(m, [value() for _ in range(4)]) for _ in "pq")
             if p != q:
-                lines.append(line_through(p, q))
+                lines.append(ProjLine(p, q))
         for line in lines:
             a, b = (point.coords for point in line.base)
             raw = (a[k] * b[l] - a[l] * b[k] for k, l in PLUCKER_PAIRS)
@@ -631,12 +663,12 @@ class TestSympyRankOracle:
             p, q, r = point(), point(), point()
             s, t = value(), value()
             shared = ProjPoint([s * u + t * v for u, v in zip(p.coords, q.coords)])
-            a, b = line_through(p, q), line_through(shared, r)
+            a, b = ProjLine(p, q), ProjLine(shared, r)
             meet = line_intersection(a, b)
             assert meet == shared
             assert self.rank(sympy, x, phi, [*(pt.coords for pt in a.base), meet.coords]) == 2
             assert self.rank(sympy, x, phi, [*(pt.coords for pt in b.base), meet.coords]) == 2
             assert self.rank(sympy, x, phi, [*(pt.coords for pt in a.base), *(pt.coords for pt in b.base)]) == 3
-        a, b = line_through(point(), point()), line_through(point(), point())
+        a, b = ProjLine(point(), point()), ProjLine(point(), point())
         assert line_intersection(a, b) is None
         assert self.rank(sympy, x, phi, [*(pt.coords for pt in a.base), *(pt.coords for pt in b.base)]) == 4
