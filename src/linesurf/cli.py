@@ -30,6 +30,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from . import __version__
@@ -526,7 +527,9 @@ SUBCOMMANDS = (
 )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="linesurf", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"linesurf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -18,8 +18,12 @@ Fermat coordinates have, the step does nothing.  A sum of products,
 :func:`dot`, is convolved term by term over one common denominator and
 takes that step once, not once per product and partial sum.
 ``fractions.Fraction`` appears only where rationals cross the boundary:
-parsing input, the :attr:`CycloNum.coeffs` view, and comparing or
-hashing against a rational.
+a ``Fraction`` given as a coefficient or scalar, the
+:attr:`CycloNum.coeffs` view that ``str`` and ``repr`` print, and
+comparing or hashing against a rational.  Past this module the scan's
+point order, the JSON text and the lines loader's integer strings read
+``nums`` and ``den`` as integers; only "p/q" input is parsed by
+``Fraction``.
 
 No floating point is used anywhere in this module.  Values are immutable
 and all operations are pure.
@@ -206,7 +210,8 @@ class CycloNum:
     all of ``nums``, so the pair is unique for each value; zero is
     (0, ..., 0) over 1.  Construction reduces arbitrary-degree input modulo
     the m-th cyclotomic polynomial, so zeta_m^m == 1 and Phi_m(zeta_m) == 0
-    hold under the arithmetic.  ``coeffs`` is the same vector as rationals.
+    hold under the arithmetic.  ``coeffs`` is the same vector as rationals,
+    for printing; the serialized text is written from ``nums`` and ``den``.
     """
 
     __slots__ = ("m", "nums", "den")

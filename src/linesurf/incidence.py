@@ -16,12 +16,16 @@ and its pairs have already put it in the group.  The scan checks that
 the multiplicities account for every meeting pair, which holds only if
 every group is a clique: a missed meeting or a point split in two fails
 it.
+
+The points are listed in the order of their coordinates read as
+rationals, by an exact integer key (``_sorted_points``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from math import lcm
+from typing import Iterable, NamedTuple
 
 from .catalog import Arrangement, IncidenceProfile
 from .projgeom import ProjPoint, line_intersection
@@ -54,7 +58,7 @@ class ScanResult:
     ``stats`` counts the work done and takes no part in equality.
     """
 
-    points: tuple[SingularPoint, ...]  # sorted by canonical point key
+    points: tuple[SingularPoint, ...]  # sorted by location, see _sorted_points
     stats: ScanStats = field(compare=False)
 
     @property
@@ -101,13 +105,31 @@ def scan_arrangement(arr: Arrangement) -> ScanResult:
                 members.add(i)
                 members.add(j)
 
-    points = [SingularPoint(pt, tuple(sorted(members))) for pt, members in groups.items()]
-    points.sort(key=lambda sp: sp.location.sort_key())
-
-    scan = ScanResult(tuple(points), ScanStats(d * (d - 1) // 2, meeting, len(points)))
+    points = tuple(SingularPoint(pt, tuple(sorted(groups[pt]))) for pt in _sorted_points(groups))
+    scan = ScanResult(points, ScanStats(d * (d - 1) // 2, meeting, len(points)))
     if scan.meeting_pairs != meeting:
         raise AssertionError("pair scan and per-point multiplicities disagree")
     return scan
+
+
+def _sorted_points(points: Iterable[ProjPoint]) -> list[ProjPoint]:
+    """Points of one conductor in the order of their coordinates read as rationals.
+
+    Coordinates compare coefficient by coefficient, the first coordinate
+    first.  Scaling every coefficient to the lcm of all the denominators,
+    a positive integer, keeps the order and its ties, and every ``nums``
+    has length phi(m); so the key is integer tuples and builds no ``Fraction``.
+    """
+    points = list(points)
+    scale = lcm(*{c.den for pt in points for c in pt.coords})
+
+    def key(pt: ProjPoint) -> list:
+        return [
+            c.nums if c.den == scale else tuple([x * (scale // c.den) for x in c.nums])
+            for c in pt.coords
+        ]
+
+    return sorted(points, key=key)
 
 
 def profile_from_arrangement(arr: Arrangement) -> IncidenceProfile:

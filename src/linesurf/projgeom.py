@@ -79,10 +79,6 @@ class ProjPoint:
     def conductor(self) -> int:
         return self.coords[0].m
 
-    def sort_key(self):
-        """Deterministic total order on canonical coordinates."""
-        return (self.conductor,) + tuple(c.coeffs for c in self.coords)
-
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented

@@ -13,8 +13,10 @@ the requested number of places; it never rounds away digits upward, so
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .catalog import Arrangement, IncidenceProfile, ProfileError, check_degree, check_line_count
@@ -175,11 +177,34 @@ def load_custom_profile(path: str) -> IncidenceProfile:
 
 
 def _element_json(value: CycloNum) -> dict:
-    return {"m": value.m, "coeffs": [str(c) for c in value.coeffs]}
+    """``{m, coeffs}``; each coefficient is the text ``str(Fraction(x, den))`` would give."""
+    den = value.den
+    if den == 1:
+        return {"m": value.m, "coeffs": [str(x) for x in value.nums]}
+    coeffs = []
+    for x in value.nums:
+        g = gcd(x, den)
+        coeffs.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return {"m": value.m, "coeffs": coeffs}
 
 
 def _point_json(pt: ProjPoint) -> list:
     return [_element_json(c) for c in pt.coords]
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _exact(value) -> Union[int, Fraction]:
+    """``int`` for a JSON integer or a ``-?[0-9]+`` string, else ``Fraction(value)``.
+
+    ``Fraction`` reads every ``-?[0-9]+`` string as ``int`` does, so both
+    paths accept, refuse and value a text alike; a digit string past the
+    interpreter's int-string limit raises ``ValueError`` on either.
+    """
+    if isinstance(value, int) or (isinstance(value, str) and _INTEGER.fullmatch(value)):
+        return int(value)
+    return Fraction(value)
 
 
 def _coordinate(value, m: int, where: str) -> CycloNum:
@@ -202,7 +227,7 @@ def _coordinate(value, m: int, where: str) -> CycloNum:
         coeffs = []
         for c in raw:
             try:
-                coeffs.append(Fraction(c))
+                coeffs.append(_exact(c))
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise SchemaError(f"{where}: bad cyclotomic coefficient {c!r}") from exc
         if cm != m:
@@ -214,7 +239,7 @@ def _coordinate(value, m: int, where: str) -> CycloNum:
         return CycloNum.rational(m, value)
     if isinstance(value, str):
         try:
-            return CycloNum.rational(m, Fraction(value))
+            return CycloNum.rational(m, _exact(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: bad rational coordinate {value!r}") from exc
     raise SchemaError(f"{where}: coordinates must be objects, integers or 'p/q' strings")

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from linesurf.catalog import NAMED, Arrangement, fermat_lines
-from linesurf.cli import main
+from linesurf.cli import build_parser, main
 from linesurf.harbourne import extremal_profile_search
 from linesurf.projgeom import ProjLine, ProjPoint
 from linesurf.serialize import (
@@ -1031,8 +1032,6 @@ class TestFlags:
     def test_option_sets(self):
         import argparse
 
-        from linesurf.cli import build_parser
-
         (sub,) = [
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         ]
@@ -1077,3 +1076,44 @@ class TestFlags:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == f"linesurf {argv[0]}: error: {message}\n"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and parses every call afresh."""
+
+    def test_second_call_leaves_no_cyclic_garbage(self, capsys):
+        argv = ("profile", "--surface", "fermat", "--degree", "4", "--from-lines", "--format", "csv")
+        first = run(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            second = run(capsys, *argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert first == second and first[0] == 0
+
+    @pytest.mark.parametrize(
+        "before",
+        [
+            ("catalog", "--surface", "fermat", "--degree", "3", "--singular", "--format", "json"),
+            ("analyze", "--surface", "schur", "--places", "7", "--format", "csv"),
+            ("bound", "--surface", "cubic", "--eckardt", "18", "--output", "{out}"),
+            ("catalog", "--surface", "fermat", "--bogus"),
+        ],
+    )
+    def test_flags_do_not_carry_over(self, capsys, tmp_path, before):
+        after = [
+            ("catalog", "--surface", "fermat", "--degree", "3"),
+            ("analyze", "--surface", "schur"),
+            ("bound", "--surface", "cubic", "--eckardt", "18"),
+        ]
+        build_parser.cache_clear()
+        fresh = []
+        for argv in after:
+            fresh.append(run(capsys, *argv))
+            build_parser.cache_clear()
+        for argv, expected in zip(after, fresh):
+            run(capsys, *(a.format(out=tmp_path / "report") for a in before))
+            assert run(capsys, *argv) == expected
+        assert build_parser() is build_parser()

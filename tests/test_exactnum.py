@@ -16,7 +16,7 @@ from linesurf.exactnum import (
     residue_field,
     zeta,
 )
-from linesurf.serialize import _coordinate, _element_json
+from linesurf.serialize import SchemaError, _coordinate, _element_json
 
 CONDUCTORS = (4, 6, 8, 9, 10, 12, 14, 15, 16)
 
@@ -258,6 +258,48 @@ def test_zero_test_matches_difference(a, b):
 @given(cyclo_numbers())
 def test_serialization_round_trip(a):
     assert _coordinate(_element_json(a), a.m, "round trip") == a
+
+
+@given(
+    st.sampled_from(CONDUCTORS),
+    st.one_of(st.sampled_from((1, 2, 6, 12)), st.integers(1, 10**12)),
+    st.data(),
+)
+def test_coefficient_text_is_fraction_text(m, den, data):
+    size = euler_phi(m)
+    numerator = st.one_of(st.integers(-12, 12), st.integers(-(10**20), 10**20))
+    nums = data.draw(st.lists(numerator, min_size=size, max_size=size))
+    value = CycloNum(m, [Fraction(x, den) for x in nums])
+    assert _element_json(value) == {"m": m, "coeffs": [str(Fraction(x, den)) for x in nums]}
+
+
+# Only "-?[0-9]+" is parsed by int(); the rest must read as Fraction reads them.
+# The long digit strings pass the int-string limit of interpreters that have one.
+LOADER_TEXTS = [
+    pytest.param(text, id=repr(text))
+    for text in ("007", "-0", "+5", " 5", "5_0", "\u0663", "1e3", "3/4", "--4", "-", "")
+] + [
+    pytest.param("9" * 5000, id="5000 digits"),
+    pytest.param("-" + "9" * 5000, id="-5000 digits"),
+]
+
+
+@pytest.mark.parametrize("text", LOADER_TEXTS)
+def test_loader_reads_text_as_fraction_does(text):
+    try:
+        expected = CycloNum.rational(8, Fraction(text))
+    except ValueError:
+        expected = None
+    cases = (
+        ({"m": 8, "coeffs": [text, 0, 0, 0]}, "bad cyclotomic coefficient"),
+        (text, "bad rational coordinate"),
+    )
+    for value, message in cases:
+        if expected is None:
+            with pytest.raises(SchemaError, match=f"^where: {message} "):
+                _coordinate(value, 8, "where")
+        else:
+            assert _coordinate(value, 8, "where") == expected
 
 
 def test_random_axioms_bulk():

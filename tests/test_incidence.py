@@ -2,11 +2,14 @@ import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from conftest import MOVE, moved
+from hypothesis import given
+from hypothesis import strategies as st
 
-from linesurf import exactnum, incidence, projgeom
+from linesurf import exactnum, incidence, projgeom, serialize
 from linesurf.catalog import (
     Arrangement,
     IncidenceProfile,
@@ -14,7 +17,7 @@ from linesurf.catalog import (
     fermat_profile,
     schur_profile,
 )
-from linesurf.exactnum import CycloNum, residue_field
+from linesurf.exactnum import CycloNum, euler_phi, residue_field
 from linesurf.incidence import (
     ScanStats,
     incidence_count,
@@ -23,7 +26,7 @@ from linesurf.incidence import (
     valency_consistent,
 )
 from linesurf.projgeom import ProjLine, ProjPoint, line_intersection, point_on_line
-from linesurf.serialize import arrangement_json, scan_json
+from linesurf.serialize import arrangement_json, load_custom_lines, scan_json
 
 
 def simple_arrangement(point_pairs, n=4, m=8):
@@ -299,3 +302,69 @@ class TestScanStats:
         assert other == scan
         assert scan_json(other) == scan_json(scan)
         assert set(scan_json(scan)) == {"meeting_pairs", "points"}
+
+
+def rational_key(pt):
+    """The order of the coordinates read as rationals, coefficient by coefficient."""
+    return tuple(tuple(Fraction(x, c.den) for x in c.nums) for c in pt.coords)
+
+
+@st.composite
+def canonical_points(draw):
+    """Points of one conductor with first nonzero coordinate 1, some repeated."""
+    m = draw(st.sampled_from((4, 6, 8, 12)))
+    dens = draw(st.sampled_from(((1,), (6,), (1, 2, 3, 4, 5, 7, 9, 11))))
+    coeff = st.builds(Fraction, st.integers(-40, 40), st.sampled_from(dens))
+    vector = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m))
+
+    def point():
+        zeros = draw(st.integers(0, 3))
+        rest = [CycloNum(m, draw(vector)) for _ in range(3 - zeros)]
+        return ProjPoint([CycloNum.zero(m)] * zeros + [CycloNum.one(m)] + rest)
+
+    points = [point() for _ in range(draw(st.integers(0, 10)))]
+    return points + points[: draw(st.integers(0, len(points)))]
+
+
+class TestPointOrder:
+    @given(canonical_points())
+    def test_integer_key_orders_as_rationals(self, points):
+        assert incidence._sorted_points(points) == sorted(points, key=rational_key)
+
+    def test_scan_points_in_rational_order(self, fermat_scans, moved_quartic, shear_quartic):
+        for scan in (fermat_scans[5], moved_quartic[1], shear_quartic[1]):
+            locations = [sp.location for sp in scan.points]
+            assert locations == sorted(locations, key=rational_key)
+
+    def test_integer_lines_load_scan_and_serialize_without_fraction(
+        self, monkeypatch, tmp_path, moved_quartic
+    ):
+        arr, scan = moved_quartic
+        expected = json.dumps(scan_json(scan))
+        # Each base point scaled to integer coefficients, written as strings.
+        points = []
+        for line in arr.lines:
+            pair = []
+            for pt in line.base:
+                scale = lcm(*(c.den for c in pt.coords))
+                pair.append(
+                    [
+                        {"m": c.m, "coeffs": [str(x * (scale // c.den)) for x in c.nums]}
+                        for c in pt.coords
+                    ]
+                )
+            points.append(pair)
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps({"n": arr.n, "lines": points}))
+
+        class NoFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a Fraction was built")
+
+        for module in (exactnum, serialize):
+            monkeypatch.setattr(module, "Fraction", NoFraction)
+        loaded = load_custom_lines(str(path))
+        again = scan_arrangement(loaded)
+        assert json.dumps(scan_json(again)) == expected
+        monkeypatch.undo()
+        assert loaded == arr and again == scan
