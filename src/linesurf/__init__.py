@@ -25,7 +25,6 @@ from .exactnum import (
     ConductorMismatch,
     CycloNum,
     cyclotomic_polynomial,
-    euler_phi,
     nth_roots_of_minus_one,
     zeta,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "bauer_search",
     "cubic_profile",
     "cyclotomic_polynomial",
-    "euler_phi",
     "extremal_profile_search",
     "fermat_lines",
     "fermat_profile",

@@ -14,7 +14,7 @@ derives its --surface choices and flags from it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, ItemsView, Mapping, ValuesView
+from collections.abc import Callable, ItemsView, Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple, Optional
 
@@ -39,10 +39,12 @@ class TVector(Mapping):
     Only ``IncidenceProfile`` builds one, from counts it has validated: t_2
     is 0 when there are no double points, the tail is a tuple in increasing
     k with every count positive.  Iteration gives 2 first, when t_2 > 0,
-    then the tail's keys.  There is no item assignment, deletion, ``pop``
-    or ``update``, so a profile's hash cannot drift; since nothing can
-    change the tail, the profiles of one run share a single tail tuple.
-    A t-vector equals any mapping with the same items, a dict included.
+    then the tail's keys, so every view is in increasing k; ``items()``
+    reads the two slots directly, ``values()`` is ``Mapping``'s own view.
+    There is no item assignment, deletion, ``pop`` or ``update``, so a
+    profile's hash cannot drift; since nothing can change the tail, the
+    profiles of one run share a single tail tuple.  A t-vector equals any
+    mapping with the same items, a dict included.
     """
 
     __slots__ = ("_t2", "_tail")
@@ -71,9 +73,6 @@ class TVector(Mapping):
     def items(self):
         return _TItems(self)
 
-    def values(self):
-        return _TValues(self)
-
     def __eq__(self, other):
         if type(other) is TVector:
             return self._t2 == other._t2 and self._tail == other._tail
@@ -100,19 +99,6 @@ class _TItems(ItemsView):
         yield from t._tail
 
 
-class _TValues(ValuesView):
-    """``TVector.values()``: the counts read straight from t_2 and the tail."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        t = self._mapping
-        if t._t2:
-            yield t._t2
-        for _, count in t._tail:
-            yield count
-
-
 # The default t: the empty t-vector, read-only like every other.
 _NO_POINTS = TVector(0, ())
 
@@ -131,7 +117,8 @@ class IncidenceProfile:
     ``FrozenInstanceError``, for field and non-field names alike.  ``t``
     is a read-only ``TVector`` in increasing k, built once from the
     validated counts; ``p.t[k] = c``, ``del p.t[k]`` and ``p.t.pop``
-    raise.  A profile hashes over (n, d, t_2, tail), so it can be a set
+    raise.  ``s``, ``t2`` and the hash read t's two slots, t_2 and the
+    tail.  A profile hashes over (n, d, t_2, tail), so it can be a set
     member or dict key.  The profiles ``_with_t2`` lowers from one profile
     share its tail: an extremal search's rows of one run hold one tail.
     """
@@ -205,8 +192,9 @@ class IncidenceProfile:
 
     @property
     def s(self) -> int:
-        """Number of singular points."""
-        return sum(self.t.values())
+        """Number of singular points: t_2 plus the tail's counts."""
+        t = self.t
+        return t._t2 + sum(count for _, count in t._tail)
 
     @property
     def t2(self) -> int:

@@ -52,23 +52,6 @@ def mismatch(a: int, b: int) -> ConductorMismatch:
     return ConductorMismatch(f"cannot combine Q(zeta_{a}) with Q(zeta_{b})")
 
 
-def euler_phi(m: int) -> int:
-    """Euler's totient, computed by trial-division factorization."""
-    if m < 1:
-        raise ValueError("euler_phi requires m >= 1")
-    result = m
-    p, rest = 2, m
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            result -= result // p
-        p += 1
-    if rest > 1:
-        result -= result // rest
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (constant term first).
 
@@ -95,8 +78,9 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """The m-th cyclotomic polynomial as integer coefficients, constant first.
 
     Computed recursively: x^m - 1 divided by the product of Phi_d over the
-    proper divisors d of m.  Monic of degree phi(m).  The one conductor
-    check: ``CycloNum`` and ``zeta`` call this before using m.
+    proper divisors d of m.  Monic of degree phi(m), so ``len(...) - 1``
+    is the library's one source of phi(m).  The one conductor check:
+    ``CycloNum`` and ``zeta`` call this before using m.
     """
     if m < 1:
         raise ValueError("conductor must be a positive integer")

@@ -4,7 +4,8 @@ The JSON encoding of field elements, points, lines, profiles, scans and
 reports is written only here, and the custom lines and profile files are
 read and checked only here.
 
-Rationals travel as decimal-free "p/q" strings (plain "p" when integral).
+Rationals travel as decimal-free "p/q" strings (plain "p" when integral):
+the text is ``str`` of the int or ``Fraction`` itself; no Fraction is rebuilt.
 The decimal rendering used next to exact values truncates toward zero at
 the requested number of places; it never rounds away digits upward, so
 -128/51 prints as -2.509 at three places.
@@ -14,12 +15,18 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .catalog import Arrangement, IncidenceProfile, ProfileError, check_degree, check_line_count
+from .catalog import (
+    Arrangement,
+    IncidenceProfile,
+    ProfileError,
+    TVector,
+    check_degree,
+    check_line_count,
+)
 from .exactnum import CycloNum
 from .harbourne import HarbourneReport, strict_transform_sq
 from .incidence import ScanResult, incidence_count
@@ -30,15 +37,11 @@ class SchemaError(ValueError):
     """A custom input file does not match the documented JSON schema."""
 
 
-def rational_str(value: Union[int, Fraction]) -> str:
-    return str(Fraction(value))
-
-
-def decimal_str(value: Union[int, Fraction], places: int = 3) -> str:
+def decimal_str(value: Union[int, Fraction], places: int) -> str:
     """Fixed-point rendering truncated toward zero at ``places >= 0`` digits."""
-    q = Fraction(value)
-    scaled = abs(q.numerator) * 10**places // q.denominator
-    sign = "-" if q < 0 and scaled else ""
+    num = value.numerator
+    scaled = abs(num) * 10**places // value.denominator
+    sign = "-" if num < 0 and scaled else ""
     if places == 0:
         return f"{sign}{scaled}"
     whole, frac = divmod(scaled, 10**places)
@@ -49,7 +52,7 @@ def exact_cell(value: Optional[Union[int, Fraction]], places: Optional[int] = No
     """``p/q``, followed by ``(decimal)`` when ``places`` is given; blank for None."""
     if value is None:
         return ""
-    text = rational_str(value)
+    text = str(value)
     return text if places is None else f"{text} ({decimal_str(value, places)})"
 
 
@@ -58,9 +61,9 @@ def decimal_cell(value: Optional[Union[int, Fraction]], places: int) -> str:
     return "" if value is None else decimal_str(value, places)
 
 
-def t_vector_str(t: Mapping[int, int]) -> str:
+def t_vector_str(t: TVector) -> str:
     """Compact deterministic rendering of a t-vector, e.g. ``2:81;3:18``."""
-    return ";".join(f"{k}:{c}" for k, c in sorted(t.items()))
+    return ";".join(f"{k}:{c}" for k, c in t.items())
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +73,7 @@ def t_vector_str(t: Mapping[int, int]) -> str:
 def rational_json(value: Optional[Union[int, Fraction]], places: int) -> Optional[dict]:
     if value is None:
         return None
-    return {"exact": rational_str(value), "decimal": decimal_str(value, places)}
+    return {"exact": str(value), "decimal": decimal_str(value, places)}
 
 
 def profile_json(profile: IncidenceProfile) -> dict:
@@ -90,7 +93,7 @@ def report_json(report: HarbourneReport, places: int) -> dict:
         "s": profile.s,
         "t": {str(k): c for k, c in profile.t.items()},
         "incidences": incidence_count(profile),
-        "strict_transform_sq": rational_str(strict_transform_sq(profile)),
+        "strict_transform_sq": str(strict_transform_sq(profile)),
         "h_linear": rational_json(report.h_linear, places),
         "miyaoka": None if miyaoka is None else miyaoka._asdict(),
         "h_lower_bound": None
@@ -149,6 +152,8 @@ def _read_json(path: str):
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's int-string limit
+        raise SchemaError(f"{path}: bad JSON number: {exc}") from exc
 
 
 def load_custom_profile(path: str) -> IncidenceProfile:

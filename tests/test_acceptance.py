@@ -25,7 +25,7 @@ from linesurf.catalog import (
     rams_profile,
     schur_profile,
 )
-from linesurf.exactnum import CycloNum, euler_phi
+from linesurf.exactnum import CycloNum, cyclotomic_polynomial
 from linesurf.harbourne import (
     bauer_search,
     harbourne_linear,
@@ -207,7 +207,7 @@ def test_criterion_09_property_suites(fermat_arrs, fermat_scans):
     ok = True
     while cases < 1000:
         m = CONDUCTORS[cases % len(CONDUCTORS)]
-        size = euler_phi(m)
+        size = len(cyclotomic_polynomial(m)) - 1
 
         def rand_num():
             return CycloNum(

@@ -5,6 +5,8 @@ import pickle
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from linesurf.catalog import (
     NAMED,
@@ -22,7 +24,7 @@ from linesurf.catalog import (
 )
 from linesurf.harbourne import extremal_profile_search
 from linesurf.incidence import incidence_count, profile_from_arrangement
-from linesurf.serialize import SchemaError, load_custom_profile, profile_json
+from linesurf.serialize import SchemaError, load_custom_profile, profile_json, t_vector_str
 
 # The constructor called positionally and by keyword: every check must fire both ways.
 BUILDS = (
@@ -170,6 +172,38 @@ class TestIncidenceProfile:
         for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
             assert q == p and list(q.t.items()) == list(p.t.items())
         assert dataclasses.replace(p, d=65) == IncidenceProfile(4, 65, p.t)
+
+
+@st.composite
+def profiles_from_descending_dicts(draw):
+    """A profile built from a dict whose keys come in decreasing k, and that dict."""
+    counts = draw(st.dictionaries(st.integers(2, 7), st.integers(0, 40), max_size=6))
+    counts = dict(sorted(counts.items(), reverse=True))
+    weight = sum((k * k - k) * c for k, c in counts.items())
+    d = max(counts, default=0)
+    while d * (d - 1) < weight:
+        d += 1
+    d += draw(st.integers(0, 3))
+    return IncidenceProfile(draw(st.integers(3, 6)), d, counts), counts
+
+
+class TestOneSource:
+    """s, the values view and the t-vector text all read the profile's own t."""
+
+    @given(profiles_from_descending_dicts(), st.data())
+    def test_s_and_values_read_t(self, built, data):
+        p, counts = built
+        nonzero = sorted((k, c) for k, c in counts.items() if c)
+        rows = [p, p._with_t2(0), p._with_t2(data.draw(st.integers(0, p.t2)))]
+        if p.t2:
+            rows.append(p._with_t2(p.t2))
+        for q in rows:
+            items = list(q.t.items())
+            assert q.s == sum(c for _, c in items)
+            assert list(q.t.values()) == [c for _, c in items]
+            assert t_vector_str(q.t) == ";".join(f"{k}:{c}" for k, c in sorted(items))
+        assert p.s == sum(c for _, c in nonzero)
+        assert t_vector_str(p.t) == ";".join(f"{k}:{c}" for k, c in nonzero)
 
 
 class TestWithT2:

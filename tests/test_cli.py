@@ -2,8 +2,11 @@ import gc
 import json
 import re
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from linesurf.catalog import NAMED, Arrangement, fermat_lines
 from linesurf.cli import build_parser, main
@@ -13,8 +16,16 @@ from linesurf.serialize import (
     SchemaError,
     arrangement_json,
     decimal_str,
+    exact_cell,
     load_custom_lines,
     load_custom_profile,
+    rational_json,
+)
+
+# A 5,000-digit JSON integer is refused by json.load only under an int-string limit.
+NEEDS_INT_LIMIT = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="needs an int-string limit below 5000 digits",
 )
 
 SCHUR_PROFILE = {"n": 4, "d": 64, "t": {"2": 336, "3": 64, "4": 8}}
@@ -29,13 +40,35 @@ def run(capsys, *argv):
 
 class TestDecimalRendering:
     def test_truncates_toward_zero(self):
-        from fractions import Fraction
-
         assert decimal_str(Fraction(-128, 51), 3) == "-2.509"
         assert decimal_str(Fraction(-27, 11), 3) == "-2.454"
         assert decimal_str(Fraction(-8), 3) == "-8.000"
         assert decimal_str(Fraction(5, 4), 2) == "1.25"
         assert decimal_str(Fraction(1, 3), 0) == "0"
+        assert decimal_str(Fraction(-1, 3), 0) == "0"
+
+    # Ints, integral Fractions and negative Fractions: each value is printed
+    # from its own str and numerator/denominator, with no Fraction built.
+    @given(
+        st.one_of(
+            st.integers(-(10**30), 10**30),
+            st.integers(-(10**6), 10**6).map(Fraction),
+            st.builds(Fraction, st.integers(-(10**6), -1), st.integers(1, 10**4)),
+        )
+    )
+    def test_text_is_the_fraction_text(self, value):
+        text = str(Fraction(value))
+        assert exact_cell(value) == text
+        for places in range(5):
+            assert rational_json(value, places)["exact"] == text
+            assert exact_cell(value, places) == f"{text} ({decimal_str(value, places)})"
+
+    @given(st.integers(-(10**30), 10**30))
+    def test_int_decimal_is_the_fraction_decimal(self, value):
+        for places in range(5):
+            assert decimal_str(value, places) == decimal_str(Fraction(value), places)
+            whole = str(value)
+            assert decimal_str(value, places) == (f"{whole}.{'0' * places}" if places else whole)
 
 
 class TestAnalyze:
@@ -940,6 +973,18 @@ class TestOutputBehavior:
             (("analyze", "--surface", "custom", "--lines", "{missing}"), "{missing}: cannot read"),
             (("profile", "--surface", "custom", "--profile", "{dir}"), "{dir}: cannot read"),
             (("analyze", "--surface", "custom", "--lines", "{latin1}"), "{latin1}: not UTF-8"),
+            # json.load raises a bare ValueError for an integer past the
+            # interpreter's int-string limit (4300 digits by default).
+            pytest.param(
+                ("catalog", "--surface", "custom", "--lines", "{huge_lines}"),
+                "linesurf catalog: {huge_lines}: ",
+                marks=NEEDS_INT_LIMIT,
+            ),
+            pytest.param(
+                ("profile", "--surface", "custom", "--profile", "{huge_profile}"),
+                "linesurf profile: {huge_profile}: ",
+                marks=NEEDS_INT_LIMIT,
+            ),
             (
                 ("analyze", "--surface", "schur", "--output", "{missing}/x"),
                 "linesurf analyze: cannot write {missing}/x",
@@ -957,6 +1002,8 @@ class TestOutputBehavior:
             "missing-lines",
             "directory-profile",
             "non-utf8-lines",
+            "oversized-integer-lines",
+            "oversized-integer-profile",
             "unwritable-output",
             "rams-below-degree-floor",
             "rams-below-degree-floor-sweep",
@@ -965,6 +1012,11 @@ class TestOutputBehavior:
     def test_file_errors_are_one_line(self, capsys, tmp_path, argv, message):
         paths = {"missing": tmp_path / "missing", "dir": tmp_path, "latin1": tmp_path / "l.json"}
         paths["latin1"].write_bytes(b'{"n": 4, "lines": [], "note": "\xe9"}')
+        huge = "9" * 5000
+        paths["huge_lines"] = tmp_path / "huge-lines.json"
+        paths["huge_lines"].write_text(f'{{"n": 4, "lines": [[[{huge}, 0, 0, 1], [0, 1, 0, 0]]]}}')
+        paths["huge_profile"] = tmp_path / "huge-profile.json"
+        paths["huge_profile"].write_text(f'{{"n": 4, "d": 6, "t": {{"2": {huge}}}}}')
         code, out, err = run(capsys, *(a.format(**paths) for a in argv))
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and message.format(**paths) in err

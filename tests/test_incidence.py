@@ -17,7 +17,7 @@ from linesurf.catalog import (
     fermat_profile,
     schur_profile,
 )
-from linesurf.exactnum import CycloNum, euler_phi, residue_field
+from linesurf.exactnum import CycloNum, cyclotomic_polynomial, residue_field
 from linesurf.incidence import (
     ScanStats,
     incidence_count,
@@ -315,7 +315,8 @@ def canonical_points(draw):
     m = draw(st.sampled_from((4, 6, 8, 12)))
     dens = draw(st.sampled_from(((1,), (6,), (1, 2, 3, 4, 5, 7, 9, 11))))
     coeff = st.builds(Fraction, st.integers(-40, 40), st.sampled_from(dens))
-    vector = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m))
+    size = len(cyclotomic_polynomial(m)) - 1
+    vector = st.lists(coeff, min_size=size, max_size=size)
 
     def point():
         zeros = draw(st.integers(0, 3))
