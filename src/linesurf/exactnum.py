@@ -15,8 +15,20 @@ Every operation computes on integers and passes its result through one
 reduce-and-sign step (:func:`_reduced`), which divides out the common
 gcd and makes the denominator positive; with denominator 1, as most
 Fermat coordinates have, the step does nothing.  A sum of products,
-:func:`dot`, is convolved term by term over one common denominator and
-takes that step once, not once per product and partial sum.
+:func:`dot`, is summed over one common denominator and takes that step
+once, not once per product and partial sum.
+
+Products and Galois conjugates take one of two paths, chosen by phi(m)
+alone.  For phi(m) <= 8 (the fields of the Fermat lines up to degree 8,
+and Q(zeta_8) of the quartic's lines) :func:`_kernels` writes them out
+once per conductor as straight-line Python, with the reduction modulo
+Phi_m folded in as integer literals, and :func:`dot` adds up each term's
+reduced product.  Above that nothing is generated: loops that skip zero
+coefficients convolve, fold the high powers by :func:`_shift_rows`, and
+combine conjugates from :func:`_conjugate_rows`, and :func:`dot` convolves
+every term before it reduces modulo Phi_m once.  Past phi(m) = 8 a
+kernel's fixed phi(m)^2 products cost more than the loop's on the
+monomials that most Fermat coordinates are.
 ``fractions.Fraction`` appears only where rationals cross the boundary:
 a ``Fraction`` given as a coefficient or scalar, the
 :attr:`CycloNum.coeffs` view that ``str`` and ``repr`` print, and
@@ -104,8 +116,57 @@ def _shift_rows(m: int) -> tuple:
     return tuple(rows)
 
 
-def _mul_vec(m: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+#: The largest phi(m) with straight-line kernels; above it the loops skip zeros faster.
+_KERNEL_DEGREE = 8
+
+
+def _lincomb(terms: Iterable[tuple[int, str]]) -> str:
+    """Python source of the sum of c * name over (c, name), c a nonzero integer; "0" if empty."""
+    parts = []
+    for c, name in terms:
+        body = name if abs(c) == 1 else f"{abs(c)}*{name}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts).removeprefix("+ ") or "0"
+
+
+@lru_cache(maxsize=None)
+def _kernels(m: int) -> tuple:
+    """Straight-line ``(mul, conjugates)`` for Q(zeta_m), read when phi(m) <= _KERNEL_DEGREE.
+
+    ``mul(a, b)`` is the product of two numerator vectors reduced modulo
+    Phi_m: each low convolution sum plus the high sums h_k, bound once,
+    times the entries of ``_shift_rows(m)`` written in as literals.
+    ``conjugates(a)`` lists the images of a under zeta -> zeta^k for the
+    units k != 1 mod m, in the order of ``_conjugate_rows(m)``.  The
+    source holds only integer literals and generated names.
+    """
+    f = len(cyclotomic_polynomial(m)) - 1
+    a_names, b_names = (", ".join(f"{v}{i}" for i in range(f)) + "," for v in "ab")
+    conv: list[list[tuple[int, str]]] = [[] for _ in range(2 * f - 1)]
+    for i in range(f):
+        for j in range(f):
+            conv[i + j].append((1, f"a{i}*b{j}"))
+    low = conv[:f]
+    src = ["def mul(a, b):", f"    {a_names} = a", f"    {b_names} = b"]
+    for k, row in _shift_rows(m):
+        src.append(f"    h{k} = {_lincomb(conv[k])}")
+        for i, r in row:
+            low[i].append((r, f"h{k}"))
+    src.append(f"    return ({', '.join(map(_lincomb, low))},)")
+    src += ["def conjugates(a):", f"    {a_names} = a", "    return ("]
+    for rows in _conjugate_rows(m):
+        cols = [[(row[idx], f"a{i}") for i, row in enumerate(rows) if row[idx]] for idx in range(f)]
+        src.append(f"        ({', '.join(map(_lincomb, cols))},),")
+    src.append("    )")
+    namespace: dict = {"__builtins__": {}}
+    exec(compile("\n".join(src), f"<exactnum kernels for Q(zeta_{m})>", "exec"), namespace)
+    return namespace["mul"], namespace["conjugates"]
+
+
+def _mul_vec(m: int, a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     """The product of two integer coefficient vectors, reduced modulo Phi_m."""
+    if len(a) <= _KERNEL_DEGREE:
+        return _kernels(m)[0](a, b)
     acc = [0] * (2 * len(a) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -145,6 +206,13 @@ def _conjugate_rows(m: int) -> tuple:
         for k in range(2, m)
         if gcd(k, m) == 1
     )
+
+
+def _conjugates(m: int, a: Sequence[int]) -> Iterable[Sequence[int]]:
+    """The images of a under zeta -> zeta^k, one per unit k != 1 mod m; read by the inverse."""
+    if len(a) <= _KERNEL_DEGREE:
+        return _kernels(m)[1](a)
+    return (_combine(a, rows) for rows in _conjugate_rows(m))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +382,10 @@ class CycloNum:
         if len(support) == 1:
             k = support[0]
             return _reduced(m, [den * x for x in _zeta_pow_vec(m, -k)], a[k])
-        prod = [1] + [0] * (len(a) - 1)
-        for rows in _conjugate_rows(m):
-            prod = _mul_vec(m, prod, _combine(a, rows))
+        conjugates = iter(_conjugates(m, a))
+        prod = next(conjugates)
+        for c in conjugates:
+            prod = _mul_vec(m, prod, c)
         norm = _mul_vec(m, a, prod)
         if any(norm[1:]):
             raise AssertionError(f"norm of {self!r} is not rational")
@@ -401,10 +470,13 @@ class CycloNum:
 def dot(m: int, xs: Sequence[CycloNum], ys: Sequence[CycloNum]) -> CycloNum:
     """The sum of x_k * y_k over Q(zeta_m), with one reduction in all.
 
-    Each term with both factors nonzero is convolved on its integer
-    numerators, scaled to D, the lcm of the terms' denominators
-    x_k.den * y_k.den; the integer sum is reduced modulo Phi_m once and
-    put in lowest terms over D once, by ``_reduced``.  Raises
+    Each term with both factors nonzero is multiplied on its integer
+    numerators and scaled to D, the lcm of the terms' denominators
+    x_k.den * y_k.den.  For phi(m) <= 8 each term's product is reduced
+    modulo Phi_m by the conductor's kernel and the products are added;
+    above that the terms are convolved into one sum, reduced modulo Phi_m
+    once.  The integer sum is put in lowest terms over D once, by
+    ``_reduced``.  Raises
     ConductorMismatch if a factor's conductor is not m, and ValueError if
     the sequences differ in length.
     """
@@ -420,6 +492,16 @@ def dot(m: int, xs: Sequence[CycloNum], ys: Sequence[CycloNum]) -> CycloNum:
                 den = lcm(den, d)
     if not terms:
         return CycloNum.zero(m)
+    if len(terms[0][0]) <= _KERNEL_DEGREE:
+        kernel = _kernels(m)[0]
+        acc = None
+        for a, b, d in terms:
+            p = kernel(a, b)
+            if d != den:
+                scale = den // d
+                p = [x * scale for x in p]
+            acc = p if acc is None else tuple(map(add, acc, p))
+        return _reduced(m, acc, den)
     acc = [0] * (2 * len(terms[0][0]) - 1)
     for a, b, d in terms:
         scale = den // d

@@ -17,12 +17,15 @@ lines meet exactly when g(X) = 0.  X is written down in canonical form by
 never built as a vector and normalised; a meeting pair costs the values
 f(p), f(q) and g(X).
 
-Every sum of products here is one ``exactnum.dot`` call, which reduces
-modulo Phi_m and takes one gcd per sum, not per product and partial sum:
-each Plucker coordinate and the Plucker relation, a form's value at a
-point and the pairing.  The coordinates a + t b of ``_span_point`` stay
-a product and a sum: a fused form measured slower on the moved quartic
-lines and no faster on the Fermat lines.
+Every sum of products here is one ``exactnum.dot`` call, which takes one
+gcd per sum, not per product and partial sum: each Plucker coordinate
+and the Plucker relation, a form's value at a point and the pairing.
+For phi(m) <= 8 it adds up products from a straight-line kernel written
+for the conductor; above that it convolves every term and reduces
+modulo Phi_m once.  Normalising a point or the Plucker vector leaves
+zero coordinates as they are, with no product.  The coordinates a + t b
+of ``_span_point`` stay a product and a sum: a fused form measured
+slower on the moved quartic lines and no faster on the Fermat lines.
 
 Mixed conductors raise ``exactnum.mismatch``; a line's base points and a
 point tested on a line are checked by the first ``dot`` they meet.
@@ -65,7 +68,7 @@ class ProjPoint:
             self.coords = coords
         else:
             inv = lead.inverse()
-            self.coords = tuple(c * inv for c in coords)
+            self.coords = tuple(c if c.is_zero() else c * inv for c in coords)
 
     @classmethod
     def from_values(cls, m: int, values: Iterable[Scalar | CycloNum]) -> "ProjPoint":
@@ -117,13 +120,13 @@ class ProjLine:
             raise ValueError("a line needs two distinct points")
         m = p.conductor
         a, b = p.coords, q.coords
-        nb = [-c for c in b]
+        nb = [c if c.is_zero() else -c for c in b]
         raw = [dot(m, (a[i], a[j]), (b[j], nb[i])) for i, j in PLUCKER_PAIRS]
         lead_index = next(i for i, c in enumerate(raw) if not c.is_zero())
         lead = raw[lead_index]
         if lead != 1:
             inv = lead.inverse()
-            raw = [c * inv for c in raw]
+            raw = [c if c.is_zero() else c * inv for c in raw]
         plucker = tuple(raw)
         if not dot(m, plucker[:3], (plucker[5], -plucker[4], plucker[3])).is_zero():
             raise AssertionError("Plucker relation violated; construction bug")

@@ -162,16 +162,21 @@ class TestSympyOracle:
 
 
 def test_inverse_rejects_irrational_norm(monkeypatch):
-    # dropping one conjugate leaves a * P irrational, which the inverse must refuse
-    rows = exactnum._conjugate_rows
+    # dropping one conjugate where the inverse reads them leaves a * P
+    # irrational, which the inverse must refuse: at m = 8 from the generated
+    # kernel, at m = 22 from the loop
+    conjugates = exactnum._conjugates
     calls = []
-    monkeypatch.setattr(exactnum, "_conjugate_rows", lambda m: calls.append(m) or rows(m)[:-1])
-    with pytest.raises(AssertionError, match="not rational"):
-        (2 + zeta(8)).inverse()
-    assert calls == [8]
+    monkeypatch.setattr(
+        exactnum, "_conjugates", lambda m, a: calls.append(m) or list(conjugates(m, a))[:-1]
+    )
+    for m in (8, 22):
+        with pytest.raises(AssertionError, match="not rational"):
+            (2 + zeta(m)).inverse()
+    assert calls == [8, 22]
     # a monomial inverts in closed form and never reaches the norm
     assert (2 * zeta(8, 3)).inverse() == zeta(8, 5) / 2
-    assert calls == [8]
+    assert calls == [8, 22]
 
 
 @pytest.mark.parametrize("m", (5, 7, 8, 12, 14, 16, 24))
@@ -436,8 +441,10 @@ def assert_canonical(value, expected):
     assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in got)
 
 
-# phi(m) <= 2 for m = 1, 2, 3, where the reduction loop runs at most once or not at all
-KERNEL_CONDUCTORS = (1, 2, 3) + CONDUCTORS
+# Every m with phi(m) <= 8, which get generated kernels, then 11 and 22 (phi = 10),
+# the first conductors left on the loops.  m = 1, 2, 3 have phi(m) <= 2, where
+# the reduction runs at most once or not at all.
+KERNEL_CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 24, 30, 11, 22)
 BIG = 2**64
 
 denominators = st.one_of(st.integers(1, 12), st.integers(BIG + 1, BIG**2))
@@ -449,22 +456,47 @@ scalars = st.one_of(
 
 
 @st.composite
+def coefficient_vectors(draw, f):
+    """A monomial, a sparse (two terms) or a dense vector, or each entry zero or not."""
+    shape = draw(st.sampled_from((1, 2, f, None)))
+    if shape is None:
+        entries = draw(st.lists(st.one_of(st.just(0), scalars), min_size=f, max_size=f))
+    else:
+        entries = [0] * f
+        for i in draw(st.permutations(range(f)))[:shape]:
+            entries[i] = draw(scalars.filter(bool))
+    return tuple(map(qnorm, entries))
+
+
+@st.composite
 def kernel_vectors(draw, count):
     m = draw(st.sampled_from(KERNEL_CONDUCTORS))
-    f = degree(m)
-    entries = st.lists(st.one_of(st.just(0), scalars), min_size=f, max_size=f)
-    return m, [tuple(map(qnorm, draw(entries))) for _ in range(count)]
+    return m, [draw(coefficient_vectors(degree(m))) for _ in range(count)]
 
 
 @st.composite
 def dot_operands(draw):
-    """Two equal-length lists of 0 to 6 values over one conductor m in 1..16 or 21."""
-    m = draw(st.sampled_from(tuple(range(1, 17)) + (21,)))
-    f = degree(m)
-    entries = st.lists(st.one_of(st.just(0), scalars), min_size=f, max_size=f)
-    values = st.one_of(st.just(CycloNum.zero(m)), entries.map(lambda c: CycloNum(m, c)))
+    """Two equal-length lists of 0 to 6 values over one conductor: a kernel one, 13 or 21."""
+    m = draw(st.sampled_from(KERNEL_CONDUCTORS + (13, 21)))
+    values = st.one_of(
+        st.just(CycloNum.zero(m)), coefficient_vectors(degree(m)).map(lambda c: CycloNum(m, c))
+    )
     k = draw(st.integers(0, 6))
     return m, *(draw(st.lists(values, min_size=k, max_size=k)) for _ in range(2))
+
+
+def fixed_vectors(m):
+    """Every monomial, then sparse and dense vectors, small, 2^128-sized and Fraction-scaled."""
+    f = degree(m)
+    rng = random.Random(m)
+    vectors = [tuple(c if i == k else 0 for i in range(f)) for k in range(f) for c in (1, -3)]
+    for size in (2, f):
+        for scale in (1, 2**128, Fraction(5, 2**64 + 3)):
+            vec = [0] * f
+            for i in rng.sample(range(f), min(size, f)):
+                vec[i] = qnorm(rng.choice((-9, -2, 1, 7)) * scale)
+            vectors.append(tuple(vec))
+    return vectors
 
 
 class TestIntegerKernels:
@@ -476,14 +508,62 @@ class TestIntegerKernels:
         m, (a, b) = case
         assert_canonical(CycloNum(m, a) * CycloNum(m, b), fraction_mul_vec(m, a, b))
 
+    def test_kernel_conductors(self):
+        # the kernel conductors are exactly those with phi(m) <= 8, then two above
+        assert exactnum._KERNEL_DEGREE == 8
+        assert KERNEL_CONDUCTORS[:-2] == tuple(m for m in range(1, 500) if degree(m) <= 8)
+        assert [degree(m) for m in KERNEL_CONDUCTORS[-2:]] == [10, 10]
+
+    def test_kernel_source_of_a_sum(self):
+        # the reduction and conjugate rows for phi(m) <= 8 hold only -1, 0 and 1,
+        # so no kernel writes a larger coefficient: its source text is checked here
+        terms = [(2, "x"), (-3, "y"), (1, "z"), (-1, "w"), (-1, "x")]
+        source = exactnum._lincomb(terms)
+        assert source == "2*x - 3*y + z - w - x"
+        assert eval(source, {"x": 5, "y": 7, "z": 11, "w": 13}) == -18
+        assert exactnum._lincomb([(-4, "x")]) == "- 4*x" and exactnum._lincomb([]) == "0"
+
+    @pytest.mark.parametrize("m", KERNEL_CONDUCTORS)
+    def test_products_and_conjugates_on_every_shape(self, m):
+        vectors = fixed_vectors(m)
+        for a in vectors:
+            x = CycloNum(m, a)
+            for b in vectors:
+                assert_canonical(x * CycloNum(m, b), fraction_mul_vec(m, a, b))
+            conjugates = list(exactnum._conjugates(m, x.nums))
+            assert [
+                tuple(qnorm(Fraction(c, x.den)) for c in conjugate) for conjugate in conjugates
+            ] == [fraction_combine(a, rows) for rows in exactnum._conjugate_rows(m)]
+
     @given(dot_operands())
     @settings(max_examples=300)
     def test_dot_is_the_summed_products(self, case):
         m, xs, ys = case
-        summed = sum((x * y for x, y in zip(xs, ys)), CycloNum.zero(m))
+        expected = [0] * degree(m)
+        for x, y in zip(xs, ys):
+            expected = [s + c for s, c in zip(expected, fraction_mul_vec(m, x.coeffs, y.coeffs))]
         got = exactnum.dot(m, xs, ys)
+        assert_canonical(got, tuple(map(qnorm, expected)))
+        summed = sum((x * y for x, y in zip(xs, ys)), CycloNum.zero(m))
         assert (got.m, got.nums, got.den) == (summed.m, summed.nums, summed.den)
-        assert_canonical(got, summed.coeffs)
+
+    def test_nothing_generated_above_the_threshold(self):
+        # phi(22) = 10, phi(226) = 112, phi(800) = 320: products, dot and the
+        # inverse run the loops and leave no kernel in the cache
+        exactnum._kernels.cache_clear()
+        for m in (22, 226, 800):
+            x, y = 1 + zeta(m), Fraction(2, 3) - 5 * zeta(m, 7)
+            a, b = x.coeffs, y.coeffs
+            assert_canonical(x * y, fraction_mul_vec(m, a, b))
+            summed = zip(fraction_mul_vec(m, a, b), fraction_mul_vec(m, b, b))
+            expected = tuple(qnorm(s + t) for s, t in summed)
+            assert_canonical(exactnum.dot(m, [x, y], [y, y]), expected)
+            assert x * x.inverse() == 1
+            if m == 22:
+                assert_canonical(x.inverse(), fraction_inverse(m, a))
+        assert exactnum._kernels.cache_info().currsize == 0
+        zeta(8) * zeta(8, 3)
+        assert exactnum._kernels.cache_info().currsize == 1
 
     def test_dot_rejects_mixed_conductors_and_lengths(self):
         z8, z16 = zeta(8), zeta(16)
@@ -517,13 +597,19 @@ class TestIntegerKernels:
     @given(kernel_vectors(1))
     def test_combine_over_conjugate_rows(self, case):
         # the conjugate zeta -> zeta^k of a, built from input of degree (f - 1) * k
+        # and read from exactnum._conjugates, kernel or loop
         m, (a,) = case
+        x = CycloNum(m, a)
         units = [k for k in range(2, m) if gcd(k, m) == 1]
-        for k, rows in zip(units, exactnum._conjugate_rows(m)):
+        conjugates = list(exactnum._conjugates(m, x.nums))
+        assert len(conjugates) == len(units) == len(exactnum._conjugate_rows(m))
+        for k, rows, conjugate in zip(units, exactnum._conjugate_rows(m), conjugates):
             spread = [0] * ((len(a) - 1) * k + 1)
             for i, c in enumerate(a):
                 spread[i * k] = c
-            assert_canonical(CycloNum(m, spread), fraction_combine(a, rows))
+            expected = fraction_combine(a, rows)
+            assert_canonical(CycloNum(m, spread), expected)
+            assert tuple(qnorm(Fraction(c, x.den)) for c in conjugate) == expected
 
     @given(kernel_vectors(1))
     @settings(max_examples=150)
