@@ -236,10 +236,6 @@ class Arrangement:
     def conductor(self) -> int:
         return self.lines[0].conductor if self.lines else 2 * self.n
 
-    def subset(self, indices) -> "Arrangement":
-        """The sub-arrangement on the given line indices."""
-        return Arrangement(self.n, tuple(self.lines[i] for i in indices))
-
 
 def max_lines_bound(n: int) -> int:
     """The line count n(7n - 12) that degree-n profiles and searches are held to.

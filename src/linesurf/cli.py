@@ -39,6 +39,7 @@ from .harbourne import (
     HarbourneReport,
     analyze_profile,
     bauer_search,
+    check_subconfiguration_size,
     extremal_profile_search,
     harbourne_linear,
     miyaoka_check,
@@ -413,9 +414,11 @@ def cmd_search_bauer(args) -> Output:
     arr = resolve(args)
     if args.max_solutions < 0:
         raise UsageError("--max-solutions must be 0 (all) or positive")
+    check_subconfiguration_size(args.size)
+    scan = scan_arrangement(arr)
     entries = []
-    for chosen in bauer_search(arr, args.size, max_solutions=args.max_solutions or None):
-        profile = profile_from_arrangement(arr.subset(chosen))
+    for chosen in bauer_search(scan, args.size, max_solutions=args.max_solutions or None):
+        profile = IncidenceProfile(arr.n, len(chosen), scan.tally(chosen))
         entries.append((chosen, profile, harbourne_linear(profile)))
     return Output(
         ["solution", "lines", "t", "h_exact", "h_decimal"],

@@ -28,15 +28,14 @@ function refusing instead of deciding again: ``_miyaoka_rhs`` raises
 from __future__ import annotations
 
 import gc
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .catalog import Arrangement, IncidenceProfile, check_line_count
-from .incidence import scan_arrangement
+from .catalog import IncidenceProfile, check_line_count
+from .incidence import scan_arrangement  # noqa: F401 (perfbench's tracer test reads it here)
 
 
 class InapplicableDegree(ValueError):
@@ -164,33 +163,38 @@ def analyze_profile(profile: IncidenceProfile) -> HarbourneReport:
 # Combinatorial searches.
 
 
+def check_subconfiguration_size(size: int) -> None:
+    """The one check that a subconfiguration has at least 2 lines, made before any scan."""
+    if size < 2:
+        raise ValueError("a subconfiguration needs at least 2 lines")
+
+
 def bauer_search(
-    arr: Arrangement,
+    scan,
     size: int,
     max_solutions: Optional[int] = 1,
 ) -> list[tuple[int, ...]]:
     """Sub-arrangements of ``size`` lines whose singular points are all quadruple.
 
-    Exact backtracking over the quadruple points of the ambient
-    arrangement, in scan order, trying each point in before leaving it
-    out.  Activating a point commits all four of its lines, and the
-    committed points are then closed to a least fixed point: every point
-    where two committed lines meet is forced in, until nothing new is
-    forced.  A branch is pruned when a forced point is not quadruple, was
-    left out earlier, or the lines outgrow ``size``.  Every line of a found
-    subconfiguration therefore passes through at least one of its
-    quadruple points; all-skew subsets do not count.  Points where more
-    than four ambient lines meet are never subsampled.  Each witness is
-    validated again from its pairs of lines before it is returned.
+    Exact backtracking over the quadruple points of ``scan``, the ambient
+    arrangement's ``incidence.ScanResult``, in scan order, trying each
+    point in before leaving it out.  Activating a point commits all four of
+    its lines, and the committed points are then closed to a least fixed
+    point: every point where two committed lines meet is forced in, until
+    nothing new is forced.  A branch is pruned when a forced point is not
+    quadruple, was left out earlier, or the lines outgrow ``size``.  Every
+    line of a found subconfiguration therefore passes through at least one
+    of its quadruple points; all-skew subsets do not count.  Points where
+    more than four ambient lines meet are never subsampled.  Each witness's
+    ``scan.tally`` is checked to be all quadruple before it is returned.
 
     Returns sorted tuples of line indices, at most ``max_solutions`` of
     them (None means all, otherwise at least 1), in deterministic order.
     """
-    if size < 2:
-        raise ValueError("a subconfiguration needs at least 2 lines")
+    check_subconfiguration_size(size)
     if max_solutions is not None and max_solutions < 1:
         raise ValueError("max_solutions must be None (all) or at least 1")
-    points = scan_arrangement(arr).points
+    points = scan.points
     # Where each pair of lines meets: point index in scan order, or absent.
     meet = {pair: pid for pid, sp in enumerate(points) for pair in combinations(sp.lines, 2)}
     quads = [pid for pid, sp in enumerate(points) if sp.multiplicity == 4]
@@ -230,11 +234,8 @@ def bauer_search(
         closed = close(chosen | {pid}, lines.union(points[pid].lines), excluded)
         if closed:
             stack.append((i + 1, *closed, excluded))
-    for chosen in solutions:
-        counts = Counter(meet[p] for p in combinations(chosen, 2) if p in meet)
-        # C(4,2): exactly four chosen lines through every point they meet in.
-        if any(pairs != 6 for pairs in counts.values()):
-            raise AssertionError("search produced an invalid subconfiguration")
+    if any(set(scan.tally(chosen)) != {4} for chosen in solutions):
+        raise AssertionError("search produced an invalid subconfiguration")
     return sorted(solutions)
 
 

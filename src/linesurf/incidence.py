@@ -12,10 +12,10 @@ included.  The meet check is one form value: the closed-form point lies
 on the first line and in the plane of the second line's first form by
 construction, and the second line's other form is evaluated there.  A
 line through a singular point therefore meets every other line there,
-and its pairs have already put it in the group.  The scan checks that
-the multiplicities account for every meeting pair, which holds only if
-every group is a clique: a missed meeting or a point split in two fails
-it.
+and its pairs have already put it in the group, so ``ScanResult.tally``
+counts it in sub-configurations.  The scan checks that the
+multiplicities account for every meeting pair, which holds only if every
+group is a clique: a missed meeting or a point split in two fails it.
 
 The points are listed in the order of their coordinates read as
 rationals, by an exact integer key (``_sorted_points``).
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .catalog import Arrangement, IncidenceProfile
 from .projgeom import ProjPoint, line_intersection
@@ -74,11 +74,18 @@ class ScanResult:
                 out[i] += sp.multiplicity - 1
         return out
 
-    def tally(self) -> dict[int, int]:
-        """Count distinct points by multiplicity: the t-vector of the scan."""
+    def tally(self, lines: Optional[Iterable[int]] = None) -> dict[int, int]:
+        """Count distinct points by multiplicity: the t-vector of the scan.
+
+        Given line indices ``lines``, the t-vector of their sub-configuration:
+        each point counts the given lines through it, and is kept at two or more.
+        """
+        chosen = None if lines is None else set(lines)
         out: dict[int, int] = {}
         for sp in self.points:
-            out[sp.multiplicity] = out.get(sp.multiplicity, 0) + 1
+            k = sp.multiplicity if chosen is None else len(chosen.intersection(sp.lines))
+            if k >= 2:
+                out[k] = out.get(k, 0) + 1
         return out
 
 

@@ -21,11 +21,10 @@ Every sum of products here is one ``exactnum.dot`` call, which takes one
 gcd per sum, not per product and partial sum: each Plucker coordinate
 and the Plucker relation, a form's value at a point and the pairing.
 For phi(m) <= 8 it adds up products from a straight-line kernel written
-for the conductor; above that it convolves every term and reduces
-modulo Phi_m once.  Normalising a point or the Plucker vector leaves
-zero coordinates as they are, with no product.  The coordinates a + t b
-of ``_span_point`` stay a product and a sum: a fused form measured
-slower on the moved quartic lines and no faster on the Fermat lines.
+for the conductor; above that it convolves every term and reduces modulo
+Phi_m once.  The coordinates a + t b of ``_span_point`` stay a product
+and a sum: a fused form measured slower on the moved quartic lines and
+no faster on the Fermat lines.
 
 Mixed conductors raise ``exactnum.mismatch``; a line's base points and a
 point tested on a line are checked by the first ``dot`` they meet.
@@ -61,14 +60,7 @@ class ProjPoint:
         for c in coords[1:]:
             if c.m != m:
                 raise mismatch(m, c.m)
-        lead = next((c for c in coords if not c.is_zero()), None)
-        if lead is None:
-            raise ValueError("homogeneous coordinates cannot all be zero")
-        if lead == 1:
-            self.coords = coords
-        else:
-            inv = lead.inverse()
-            self.coords = tuple(c if c.is_zero() else c * inv for c in coords)
+        _, self.coords = _scaled_to_lead(coords)
 
     @classmethod
     def from_values(cls, m: int, values: Iterable[Scalar | CycloNum]) -> "ProjPoint":
@@ -122,12 +114,7 @@ class ProjLine:
         a, b = p.coords, q.coords
         nb = [c if c.is_zero() else -c for c in b]
         raw = [dot(m, (a[i], a[j]), (b[j], nb[i])) for i, j in PLUCKER_PAIRS]
-        lead_index = next(i for i, c in enumerate(raw) if not c.is_zero())
-        lead = raw[lead_index]
-        if lead != 1:
-            inv = lead.inverse()
-            raw = [c if c.is_zero() else c * inv for c in raw]
-        plucker = tuple(raw)
+        lead_index, plucker = _scaled_to_lead(raw)
         if not dot(m, plucker[:3], (plucker[5], -plucker[4], plucker[3])).is_zero():
             raise AssertionError("Plucker relation violated; construction bug")
         self.base = (p, q)
@@ -152,6 +139,20 @@ class ProjLine:
 
     def __repr__(self) -> str:
         return f"ProjLine({self.base[0]!r}, {self.base[1]!r})"
+
+
+def _scaled_to_lead(coords: Sequence[CycloNum]) -> tuple[int, tuple[CycloNum, ...]]:
+    """The index i of the first nonzero entry, and ``coords`` divided by it: the
+    entry at i set to one, zeros kept, one product per other nonzero entry."""
+    lead = next((i for i, c in enumerate(coords) if not c.is_zero()), None)
+    if lead is None:
+        raise ValueError("homogeneous coordinates cannot all be zero")
+    c = coords[lead]
+    if c == 1:
+        return lead, tuple(coords)
+    inv = c.inverse()
+    rest = (x if x.is_zero() else x * inv for x in coords[lead + 1:])
+    return lead, (*coords[:lead], CycloNum.one(c.m), *rest)
 
 
 def _dual_rows(plucker: Sequence[CycloNum]) -> tuple[tuple[CycloNum, ...], ...]:

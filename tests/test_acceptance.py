@@ -17,6 +17,7 @@ from pathlib import Path
 from closed_forms import cubic_h, fermat_h_closed, rams_h_closed
 
 from linesurf.catalog import (
+    Arrangement,
     IncidenceProfile,
     cubic_profile,
     fermat_lines,
@@ -99,11 +100,11 @@ def test_criterion_04_bauer_values():
 def test_criterion_05_bauer_search():
     start = time.perf_counter()
     arr = fermat_lines(4)
-    solutions = bauer_search(arr, 16)
+    solutions = bauer_search(scan_arrangement(arr), 16)
     elapsed = time.perf_counter() - start
     ok = bool(solutions) and elapsed < 300.0
     if solutions:
-        sub = arr.subset(solutions[0])
+        sub = Arrangement(arr.n, [arr.lines[i] for i in solutions[0]])
         profile = profile_from_arrangement(sub)
         ok &= profile.t == {4: 8}
     assert report(5, ok, f"16-line quadruple-point witness found in {elapsed:.1f}s")
@@ -247,9 +248,10 @@ def test_criterion_09_property_suites(fermat_arrs, fermat_scans):
         produced += 1
 
     scans = list(fermat_scans.values())
-    witness = bauer_search(fermat_arrs[4], 16)
+    witness = bauer_search(fermat_scans[4], 16)
     if witness:
-        scans.append(scan_arrangement(fermat_arrs[4].subset(witness[0])))
+        arr = fermat_arrs[4]
+        scans.append(scan_arrangement(Arrangement(arr.n, [arr.lines[i] for i in witness[0]])))
     for scan in scans:
         tally, mults = scan.tally(), [sp.multiplicity for sp in scan.points]
         ok &= sum(mults) == sum(k * c for k, c in tally.items())

@@ -424,11 +424,6 @@ class TestArrangement:
         with pytest.raises(ProfileError):
             Arrangement(3, lines[:5] + (lines[0],))
 
-    def test_subset(self, fermat_arrs):
-        sub = fermat_arrs[3].subset((0, 1, 5))
-        assert sub.d == 3
-        assert sub.lines == tuple(fermat_arrs[3].lines[i] for i in (0, 1, 5))
-
 
 class TestRefusals:
     @pytest.mark.parametrize(

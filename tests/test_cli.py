@@ -453,6 +453,32 @@ class TestSearches:
             "linesurf search-bauer: error: --max-solutions must be 0 (all) or positive\n"
         )
 
+    @pytest.mark.parametrize(
+        "extra,code,err",
+        (
+            ((), 2, "linesurf search-bauer: a subconfiguration needs at least 2 lines\n"),
+            # --max-solutions is refused first, as a usage error
+            (("--max-solutions", "-1"), 1,
+             "linesurf search-bauer: error: --max-solutions must be 0 (all) or positive\n"),
+        ),
+    )
+    def test_search_bauer_refusals_scan_nothing(self, capsys, monkeypatch, extra, code, err):
+        import linesurf.cli
+        import linesurf.incidence
+
+        calls = []
+        original = linesurf.incidence.scan_arrangement
+
+        def counting(arr):
+            calls.append(arr.d)
+            return original(arr)
+
+        for module in (linesurf.cli, linesurf.incidence):
+            monkeypatch.setattr(module, "scan_arrangement", counting)
+        argv = ("search-bauer", "--surface", "fermat", "--degree", "8", "--size", "1", *extra)
+        assert run(capsys, *argv) == (code, "", err)
+        assert calls == []
+
     def test_search_bauer_needs_lines(self, capsys):
         code, _, err = run(
             capsys, "search-bauer", "--surface", "custom", "--size", "16"
@@ -893,18 +919,17 @@ class TestOutputBehavior:
             )
         ]
         + [
-            # the ambient scan, then one rescan of each witness found
+            # the ambient scan alone: each witness's profile is tallied from it
             pytest.param(
                 ("search-bauer", "--surface", "fermat", "--degree", "4", "--size", "16",
                  "--max-solutions", "2"),
-                [48, 16, 16],
+                [48],
                 id="search-bauer",
             ),
         ],
     )
     def test_verify_scans_once(self, capsys, monkeypatch, tmp_path, argv, scans):
         import linesurf.cli
-        import linesurf.harbourne
         import linesurf.incidence
 
         calls = []
@@ -914,8 +939,8 @@ class TestOutputBehavior:
             calls.append(arr.d)
             return original(arr)
 
-        # every binding, so a scan through incidence or search helpers is counted too
-        for module in (linesurf.cli, linesurf.incidence, linesurf.harbourne):
+        # every binding, so a scan through an incidence helper is counted too
+        for module in (linesurf.cli, linesurf.incidence):
             monkeypatch.setattr(module, "scan_arrangement", counting)
         lines = tmp_path / "pair.json"
         pair = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]]]

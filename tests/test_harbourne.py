@@ -30,7 +30,7 @@ from linesurf.harbourne import (
     strict_transform_sq,
     strict_transform_sq_lower,
 )
-from linesurf.incidence import incidence_count
+from linesurf.incidence import incidence_count, scan_arrangement
 
 BAUER = IncidenceProfile(n=4, d=16, t={4: 8})
 
@@ -602,7 +602,7 @@ class TestCollector:
             pytest.param(lambda: extremal_profile_search(4, 6, 3, limit=2), id="extremal-limit"),
             # Ends with the empty row.
             pytest.param(lambda: extremal_profile_search(4, 6, 3), id="extremal-empty-row"),
-            pytest.param(lambda: bauer_search(fermat_lines(4), 16), id="bauer"),
+            pytest.param(lambda: bauer_search(scan_arrangement(fermat_lines(4)), 16), id="bauer"),
         ],
     )
     def test_no_cyclic_garbage(self, search):

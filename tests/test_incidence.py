@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 from conftest import MOVE, moved
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linesurf import exactnum, incidence, projgeom, serialize
@@ -18,6 +18,7 @@ from linesurf.catalog import (
     schur_profile,
 )
 from linesurf.exactnum import CycloNum, cyclotomic_polynomial, residue_field
+from linesurf.harbourne import bauer_search
 from linesurf.incidence import (
     ScanStats,
     incidence_count,
@@ -369,3 +370,63 @@ class TestPointOrder:
         assert json.dumps(scan_json(again)) == expected
         monkeypatch.undo()
         assert loaded == arr and again == scan
+
+
+def rescan_tally(arr, lines):
+    """The oracle: the t-vector of the sub-arrangement on ``lines``, scanned on its own."""
+    return scan_arrangement(Arrangement(arr.n, [arr.lines[i] for i in lines])).tally()
+
+
+# The matrix of file 0 of ``perfbench/moved_lines.py --seed 7 --round 0``: the
+# moved arrangement equals that file's lines, in the same order.
+SEED_7 = ((6, -6, -1, -4), (-1, 4, -1, 5), (3, -7, 2, 5), (2, -8, -6, -9))
+
+
+@pytest.fixture(scope="module")
+def configurations(fermat_arrs, fermat_scans):
+    """Lines and their scan: Fermat n = 3 and 4, and the quartic moved by SEED_7."""
+    seed_7 = moved(fermat_lines(4), SEED_7)
+    return {
+        "fermat-3": (fermat_arrs[3], fermat_scans[3]),
+        "fermat-4": (fermat_arrs[4], fermat_scans[4]),
+        "seed-7": (seed_7, scan_arrangement(seed_7)),
+    }
+
+
+CONFIGURATIONS = ("fermat-3", "fermat-4", "seed-7")
+
+
+class TestSubConfigurationTally:
+    """``tally(lines)`` counts each point by its lines in the set, kept at two or more."""
+
+    @pytest.mark.parametrize("size,count", ((4, 24), (7, 48), (16, 3)))
+    def test_every_quartic_witness(self, fermat_arrs, fermat_scans, size, count):
+        witnesses = bauer_search(fermat_scans[4], size, max_solutions=None)
+        assert len(witnesses) == count
+        for chosen in witnesses:
+            assert fermat_scans[4].tally(chosen) == rescan_tally(fermat_arrs[4], chosen)
+
+    @pytest.mark.parametrize("name", CONFIGURATIONS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_index_sets(self, configurations, name, data):
+        arr, scan = configurations[name]
+        size = data.draw(st.integers(2, arr.d))
+        lines = data.draw(st.permutations(range(arr.d)))[:size]
+        assert scan.tally(lines) == rescan_tally(arr, lines)
+
+    @pytest.mark.parametrize("name", CONFIGURATIONS)
+    def test_every_line_is_the_whole_tally(self, configurations, name):
+        arr, scan = configurations[name]
+        assert scan.tally(range(arr.d)) == scan.tally() == rescan_tally(arr, range(arr.d))
+
+    @pytest.mark.parametrize("name", CONFIGURATIONS)
+    def test_one_line_or_skew_lines_have_no_points(self, configurations, name):
+        arr, scan = configurations[name]
+        assert all(scan.tally([i]) == {} for i in range(arr.d))
+        skew: list[int] = []
+        for i, line in enumerate(arr.lines):
+            if all(line_intersection(arr.lines[j], line) is None for j in skew):
+                skew.append(i)
+        assert len(skew) >= 2
+        assert scan.tally(skew) == {} == rescan_tally(arr, skew)

@@ -66,6 +66,34 @@ class TestNormalization:
         with pytest.raises(ValueError):
             pt(0, 0, 0, 0)
 
+    def test_lead_is_set_not_multiplied(self, monkeypatch):
+        # The lead becomes one with no product: one product per other nonzero
+        # coordinate, for a point and for a line's Plucker vector.
+        m = 8
+        z = zeta(m)
+        coords = (CycloNum.zero(m), 2 + z, z**3 - 1, CycloNum.rational(m, 5))
+        a, b = pt(1, 0, 2, 0, m=m), pt(1, 2 + z, 0, 3, m=m)  # p01 = 2 + zeta
+        products = []
+        original = CycloNum.__mul__
+
+        def counting(x, y):
+            products.append(1)
+            return original(x, y)
+
+        monkeypatch.setattr(CycloNum, "__mul__", counting)
+        p = ProjPoint(coords)
+        assert len(products) == 2
+        products.clear()
+        line = ProjLine(a, b)
+        assert len(products) == sum(not c.is_zero() for c in line.plucker) - 1
+        monkeypatch.undo()
+        one = CycloNum.one(m)
+        assert (p.coords[1].nums, p.coords[1].den) == (one.nums, one.den)
+        assert p.coords == (coords[0], one, coords[2] / coords[1], coords[3] / coords[1])
+        assert next(c for c in line.plucker if not c.is_zero()) == one
+        for i, j in itertools.combinations(range(4), 2):
+            assert p.coords[i] * coords[j] == p.coords[j] * coords[i]
+
 
 class TestLineThrough:
     def test_coordinate_axis(self):
