@@ -332,14 +332,21 @@ def schur_profile() -> IncidenceProfile:
     return IncidenceProfile(n=4, d=64, t={2: 336, 3: 64, 4: 8})
 
 
+#: The Eckardt counts of smooth cubic surfaces (Segre; see Dolgachev,
+#: *Classical Algebraic Geometry*): 18 is the Fermat cubic, 10 Clebsch's.
+ECKARDT_COUNTS = (0, 1, 2, 3, 4, 6, 9, 10, 18)
+
+
 def cubic_profile(t3: int) -> IncidenceProfile:
     """Profile of the 27 lines on a smooth cubic with t3 triple (Eckardt) points.
 
-    The count identity t_2 + 3 t_3 = 135 fixes the double points; at most
-    18 Eckardt points exist, attained by the Fermat cubic.
+    The count identity t_2 + 3 t_3 = 135 fixes the double points.  Only
+    the counts in ``ECKARDT_COUNTS`` occur on a smooth cubic.
     """
-    if not 0 <= t3 <= 18:
-        raise ProfileError("the number of Eckardt points must lie in 0..18")
+    if t3 not in ECKARDT_COUNTS:
+        raise ProfileError(
+            "the number of Eckardt points must be one of " + ", ".join(map(str, ECKARDT_COUNTS))
+        )
     return IncidenceProfile(n=3, d=27, t={2: 135 - 3 * t3, 3: t3})
 
 
@@ -348,12 +355,14 @@ class NamedConfiguration(NamedTuple):
 
     ``param`` names the integer the builders take ("degree" or "eckardt"),
     or is None for a builder that takes none.  ``lines`` is None where only
-    a profile exists.
+    a profile exists.  ``values`` lists the parameter values that exist,
+    or is None where the builder's own check decides.
     """
 
     param: Optional[str]
     profile: Callable[..., IncidenceProfile]
     lines: Optional[Callable[..., Arrangement]]
+    values: Optional[tuple[int, ...]] = None
 
 
 # The named configurations, in the order the CLI lists them.
@@ -361,5 +370,5 @@ NAMED = {
     "fermat": NamedConfiguration("degree", fermat_profile, fermat_lines),
     "rams": NamedConfiguration("degree", rams_profile, None),
     "schur": NamedConfiguration(None, schur_profile, None),
-    "cubic": NamedConfiguration("eckardt", cubic_profile, None),
+    "cubic": NamedConfiguration("eckardt", cubic_profile, None, ECKARDT_COUNTS),
 }

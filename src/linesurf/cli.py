@@ -96,7 +96,9 @@ class _Parser(argparse.ArgumentParser):
 SURFACE_FLAGS = {
     "--degree": dict(type=int, metavar="N", help="surface degree n"),
     "--eckardt": dict(
-        type=int, metavar="T", help="number of triple points for --surface cubic (0..18)"
+        type=int, metavar="T",
+        help="number of triple points for --surface cubic, one of "
+        + ", ".join(map(str, NAMED["cubic"].values)),
     ),
     "--profile": dict(metavar="PATH", help="custom profile JSON {n, d, t}"),
     "--lines": dict(metavar="PATH", help="custom lines JSON {n, lines: [[pt, pt], ...]}"),
@@ -402,7 +404,11 @@ def cmd_sweep(args) -> Output:
     text = _given(args, flag)
     if not text:
         raise UsageError(f"sweep --surface {args.surface} requires {flag} A:B")
-    reports = [analyze_profile(family(x)) for x in _parse_range(text, flag)]
+    span = _parse_range(text, flag)
+    values = span if entry.values is None else [x for x in entry.values if x in span]
+    if not values:
+        raise ValueError(f"no {entry.param} value in {text} exists for --surface {args.surface}")
+    reports = [analyze_profile(family(x)) for x in values]
     return Output(
         REPORT_COLUMNS,
         lambda: [report_row(r, args.places) for r in reports],

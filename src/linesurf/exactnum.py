@@ -16,7 +16,8 @@ reduce-and-sign step (:func:`_reduced`), which divides out the common
 gcd and makes the denominator positive; with denominator 1, as most
 Fermat coordinates have, the step does nothing.  A sum of products,
 :func:`dot`, is summed over one common denominator and takes that step
-once, not once per product and partial sum.
+once, not once per product and partial sum.  A negation and the zero of
+an empty :func:`dot` (the shared ``CycloNum.zero(m)``) are reduced already.
 
 Products and Galois conjugates take one of two paths, chosen by phi(m)
 alone.  For phi(m) <= 8 (the fields of the Fermat lines up to degree 8,
@@ -300,9 +301,11 @@ class CycloNum:
         value = _coeff(value)
         return _reduced(m, (value.numerator,) + (0,) * (f - 1), value.denominator)
 
-    @classmethod
-    def zero(cls, m: int) -> "CycloNum":
-        return cls.rational(m, 0)
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def zero(m: int) -> "CycloNum":
+        """The one stored zero of Q(zeta_m); values are immutable, so it is shared."""
+        return CycloNum.rational(m, 0)
 
     @classmethod
     def one(cls, m: int) -> "CycloNum":
@@ -351,7 +354,9 @@ class CycloNum:
         return _sum(other, self, sub)
 
     def __neg__(self):
-        return _reduced(self.m, [-x for x in self.nums], self.den)
+        neg = CycloNum.__new__(CycloNum)  # lowest terms and den > 0 still hold: no gcd
+        neg.m, neg.nums, neg.den = self.m, tuple([-x for x in self.nums]), self.den
+        return neg
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -80,7 +80,8 @@ class ProjPoint:
         return self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        a, b, c, d = self.coords  # equal points have equal fields; no CycloNum.__hash__
+        return hash((a.nums, a.den, b.nums, b.den, c.nums, c.den, d.nums, d.den))
 
     def __str__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -121,8 +122,7 @@ class ProjLine:
         self.conductor = m
         self.plucker = plucker
         lead_pair = PLUCKER_PAIRS[lead_index]
-        rows = _dual_rows(plucker)
-        self.forms = tuple(rows[i] for i in range(4) if i not in lead_pair)
+        self.forms = tuple(_dual_row(plucker, i) for i in range(4) if i not in lead_pair)
         residues = tuple(c.residue() for c in plucker)
         self.residues = None if None in residues else residues
 
@@ -141,10 +141,18 @@ class ProjLine:
         return f"ProjLine({self.base[0]!r}, {self.base[1]!r})"
 
 
+def _lead(coords: Sequence[CycloNum]) -> Optional[int]:
+    """The index of the first nonzero entry, or None if every entry is zero."""
+    for i, c in enumerate(coords):
+        if any(c.nums):
+            return i
+    return None
+
+
 def _scaled_to_lead(coords: Sequence[CycloNum]) -> tuple[int, tuple[CycloNum, ...]]:
     """The index i of the first nonzero entry, and ``coords`` divided by it: the
     entry at i set to one, zeros kept, one product per other nonzero entry."""
-    lead = next((i for i, c in enumerate(coords) if not c.is_zero()), None)
+    lead = _lead(coords)
     if lead is None:
         raise ValueError("homogeneous coordinates cannot all be zero")
     c = coords[lead]
@@ -155,16 +163,17 @@ def _scaled_to_lead(coords: Sequence[CycloNum]) -> tuple[int, tuple[CycloNum, ..
     return lead, (*coords[:lead], CycloNum.one(c.m), *rest)
 
 
-def _dual_rows(plucker: Sequence[CycloNum]) -> tuple[tuple[CycloNum, ...], ...]:
-    """The dual Plucker matrix: row i is the form x -> det(p, q, e_i, x)."""
+def _dual_row(plucker: Sequence[CycloNum], i: int) -> tuple[CycloNum, ...]:
+    """Row i of the dual Plucker matrix: the form x -> det(p, q, e_i, x)."""
     p01, p02, p03, p12, p13, p23 = plucker
     zero = CycloNum.zero(p01.m)
-    return (
-        (zero, p23, -p13, p12),
-        (-p23, zero, p03, -p02),
-        (p13, -p03, zero, p01),
-        (-p12, p02, -p01, zero),
-    )
+    if i == 0:
+        return (zero, p23, -p13, p12)
+    if i == 1:
+        return (-p23, zero, p03, -p02)
+    if i == 2:
+        return (p13, -p03, zero, p01)
+    return (-p12, p02, -p01, zero)
 
 
 def point_on_line(pt: ProjPoint, line: ProjLine) -> bool:
@@ -197,8 +206,7 @@ def _span_point(p: ProjPoint, q: ProjPoint, x: CycloNum, y: CycloNum) -> ProjPoi
     if x.is_zero():
         return q
     u, v = p.coords, q.coords
-    i = next(k for k, c in enumerate(u) if not c.is_zero())
-    j = next(k for k, c in enumerate(v) if not c.is_zero())
+    i, j = _lead(u), _lead(v)
     if j < i:
         u, v, x, y = v, u, y, x
     elif i == j:

@@ -21,8 +21,16 @@ def rams_h_closed(n: int) -> Fraction:
     return Fraction(-(n**3), 2 * n * n - 4 * n + 4)
 
 
+#: The Eckardt counts that smooth cubic surfaces have (Segre; Dolgachev,
+#: Classical Algebraic Geometry): 18 on the Fermat cubic, 10 on Clebsch's.
+ECKARDT_COUNTS = (0, 1, 2, 3, 4, 6, 9, 10, 18)
+
+
 def cubic_h(t: int) -> Fraction:
-    """H_L of the 27-line cubic configuration with t triple points: (-297+3t)/(135-2t)."""
+    """H_L of the 27-line cubic configuration with t triple points: (-297+3t)/(135-2t).
+
+    The formula is written for every t in 0..18; only the ECKARDT_COUNTS occur.
+    """
     if not 0 <= t <= 18:
         raise ValueError("the number of triple points on a cubic lies in 0..18")
     return Fraction(-297 + 3 * t, 135 - 2 * t)

@@ -5,6 +5,7 @@ import pickle
 from types import MappingProxyType
 
 import pytest
+from closed_forms import ECKARDT_COUNTS
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -359,7 +360,7 @@ class TestProfiles:
         assert p.t.get(3, 0) == t3
 
     def test_cubic_identity_everywhere(self):
-        for t3 in range(19):
+        for t3 in ECKARDT_COUNTS:
             p = cubic_profile(t3)
             assert p.t.get(2, 0) + 3 * p.t.get(3, 0) == 135
 
@@ -371,6 +372,16 @@ class TestProfiles:
             cubic_profile(19)
         with pytest.raises(ValueError):
             cubic_profile(-1)
+
+    def test_cubic_accepts_only_counts_that_exist(self):
+        accepted = []
+        for t3 in range(-1, 20):
+            try:
+                cubic_profile(t3)
+            except ProfileError:
+                continue
+            accepted.append(t3)
+        assert tuple(accepted) == ECKARDT_COUNTS
 
 
 class TestNamed:
@@ -389,7 +400,7 @@ class TestMaxLinesBound:
     def test_cataloged_profiles_respect_bound(self):
         profiles = [fermat_profile(n) for n in range(3, 12)]
         profiles += [rams_profile(n) for n in range(6, 12)]
-        profiles += [schur_profile()] + [cubic_profile(t) for t in range(0, 19, 6)]
+        profiles += [schur_profile()] + [cubic_profile(t) for t in ECKARDT_COUNTS]
         for p in profiles:
             assert p.d <= max_lines_bound(p.n)
             pair_weight = sum((k * k - k) * c for k, c in p.t.items())
@@ -460,9 +471,9 @@ class TestRefusals:
                 id="rams-profile-degree",
             ),
             pytest.param(
-                lambda: cubic_profile(19),
+                lambda: cubic_profile(5),
                 ProfileError,
-                r"the number of Eckardt points must lie in 0\.\.18",
+                "the number of Eckardt points must be one of 0, 1, 2, 3, 4, 6, 9, 10, 18",
                 id="cubic-profile-eckardt",
             ),
         ],

@@ -291,7 +291,24 @@ class TestSweep:
             "--format", "csv",
         )
         assert code == 0
-        assert len(out.strip().split("\n")) == 20
+        rows = out.strip().split("\n")[1:]
+        assert [row.split(",")[3] for row in rows] == [
+            "2:135", "2:132;3:1", "2:129;3:2", "2:126;3:3", "2:123;3:4",
+            "2:117;3:6", "2:108;3:9", "2:105;3:10", "2:81;3:18",
+        ]
+
+    def test_cubic_sweep_walks_the_counts_not_the_range(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--surface", "cubic", "--eckardt-range", "0:1000000000000000",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 10
+
+    def test_cubic_sweep_of_no_existing_count(self, capsys):
+        code, out, err = run(capsys, "sweep", "--surface", "cubic", "--eckardt-range", "11:17")
+        assert (code, out) == (2, "")
+        assert err == "linesurf sweep: no eckardt value in 11:17 exists for --surface cubic\n"
 
     def test_rams_sweep(self, capsys):
         code, out, _ = run(

@@ -680,6 +680,48 @@ class TestIntegerKernels:
         assert (x - x) + q == q and hash((x - x) + q) == hash(q)
 
 
+class TestResultsBuiltReduced:
+    """Negation and the zero of an empty ``dot`` are built with no gcd, and
+    stored field for field as the reducing path stores the same value."""
+
+    @pytest.mark.parametrize("m", (8, 12, 16, 22, 60))  # kernels up to 16, loops at 22 and 60
+    def test_negation_is_minus_one_times(self, m):
+        rng = random.Random(900 + m)
+        f = degree(m)
+        values = [
+            CycloNum.zero(m),
+            CycloNum.one(m),
+            zeta(m, 3),
+            CycloNum.rational(m, Fraction(-7, 4)),
+            CycloNum(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(f)]),
+            CycloNum(m, [Fraction(rng.randint(-9, 9), 6) for _ in range(f)]) * (2**70 + 1),
+        ]
+        assert sum(x.den > 1 for x in values) >= 2
+        for x in values:
+            neg, ref = -x, (-1) * x
+            assert (neg.m, neg.nums, neg.den) == (ref.m, ref.nums, ref.den)
+            assert type(neg.nums) is tuple and -neg == x
+
+    @pytest.mark.parametrize("m", (8, 22))
+    def test_dot_with_no_nonzero_term_is_the_zero(self, m):
+        zero, x = CycloNum.zero(m), CycloNum(m, [Fraction(1, 3), 2])
+        expected = (m, (0,) * degree(m), 1)
+        assert (zero.m, zero.nums, zero.den) == expected
+        for xs, ys in (((), ()), ((zero,), (x,)), ((x, zero, zero), (zero, x, zero))):
+            got = exactnum.dot(m, xs, ys)
+            assert (got.m, got.nums, got.den) == expected
+
+    def test_dot_with_no_nonzero_term_still_checks(self):
+        z8, zero8, zero16 = zeta(8), CycloNum.zero(8), CycloNum.zero(16)
+        for xs, ys in (([zero16], [z8]), ([z8], [zero16]), ([zero8, zero16], [zero8, zero8])):
+            with pytest.raises(ConductorMismatch):
+                exactnum.dot(8, xs, ys)
+        for xs, ys in (([zero8], []), ([], [zero8]), ([zero8, zero8], [z8])):
+            with pytest.raises(ValueError) as excinfo:
+                exactnum.dot(8, xs, ys)
+            assert excinfo.type is ValueError
+
+
 class TestResidueField:
     """zeta_m -> r is a ring homomorphism onto F_p, the map the scan filter uses."""
 

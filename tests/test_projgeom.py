@@ -497,7 +497,7 @@ class TestRefusals:
 
 
 class TestDualRows:
-    """Row i of ``_dual_rows`` is the form x -> det(p, q, e_i, x) of the line through p, q."""
+    """``_dual_row(plucker, i)`` is the form x -> det(p, q, e_i, x) of the line through p, q."""
 
     @pytest.mark.parametrize("m", (6, 8))
     def test_rows_are_cofactor_expansions(self, m):
@@ -520,7 +520,8 @@ class TestDualRows:
             raw = (a[k] * b[l] - a[l] * b[k] for k, l in PLUCKER_PAIRS)
             lead = next(c for c in raw if not c.is_zero())  # plucker = raw / lead
             x = [value() for _ in range(4)]
-            for i, row in enumerate(projgeom._dual_rows(line.plucker)):
+            for i in range(4):
+                row = projgeom._dual_row(line.plucker, i)
                 # Expanded along the e_i row, whose one entry sits in column i.
                 cols = [c for c in range(4) if c != i]
                 minor = det3([[r[c] for c in cols] for r in (a, b, x)])
@@ -579,6 +580,56 @@ class TestSpanPoint:
         p, q = pt(1, 1, 0, 0), pt(1, 0, 1, 0)
         one = CycloNum.one(M)
         assert projgeom._span_point(p, q, one, -one) == pt(0, 1, -1, 0)
+
+
+class TestPointHash:
+    """Equal points hash equal, whichever path built them."""
+
+    @pytest.mark.parametrize("m", (5, 8, 12, 22))
+    def test_every_construction_hashes_alike(self, m):
+        rng = random.Random(700 + m)
+        size = len(zeta(m).coeffs)
+        zero = CycloNum.zero(m)
+
+        def value():
+            while True:
+                v = CycloNum(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(size)])
+                if not v.is_zero():
+                    return v
+
+        def point(lead):
+            return ProjPoint([zero] * lead + [value() for _ in range(4 - lead)])
+
+        branches = set()
+        for i, j in itertools.product(range(4), repeat=2):
+            p, q = point(i), point(j)
+            if p == q:
+                continue
+            x = value()
+            cases = [(x, zero), (zero, x), (x, value()), (x, -x)]
+            for x, y in cases if i == j else cases[:3]:
+                # the same point three ways: the closed form, and the vector
+                # x p + y q scaled by a random factor, normalised by ProjPoint
+                # from CycloNums and by from_values
+                got = projgeom._span_point(p, q, x, y)
+                scale = value()
+                vector = [scale * (x * u + y * v) for u, v in zip(p.coords, q.coords)]
+                built, given = ProjPoint(vector), ProjPoint.from_values(m, vector)
+                assert got == built == given
+                assert hash(got) == hash(built) == hash(given)
+                assert {built: "found"}.get(got) == "found"
+                branches.add(
+                    "y = 0" if y.is_zero() else "x = 0" if x.is_zero() else
+                    "i < j" if i < j else "j < i" if j < i else
+                    "i = j" if not (x + y).is_zero() else "i = j, x + y = 0"
+                )
+        assert branches == {"y = 0", "x = 0", "i < j", "j < i", "i = j", "i = j, x + y = 0"}
+
+    def test_rational_values_and_cyclotomic_coordinates_hash_alike(self):
+        m = 12
+        rational = ProjPoint.from_values(m, [0, Fraction(-3, 4), Fraction(3, 2), 6])
+        cyclo = ProjPoint([CycloNum.rational(m, c) for c in (0, 1, -2, -8)])
+        assert rational == cyclo and hash(rational) == hash(cyclo)
 
 
 # The product-sum expressions the kernel sites replaced, kept as the reference:
