@@ -18,7 +18,7 @@ from collections.abc import Callable, ItemsView, Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple, Optional
 
-from .exactnum import CycloNum, nth_roots_of_minus_one
+from .exactnum import CycloNum, mismatch, nth_roots_of_minus_one
 from .projgeom import ProjLine, ProjPoint
 
 
@@ -221,7 +221,7 @@ class Arrangement:
         seen: dict[ProjLine, int] = {}
         for i, line in enumerate(self.lines):
             if line.conductor != self.conductor:
-                raise ProfileError("all lines must share one conductor")
+                raise mismatch(self.conductor, line.conductor)
             if line in seen:
                 raise ProfileError(
                     f"lines must be pairwise distinct: lines {seen[line]} and {i} coincide"

@@ -19,17 +19,18 @@ Fermat coordinates have, the step does nothing.  A sum of products,
 once, not once per product and partial sum.  A negation and the zero of
 an empty :func:`dot` (the shared ``CycloNum.zero(m)``) are reduced already.
 
-Products and Galois conjugates take one of two paths, chosen by phi(m)
-alone.  For phi(m) <= 8 (the fields of the Fermat lines up to degree 8,
-and Q(zeta_8) of the quartic's lines) :func:`_kernels` writes them out
-once per conductor as straight-line Python, with the reduction modulo
-Phi_m folded in as integer literals, and :func:`dot` adds up each term's
-reduced product.  Above that nothing is generated: loops that skip zero
-coefficients convolve, fold the high powers by :func:`_shift_rows`, and
-combine conjugates from :func:`_conjugate_rows`, and :func:`dot` convolves
-every term before it reduces modulo Phi_m once.  Past phi(m) = 8 a
-kernel's fixed phi(m)^2 products cost more than the loop's on the
-monomials that most Fermat coordinates are.
+Products, Galois conjugates and the sums of products of :func:`dot` take
+one of two paths, chosen once per conductor by :func:`_kernels`.  For
+phi(m) <= 8 (the fields of the Fermat lines up to degree 8, and
+Q(zeta_8) of the quartic's lines) the product and conjugates are
+straight-line Python, with the reduction modulo Phi_m folded in as
+integer literals, and a sum adds up each term's reduced product.  Above
+that nothing is generated: one loop that skips zero coefficients
+convolves every term of a sum and folds the high powers by
+:func:`_shift_rows` once, a product is its one-term case, and conjugates
+combine :func:`_conjugate_rows`.  Past phi(m) = 8 a kernel's fixed
+phi(m)^2 products cost more than the loop's on the monomials that most
+Fermat coordinates are.
 ``fractions.Fraction`` appears only where rationals cross the boundary:
 a ``Fraction`` given as a coefficient or scalar, the
 :attr:`CycloNum.coeffs` view that ``str`` and ``repr`` print, and
@@ -132,16 +133,48 @@ def _lincomb(terms: Iterable[tuple[int, str]]) -> str:
 
 @lru_cache(maxsize=None)
 def _kernels(m: int) -> tuple:
-    """Straight-line ``(mul, conjugates)`` for Q(zeta_m), read when phi(m) <= _KERNEL_DEGREE.
+    """The operations of Q(zeta_m) on numerator vectors, ``(mul, conjugates, dot)``.
 
-    ``mul(a, b)`` is the product of two numerator vectors reduced modulo
-    Phi_m: each low convolution sum plus the high sums h_k, bound once,
-    times the entries of ``_shift_rows(m)`` written in as literals.
-    ``conjugates(a)`` lists the images of a under zeta -> zeta^k for the
-    units k != 1 mod m, in the order of ``_conjugate_rows(m)``.  The
-    source holds only integer literals and generated names.
+    ``mul(a, b)`` is the product reduced modulo Phi_m; ``conjugates(a)``
+    lists the images of a under zeta -> zeta^k for the units k != 1 mod m,
+    in the order of ``_conjugate_rows(m)``; ``dot(terms, den)`` is the sum
+    of (den // d) * a * b over the triples (a, b, d), reduced modulo Phi_m.
+    For phi(m) <= _KERNEL_DEGREE, mul and conjugates are generated
+    straight-line source holding only integer literals and generated names:
+    each low convolution sum plus the high sums h_k, bound once, times the
+    entries of ``_shift_rows(m)``; dot adds up each term's product.  Above
+    it dot is the one convolution loop, which skips zero coefficients and
+    folds once at the end, and mul is its one-term case.
     """
     f = len(cyclotomic_polynomial(m)) - 1
+    if f > _KERNEL_DEGREE:
+        shifts = _shift_rows(m)
+
+        def dot(terms, den):
+            acc = [0] * (2 * f - 1)
+            for a, b, d in terms:
+                scale = den // d
+                for i, ai in enumerate(a):
+                    if ai:
+                        if scale != 1:
+                            ai *= scale
+                        for j, bj in enumerate(b):
+                            if bj:
+                                acc[i + j] += ai * bj
+            for k, row in shifts:
+                c = acc[k]
+                if c:
+                    for i, r in row:
+                        acc[i] += c * r
+            return acc[:f]
+
+        def mul(a, b):
+            return dot(((a, b, 1),), 1)
+
+        def conjugates(a):
+            return (_combine(a, rows) for rows in _conjugate_rows(m))
+
+        return mul, conjugates, dot
     a_names, b_names = (", ".join(f"{v}{i}" for i in range(f)) + "," for v in "ab")
     conv: list[list[tuple[int, str]]] = [[] for _ in range(2 * f - 1)]
     for i in range(f):
@@ -161,30 +194,19 @@ def _kernels(m: int) -> tuple:
     src.append("    )")
     namespace: dict = {"__builtins__": {}}
     exec(compile("\n".join(src), f"<exactnum kernels for Q(zeta_{m})>", "exec"), namespace)
-    return namespace["mul"], namespace["conjugates"]
+    kernel = namespace["mul"]
 
+    def dot(terms, den):
+        acc = None
+        for a, b, d in terms:
+            p = kernel(a, b)
+            if d != den:
+                scale = den // d
+                p = [x * scale for x in p]
+            acc = p if acc is None else tuple(map(add, acc, p))
+        return acc
 
-def _mul_vec(m: int, a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
-    """The product of two integer coefficient vectors, reduced modulo Phi_m."""
-    if len(a) <= _KERNEL_DEGREE:
-        return _kernels(m)[0](a, b)
-    acc = [0] * (2 * len(a) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    acc[i + j] += ai * bj
-    return _fold(m, acc)
-
-
-def _fold(m: int, acc: list[int]) -> list[int]:
-    """A convolution of length 2 phi(m) - 1, reduced modulo Phi_m."""
-    for k, row in _shift_rows(m):
-        c = acc[k]
-        if c:
-            for i, r in row:
-                acc[i] += c * r
-    return acc[: (len(acc) + 1) // 2]
+    return kernel, namespace["conjugates"], dot
 
 
 def _combine(nums: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
@@ -207,13 +229,6 @@ def _conjugate_rows(m: int) -> tuple:
         for k in range(2, m)
         if gcd(k, m) == 1
     )
-
-
-def _conjugates(m: int, a: Sequence[int]) -> Iterable[Sequence[int]]:
-    """The images of a under zeta -> zeta^k, one per unit k != 1 mod m; read by the inverse."""
-    if len(a) <= _KERNEL_DEGREE:
-        return _kernels(m)[1](a)
-    return (_combine(a, rows) for rows in _conjugate_rows(m))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +380,8 @@ class CycloNum:
         if isinstance(other, CycloNum):
             if other.m != self.m:
                 raise mismatch(self.m, other.m)
-            return _reduced(self.m, _mul_vec(self.m, self.nums, other.nums), self.den * other.den)
+            product = _kernels(self.m)[0](self.nums, other.nums)
+            return _reduced(self.m, product, self.den * other.den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -387,11 +403,12 @@ class CycloNum:
         if len(support) == 1:
             k = support[0]
             return _reduced(m, [den * x for x in _zeta_pow_vec(m, -k)], a[k])
-        conjugates = iter(_conjugates(m, a))
-        prod = next(conjugates)
-        for c in conjugates:
-            prod = _mul_vec(m, prod, c)
-        norm = _mul_vec(m, a, prod)
+        mul, conjugates, _ = _kernels(m)
+        images = iter(conjugates(a))
+        prod = next(images)
+        for c in images:
+            prod = mul(prod, c)
+        norm = mul(a, prod)
         if any(norm[1:]):
             raise AssertionError(f"norm of {self!r} is not rational")
         return _reduced(m, [c * den for c in prod], norm[0])
@@ -477,13 +494,11 @@ def dot(m: int, xs: Sequence[CycloNum], ys: Sequence[CycloNum]) -> CycloNum:
 
     Each term with both factors nonzero is multiplied on its integer
     numerators and scaled to D, the lcm of the terms' denominators
-    x_k.den * y_k.den.  For phi(m) <= 8 each term's product is reduced
-    modulo Phi_m by the conductor's kernel and the products are added;
-    above that the terms are convolved into one sum, reduced modulo Phi_m
-    once.  The integer sum is put in lowest terms over D once, by
-    ``_reduced``.  Raises
-    ConductorMismatch if a factor's conductor is not m, and ValueError if
-    the sequences differ in length.
+    x_k.den * y_k.den, and the conductor's ``dot`` from :func:`_kernels`
+    sums them reduced modulo Phi_m.  The integer sum is put in lowest
+    terms over D once, by ``_reduced``.  Raises ConductorMismatch if a
+    factor's conductor is not m, and ValueError if the sequences differ
+    in length.
     """
     terms = []
     den = 1
@@ -497,27 +512,7 @@ def dot(m: int, xs: Sequence[CycloNum], ys: Sequence[CycloNum]) -> CycloNum:
                 den = lcm(den, d)
     if not terms:
         return CycloNum.zero(m)
-    if len(terms[0][0]) <= _KERNEL_DEGREE:
-        kernel = _kernels(m)[0]
-        acc = None
-        for a, b, d in terms:
-            p = kernel(a, b)
-            if d != den:
-                scale = den // d
-                p = [x * scale for x in p]
-            acc = p if acc is None else tuple(map(add, acc, p))
-        return _reduced(m, acc, den)
-    acc = [0] * (2 * len(terms[0][0]) - 1)
-    for a, b, d in terms:
-        scale = den // d
-        for i, ai in enumerate(a):
-            if ai:
-                if scale != 1:
-                    ai *= scale
-                for j, bj in enumerate(b):
-                    if bj:
-                        acc[i + j] += ai * bj
-    return _reduced(m, _fold(m, acc), den)
+    return _reduced(m, _kernels(m)[2](terms, den), den)
 
 
 # Deterministic Miller-Rabin witnesses: exact for every n below 3.3 * 10^24.

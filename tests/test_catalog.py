@@ -23,6 +23,7 @@ from linesurf.catalog import (
     rams_profile,
     schur_profile,
 )
+from linesurf.exactnum import ConductorMismatch
 from linesurf.harbourne import extremal_profile_search
 from linesurf.incidence import incidence_count, profile_from_arrangement
 from linesurf.serialize import SchemaError, load_custom_profile, profile_json, t_vector_str
@@ -448,8 +449,8 @@ class TestRefusals:
             ),
             pytest.param(
                 lambda: Arrangement(4, (fermat_lines(4).lines[0], fermat_lines(3).lines[0])),
-                ProfileError,
-                "all lines must share one conductor",
+                ConductorMismatch,
+                r"cannot combine Q\(zeta_8\) with Q\(zeta_6\)",
                 id="arrangement-conductors",
             ),
             pytest.param(

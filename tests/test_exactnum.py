@@ -165,11 +165,14 @@ def test_inverse_rejects_irrational_norm(monkeypatch):
     # dropping one conjugate where the inverse reads them leaves a * P
     # irrational, which the inverse must refuse: at m = 8 from the generated
     # kernel, at m = 22 from the loop
-    conjugates = exactnum._conjugates
+    kernels = exactnum._kernels
     calls = []
-    monkeypatch.setattr(
-        exactnum, "_conjugates", lambda m, a: calls.append(m) or list(conjugates(m, a))[:-1]
-    )
+
+    def dropping_one(m):
+        mul, conjugates, dot = kernels(m)
+        return mul, lambda a: calls.append(m) or list(conjugates(a))[:-1], dot
+
+    monkeypatch.setattr(exactnum, "_kernels", dropping_one)
     for m in (8, 22):
         with pytest.raises(AssertionError, match="not rational"):
             (2 + zeta(m)).inverse()
@@ -429,6 +432,11 @@ def residue_per_coefficient(m, coeffs):
     return acc % p
 
 
+def generated(operation):
+    """Whether a conductor's operation is straight-line source written by ``_kernels``."""
+    return operation.__code__.co_filename.startswith("<exactnum kernels for Q(zeta_")
+
+
 def assert_canonical(value, expected):
     """``value`` is stored in lowest terms and its coeffs equal ``expected``, types included."""
     assert type(value.den) is int and value.den > 0
@@ -530,7 +538,7 @@ class TestIntegerKernels:
             x = CycloNum(m, a)
             for b in vectors:
                 assert_canonical(x * CycloNum(m, b), fraction_mul_vec(m, a, b))
-            conjugates = list(exactnum._conjugates(m, x.nums))
+            conjugates = list(exactnum._kernels(m)[1](x.nums))
             assert [
                 tuple(qnorm(Fraction(c, x.den)) for c in conjugate) for conjugate in conjugates
             ] == [fraction_combine(a, rows) for rows in exactnum._conjugate_rows(m)]
@@ -549,7 +557,7 @@ class TestIntegerKernels:
 
     def test_nothing_generated_above_the_threshold(self):
         # phi(22) = 10, phi(226) = 112, phi(800) = 320: products, dot and the
-        # inverse run the loops and leave no kernel in the cache
+        # inverse run the loops, and no operation of theirs is generated source
         exactnum._kernels.cache_clear()
         for m in (22, 226, 800):
             x, y = 1 + zeta(m), Fraction(2, 3) - 5 * zeta(m, 7)
@@ -561,9 +569,27 @@ class TestIntegerKernels:
             assert x * x.inverse() == 1
             if m == 22:
                 assert_canonical(x.inverse(), fraction_inverse(m, a))
-        assert exactnum._kernels.cache_info().currsize == 0
+            assert not any(map(generated, exactnum._kernels(m)))
+        assert exactnum._kernels.cache_info().currsize == 3
         zeta(8) * zeta(8, 3)
-        assert exactnum._kernels.cache_info().currsize == 1
+        assert exactnum._kernels.cache_info().currsize == 4
+        assert generated(exactnum._kernels(8)[0])
+
+    def test_each_conductor_chooses_once(self):
+        # a product, a dot and a generic inverse read one cached choice per
+        # conductor, on both sides of phi = 8: m = 16 (phi 8) is generated,
+        # m = 22 (phi 10) is not
+        exactnum._kernels.cache_clear()
+        for m in (16, 22):
+            x, y = 1 + zeta(m), 3 - zeta(m, 5)
+            x * y
+            exactnum.dot(m, [x, y], [y, x])
+            x.inverse()
+        info = exactnum._kernels.cache_info()
+        assert (info.currsize, info.misses) == (2, 2)
+        mul, conjugates, dot = exactnum._kernels(16)
+        assert generated(mul) and generated(conjugates) and not generated(dot)
+        assert not any(map(generated, exactnum._kernels(22)))
 
     def test_dot_rejects_mixed_conductors_and_lengths(self):
         z8, z16 = zeta(8), zeta(16)
@@ -597,11 +623,11 @@ class TestIntegerKernels:
     @given(kernel_vectors(1))
     def test_combine_over_conjugate_rows(self, case):
         # the conjugate zeta -> zeta^k of a, built from input of degree (f - 1) * k
-        # and read from exactnum._conjugates, kernel or loop
+        # and read from the conductor's conjugates, kernel or loop
         m, (a,) = case
         x = CycloNum(m, a)
         units = [k for k in range(2, m) if gcd(k, m) == 1]
-        conjugates = list(exactnum._conjugates(m, x.nums))
+        conjugates = list(exactnum._kernels(m)[1](x.nums))
         assert len(conjugates) == len(units) == len(exactnum._conjugate_rows(m))
         for k, rows, conjugate in zip(units, exactnum._conjugate_rows(m), conjugates):
             spread = [0] * ((len(a) - 1) * k + 1)
