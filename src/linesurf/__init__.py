@@ -48,7 +48,6 @@ from .incidence import (
     incidence_count,
     profile_from_arrangement,
     scan_arrangement,
-    valency_consistent,
 )
 from .projgeom import (
     ProjLine,
@@ -99,6 +98,5 @@ __all__ = [
     "schur_profile",
     "strict_transform_sq",
     "strict_transform_sq_lower",
-    "valency_consistent",
     "zeta",
 ]

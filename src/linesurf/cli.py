@@ -45,12 +45,7 @@ from .harbourne import (
     miyaoka_check,
     strict_transform_sq,
 )
-from .incidence import (
-    incidence_count,
-    profile_from_arrangement,
-    scan_arrangement,
-    valency_consistent,
-)
+from .incidence import incidence_count, profile_from_arrangement, scan_arrangement
 from .serialize import (
     arrangement_json,
     decimal_cell,
@@ -336,20 +331,24 @@ def cmd_analyze(args) -> Output:
 
 def cmd_verify(args) -> Output:
     chosen = resolve(args)
+    valency = args.valency
+    if valency is not None and valency < 0:  # before any line is tested or scanned
+        raise ValueError("valency must be nonnegative")
     checks: list[tuple[str, int, int, bool]] = []  # name, lhs, rhs, ok
     if args.surface == "fermat":
         good = sum(1 for line in chosen.lines if on_surface(line, chosen.n))
         checks.append(("on_surface", good, chosen.d, good == chosen.d))
-    if args.valency is not None:
-        # Explicit lines pass only if each line meets V others; a profile has only the sum.
-        profile, each = chosen, True
+    if valency is not None:
+        # I_d = sum (k^2-k) t_k is the sum of the valencies.  Explicit lines
+        # pass only if each line meets V others; a profile has only the sum.
+        rhs = chosen.d * valency
         if isinstance(chosen, Arrangement):
-            scan = scan_arrangement(chosen)
-            profile = IncidenceProfile(chosen.n, chosen.d, scan.tally())
-            each = all(v == args.valency for v in scan.valencies(chosen.d))
-        lhs, rhs = incidence_count(profile), profile.d * args.valency
-        ok = valency_consistent(profile, args.valency) and each
-        checks.append((f"valency_{args.valency}", lhs, rhs, ok))
+            valencies = scan_arrangement(chosen).valencies(chosen.d)
+            lhs, ok = sum(valencies), all(v == valency for v in valencies)
+        else:
+            lhs = incidence_count(chosen)
+            ok = lhs == rhs
+        checks.append((f"valency_{valency}", lhs, rhs, ok))
     if not checks:
         raise UsageError(f"--surface {args.surface} has nothing to verify without --valency")
     return Output(

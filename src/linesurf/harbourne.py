@@ -31,7 +31,6 @@ import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .catalog import IncidenceProfile, check_line_count
@@ -330,29 +329,30 @@ def extremal_profile_search(
     scale = pairs * pairs
     top = pairs + 1  # above every t_2: stands for t_2 = 0 in a key
     radix = top + 1
-    # Each nonempty run as (tail items, (a, s_tail, lo, hi, upper end)).
-    tail_runs: list[tuple[tuple, tuple[int, int, int, int, IncidenceProfile]]] = []
+    # Each nonempty run as (tail items, a, s_tail, lo, hi, upper end).
+    runs: list[tuple[tuple, int, int, int, int, IncidenceProfile]] = []
     has_empty = False
 
     # Acyclic from here on (see above): no cyclic collection can free anything.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        # Every tail t_3..t_k with the pair budget it leaves, in lexicographic order.
-        tails: list[tuple[dict[int, int], int]] = [({}, budget)]
+        # Every tail t_3..t_k, as its (k, t_k) items in increasing k, with the
+        # pair budget it leaves.
+        tails: list[tuple[tuple, int]] = [((), budget)]
         for k in ks[1:]:
             weight = k * k - k
             tails = [
-                ({**tail, k: count} if count else tail, left - weight * count)
+                (tail + ((k, count),) if count else tail, left - weight * count)
                 for tail, left in tails
                 for count in range(left // weight + 1)
             ]
         # Each tail's run t_2 = lo..hi, certified on profiles lowered from
         # its upper end, the one profile validated by __init__ per tail.
         for tail, left in tails:
-            lo = max(0, n * d + sum((k - 4) * c for k, c in tail.items()) - rhs)
+            lo = max(0, n * d + sum((k - 4) * c for k, c in tail) - rhs)
             hi = left // 2
-            end = IncidenceProfile(n, d, {2: hi, **tail})
+            end = IncidenceProfile(n, d, dict(((2, hi), *tail)))
             # Miyaoka holds at lo and fails just below it, when lo > 0; an
             # empty run fails at hi.
             for t2, holds in ((hi, False),) if lo > hi else ((lo, True), (lo - 1, False)):
@@ -365,20 +365,21 @@ def extremal_profile_search(
                 lo = 1
             if lo > hi:
                 continue
-            a = (2 - n) * d - sum(k * c for k, c in tail.items())
-            s_tail = sum(tail.values())
+            a = (2 - n) * d - sum(k * c for k, c in tail)
+            s_tail = sum(c for _, c in tail)
             if harbourne_linear(end._with_t2(lo)) != Fraction(a - 2 * lo, s_tail + lo):
                 raise AssertionError(f"closed-form H_L disagrees at t_2 = {lo} for tail {tail}")
-            tail_runs.append((tuple(sorted(tail.items())), (a, s_tail, lo, hi, end)))
-        # A run's rank is its place in the order of tail items (tails are distinct).
-        runs = [run for _, run in sorted(tail_runs, key=itemgetter(0))]
+            runs.append((tail, a, s_tail, lo, hi, end))
+        # A run's rank is its place in the order of tail items.  Tails are
+        # distinct, so the sort compares nothing after them.
+        runs.sort()
         ranks = len(runs)
         # One int per row: (floor(S^2 H_L) * radix + (t_2 or top)) * ranks + rank.
         # H_L rises strictly along a run, since dH_L/dt_2 has the sign of
         # (n-2)d + sum_{k>=3} (k-2) t_k > 0, so only a run's first `limit`
         # rows can be among the `limit` most negative.
         keys: list[int] = []
-        for rank, (a, s_tail, lo, hi, _) in enumerate(runs):
+        for rank, (_, a, s_tail, lo, hi, _) in enumerate(runs):
             if limit is not None:
                 hi = min(hi, lo + limit - 1)
             keys.extend(
@@ -397,7 +398,7 @@ def extremal_profile_search(
             floor_h, t2 = divmod(key, radix)
             if t2 == top:
                 t2 = 0
-            a, s_tail, _, _, end = runs[rank]
+            _, a, s_tail, _, _, end = runs[rank]
             if floor_h != last:
                 last, value = floor_h, Fraction(a - 2 * t2, s_tail + t2)
             rows[i] = (end._with_t2(t2), value)

@@ -148,14 +148,3 @@ def profile_from_arrangement(arr: Arrangement) -> IncidenceProfile:
 def incidence_count(profile: IncidenceProfile) -> int:
     """I_d = sum over k of (k^2 - k) t_k, twice the number of meeting pairs."""
     return sum((k * k - k) * c for k, c in profile.t.items())
-
-
-def valency_consistent(profile: IncidenceProfile, valency: int) -> bool:
-    """Whether each of the d lines meeting exactly ``valency`` others fits I_d.
-
-    Counting line meetings through point multiplicities, d lines each
-    meeting ``valency`` others give I_d = d * valency.
-    """
-    if valency < 0:
-        raise ValueError("valency must be nonnegative")
-    return incidence_count(profile) == profile.d * valency

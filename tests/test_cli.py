@@ -250,6 +250,39 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "linesurf verify: valency must be nonnegative\n"
 
+    @pytest.mark.parametrize("surface", ("fermat", "custom"))
+    def test_negative_valency_tests_and_scans_nothing(
+        self, capsys, monkeypatch, tmp_path, surface
+    ):
+        import linesurf.catalog
+        import linesurf.incidence
+
+        calls = []
+        modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "linesurf"]
+        for name, original in (
+            ("on_surface", linesurf.catalog.on_surface),
+            ("scan_arrangement", linesurf.incidence.scan_arrangement),
+        ):
+
+            def counting(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            for module in modules:  # every binding, the package's and the CLI's included
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        if surface == "fermat":
+            selector = ("--degree", "8")
+        else:
+            pair = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]]]
+            path = tmp_path / "pair.json"
+            path.write_text(json.dumps({"n": 4, "lines": pair}))
+            selector = ("--lines", str(path))
+        argv = ("verify", "--surface", surface, *selector, "--valency", "-1")
+        assert run(capsys, *argv) == (2, "", "linesurf verify: valency must be nonnegative\n")
+        assert calls == []
+
+
 class TestBound:
     def test_bauer_bound(self, capsys, tmp_path):
         path = tmp_path / "bauer.json"

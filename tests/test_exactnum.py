@@ -93,6 +93,19 @@ class TestArithmetic:
         a = 1 + zeta(6)
         assert a * a.inverse() == 1
 
+    def test_rational_divided_by_cyclonum(self):
+        z = zeta(8) + 1
+        assert 2 / z == z.inverse() * 2
+        assert (2 / z) * z == 2
+        third = Fraction(1, 3) / z
+        assert third * z == Fraction(1, 3)
+        assert third == CycloNum(8, [Fraction(s, 6) for s in (1, -1, 1, -1)])
+
+    def test_negative_power_is_inverse_power(self):
+        z = zeta(8) + 1
+        assert z**-3 == (z**3).inverse()
+        assert z**-3 * z**3 == 1
+
     def test_zero_cases(self):
         assert CycloNum.zero(6).is_zero()
         assert (zeta(6) ** 3 + 1).is_zero()

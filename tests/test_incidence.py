@@ -24,7 +24,6 @@ from linesurf.incidence import (
     incidence_count,
     profile_from_arrangement,
     scan_arrangement,
-    valency_consistent,
 )
 from linesurf.projgeom import ProjLine, ProjPoint, line_intersection, point_on_line
 from linesurf.serialize import arrangement_json, load_custom_lines, scan_json
@@ -176,15 +175,28 @@ class TestIncidenceCount:
 
 
 class TestValency:
+    """I_d is the sum of the valencies, so d lines each meeting V others give I_d = d * V."""
+
     def test_schur_valency_18(self):
-        assert valency_consistent(schur_profile(), 18)
+        p = schur_profile()
+        assert incidence_count(p) == p.d * 18
 
     def test_bad_double_count_fails(self):
         bad = IncidenceProfile(n=4, d=64, t={2: 192, 3: 64, 4: 8})
-        assert not valency_consistent(bad, 18)
+        assert incidence_count(bad) != bad.d * 18
 
     def test_two_concurrent_lines(self):
-        assert valency_consistent(IncidenceProfile(n=4, d=2, t={2: 1}), 1)
+        p = IncidenceProfile(n=4, d=2, t={2: 1})
+        assert incidence_count(p) == p.d * 1
+
+    @pytest.mark.parametrize("case", (3, 4, 5, 6, "moved_quartic", "shear_quartic"))
+    def test_valencies_sum_to_the_incidence_count(self, request, fermat_arrs, fermat_scans, case):
+        if isinstance(case, int):
+            arr, scan = fermat_arrs[case], fermat_scans[case]
+        else:
+            arr, scan = request.getfixturevalue(case)
+        profile = IncidenceProfile(arr.n, arr.d, scan.tally())
+        assert sum(scan.valencies(arr.d)) == incidence_count(profile) == 2 * scan.meeting_pairs
 
 
 def incidences(scan):

@@ -116,6 +116,13 @@ class TestLineThrough:
             assert (z - xr * w).is_zero()
         assert point_on_line(p, line) and point_on_line(q, line)
 
+    def test_text(self):
+        p, q = pt(1, 0, 0, 0), pt(0, 2, 0, 1)
+        line = ProjLine(p, q)
+        assert repr(q) == "ProjPoint(0 : 1 : 0 : 1/2)"
+        assert str(line) == "line (1 : 0 : 0 : 0) .. (0 : 1 : 0 : 1/2)"
+        assert repr(line) == "ProjLine(ProjPoint(1 : 0 : 0 : 0), ProjPoint(0 : 1 : 0 : 1/2))"
+
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
             ProjLine(pt(1, 2, 0, 0), pt(2, 4, 0, 0))
