@@ -14,7 +14,7 @@ derives its --surface choices and flags from it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, ItemsView, Mapping
+from collections.abc import Callable, ItemsView, Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple, Optional
 
@@ -179,16 +179,40 @@ class IncidenceProfile:
         every other entry as it is, so a valid profile stays valid: the
         range 0 <= t2 <= t_2 is the one check left.  The new profile's t
         is one small ``TVector`` that shares this profile's tail: no key 2
-        when ``t2`` is 0.
+        when ``t2`` is 0.  It is built by ``_lowered``, as a run of them is.
+        """
+        if type(t2) is not int or not 0 <= t2 <= self.t._t2:
+            raise ProfileError(f"t_2 = {t2!r} is not an integer in 0..{self.t._t2}")
+        return self._lowered((t2,))[0]
+
+    def _lowered(self, t2s: Sequence[int]) -> list["IncidenceProfile"]:
+        """This profile with t_2 lowered to each value of ``t2s``, which increase.
+
+        The one builder of lowered profiles, behind one check for all of
+        them: the ends of ``t2s`` lie in 0..t_2, in order.  Each profile is
+        the one ``_with_t2`` gives, and they all share this profile's tail.
         """
         t = self.t
-        if type(t2) is not int or not 0 <= t2 <= t._t2:
-            raise ProfileError(f"t_2 = {t2!r} is not an integer in 0..{t._t2}")
-        profile = object.__new__(IncidenceProfile)
-        _set_n(profile, self.n)
-        _set_d(profile, self.d)
-        _set_t(profile, TVector(t2, t._tail))
-        return profile
+        if t2s and not 0 <= t2s[0] <= t2s[-1] <= t._t2:
+            raise ProfileError(f"t_2 = {t2s!r} does not increase within 0..{t._t2}")
+        n, d, tail = self.n, self.d, t._tail
+        # The loop runs once per row of a search, so what it calls is bound
+        # to locals, and both objects are filled slot by slot, past
+        # __init__: a t-vector's two slots cost less to write than its
+        # __init__ call.
+        new, set_n, set_d, set_t = object.__new__, _set_n, _set_d, _set_t
+        profiles = []
+        append = profiles.append
+        for t2 in t2s:
+            lowered = new(TVector)
+            lowered._t2 = t2
+            lowered._tail = tail
+            profile = new(IncidenceProfile)
+            set_n(profile, n)
+            set_d(profile, d)
+            set_t(profile, lowered)
+            append(profile)
+        return profiles
 
     @property
     def s(self) -> int:
@@ -202,7 +226,7 @@ class IncidenceProfile:
 
 
 # The slots' own setters, which write past the frozen __setattr__: __init__
-# and _with_t2 fill every profile's three slots through these.
+# and _lowered fill every profile's three slots through these.
 _set_n = IncidenceProfile.n.__set__
 _set_d = IncidenceProfile.d.__set__
 _set_t = IncidenceProfile.t.__set__

@@ -20,7 +20,8 @@ header row, or JSON carrying exact rationals as strings alongside their
 decimal rendering.  Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error, 2 domain or inapplicability error
-or an input or --output file that cannot be read or written.
+or an input or --output file that cannot be read or written.  A stdout
+closed by its reader ends the run with 2 and no message.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from . import __version__
@@ -138,8 +140,8 @@ def _reject_unread(args, reads, flags) -> None:
             raise UsageError(f"--surface {args.surface} does not read {flag}")
 
 
-def resolve(args) -> Arrangement | IncidenceProfile:
-    """The lines or profile the surface flags name, by one rule for every command.
+def selection(args) -> Callable[[], Arrangement | IncidenceProfile]:
+    """What ``resolve`` builds, once every usage check has passed; nothing is read yet.
 
     A named configuration with a line builder names its lines, or its
     closed-form profile where the command offers --from-lines and it is
@@ -151,19 +153,24 @@ def resolve(args) -> Arrangement | IncidenceProfile:
         entry = NAMED[surface]
         build = entry.lines if entry.lines and getattr(args, "from_lines", True) else entry.profile
         if entry.param is None:
-            return build()
+            return build
         value = _given(args, f"--{entry.param}")
         if value is None:
             raise UsageError(f"--surface {surface} requires --{entry.param}")
-        return build(value)
+        return partial(build, value)
     lines, profile = args.lines, getattr(args, "profile", None)  # custom
     if lines and profile:
         raise UsageError("--profile and --lines exclude each other")
     if lines or profile:
-        return load_custom_lines(lines) if lines else load_custom_profile(profile)
+        return partial(load_custom_lines, lines) if lines else partial(load_custom_profile, profile)
     if hasattr(args, "profile"):
         raise UsageError("--surface custom needs --profile PATH or --lines PATH")
     raise UsageError("--surface custom needs --lines PATH for this command")
+
+
+def resolve(args) -> Arrangement | IncidenceProfile:
+    """The lines or profile the surface flags name, by one rule for every command."""
+    return selection(args)()
 
 
 def resolve_profile(args) -> IncidenceProfile:
@@ -330,12 +337,16 @@ def cmd_analyze(args) -> Output:
 
 
 def cmd_verify(args) -> Output:
-    chosen = resolve(args)
+    build = selection(args)
     valency = args.valency
+    fermat = args.surface == "fermat"
+    if not fermat and valency is None:  # before any file is read or line built
+        raise UsageError(f"--surface {args.surface} has nothing to verify without --valency")
+    chosen = build()
     if valency is not None and valency < 0:  # before any line is tested or scanned
         raise ValueError("valency must be nonnegative")
     checks: list[tuple[str, int, int, bool]] = []  # name, lhs, rhs, ok
-    if args.surface == "fermat":
+    if fermat:
         good = sum(1 for line in chosen.lines if on_surface(line, chosen.n))
         checks.append(("on_surface", good, chosen.d, good == chosen.d))
     if valency is not None:
@@ -349,8 +360,6 @@ def cmd_verify(args) -> Output:
             lhs = incidence_count(chosen)
             ok = lhs == rhs
         checks.append((f"valency_{valency}", lhs, rhs, ok))
-    if not checks:
-        raise UsageError(f"--surface {args.surface} has nothing to verify without --valency")
     return Output(
         ["check", "lhs", "rhs", "result"],
         lambda: [
@@ -578,7 +587,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if out.note and args.format == "csv":
         print(f"note: {out.note}", file=sys.stderr)
     if not args.output:
-        render(out, args.format, sys.stdout)
+        try:
+            render(out, args.format, sys.stdout)
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        except BrokenPipeError:
+            # The reader has gone (`| head`).  Point stdout at devnull, so
+            # that the interpreter's last flush cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 2
         return 0
     try:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:

@@ -28,9 +28,12 @@ function refusing instead of deciding again: ``_miyaoka_rhs`` raises
 from __future__ import annotations
 
 import gc
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from heapq import nsmallest
+from itertools import chain, combinations
 from typing import NamedTuple, Optional
 
 from .catalog import IncidenceProfile, check_line_count
@@ -260,18 +263,19 @@ def extremal_profile_search(
     Each tail builds one profile through ``IncidenceProfile.__init__``,
     its run's upper end with t_2 = hi, whose validation certifies the pair
     budget for the whole run.  Every other profile of the run is lowered
-    from it by ``_with_t2``, behind one range check 0 <= t_2 <= hi (a
-    lower t_2 only lowers the pair weight): the certificates' profiles
-    and the rows alike, so the certificates see what the rows are built
-    by.  ``miyaoka_check`` must hold at lo and, when lo > 0, fail at
-    lo - 1 (an empty run must fail at hi).  On a run, with
-    a = (2-n)d - sum_{k>=3} k t_k and s_tail = sum_{k>=3} t_k computed
-    once, H_L = (a - 2 t_2)/(s_tail + t_2) in closed form, and
+    from it by ``IncidenceProfile._lowered``, the one builder of lowered
+    profiles, behind one range check (a lower t_2 only lowers the pair
+    weight): the certificates' profiles one at a time through
+    ``_with_t2``, and each run's rows in one call, so the certificates see
+    what the rows are built by.  ``miyaoka_check`` must hold at lo and,
+    when lo > 0, fail at lo - 1 (an empty run must fail at hi).  On a run,
+    with a = (2-n)d - sum_{k>=3} k t_k and s_tail = sum_{k>=3} t_k
+    computed once, H_L = (a - 2 t_2)/(s_tail + t_2) in closed form, and
     ``harbourne_linear`` of the run's first profile with s > 0 must equal
-    it.  A failed certificate raises ``AssertionError``.  Only the rows
-    returned, the first ``limit`` when it is given, are built, each with
-    its value from the closed form; the rows of one run share its upper
-    end's read-only tail, so a row costs a profile and a small t-vector.
+    it.  Every run is certified, under a ``limit`` too; a failed
+    certificate raises ``AssertionError``.  The rows of one run share its
+    upper end's read-only tail, so a row costs a profile and a small
+    t-vector.
 
     The sort key is one exact integer per row.  Every s is at most
     S = d(d-1)/2, since each point uses at least one pair of lines, so two
@@ -280,22 +284,33 @@ def extremal_profile_search(
     orders them exactly: their scaled values differ by at least 1, so
     their floors differ.  Conversely equal values get equal floors.  Ties
     go by t: t_2, with t_2 = 0 after every t_2 > 0 (its t starts at a
-    larger multiplicity), then the tail's items.  The runs are sorted once
-    by their tail items, and a run's place in that order is its rank.
-    With top = S + 1 standing for t_2 = 0 and R runs, a row's key is
+    larger multiplicity), then the tail's items.  With top = S + 1
+    standing for t_2 = 0, a row's key is
 
-        (floor(S^2 * H_L) * (top + 1) + (t_2 or top)) * R + rank.
+        floor(S^2 * H_L) * (top + 1) + (t_2 or top),
 
-    Since 1 <= (t_2 or top) <= top and 0 <= rank < R, the integers sort as
-    the triples (floor, t_2 or top, tail items) do, and floor ``divmod``
-    decodes each key exactly, negative floors included.  The rows of one
-    floor, which are adjacent after the sort, share one ``Fraction``.
+    and since 1 <= (t_2 or top) <= top the keys sort as the pairs
+    (floor, t_2 or top) do.  The runs are sorted once by their tail items
+    and their rows are built in that order, so one stable sort of all the
+    rows by their keys leaves equal keys in the order of their tails: the
+    key holds no run, and no key is decoded.  Each row is valued by the
+    closed form as its run is keyed, through a dict keyed by floor, so the
+    rows of one value share one ``Fraction``.  The keys sit beside the
+    rows only until the sort has read them.
+
+    H_L rises strictly along a run, since dH_L/dt_2 has the sign of
+    (n-2)d + sum_{k>=3} (k-2) t_k > 0, and so does the key.  Under
+    ``limit`` each run is keyed only for its first ``limit`` rows, and
+    only the rows keyed at or below the ``limit``-th smallest of those keys
+    are built: a prefix of each run, ``limit`` rows in all plus any that
+    tie at that key, which the sort puts last and the cut drops.
 
     The search makes no reference cycle, so the returned rows are freed
     by refcount as soon as the caller drops them.  Everything made while
-    the search lists its tails, sorts and builds its rows is acyclic (ints,
-    tuples, int-valued dicts, slotted profiles and t-vectors, Fractions),
-    so a cyclic collection could find nothing in it; the collector is
+    the search lists its tails, keys, builds and sorts its rows is acyclic
+    (ints, tuples, ranges, lists, dicts of ints or Fractions, slotted
+    profiles and t-vectors, Fractions, ``keyed`` and the sort's key
+    function), so a cyclic collection could find nothing in it; the collector is
     paused over that part, so that its passes over the young rows are not
     paid for, and put back in its previous state on return or raise.
 
@@ -329,8 +344,8 @@ def extremal_profile_search(
     scale = pairs * pairs
     top = pairs + 1  # above every t_2: stands for t_2 = 0 in a key
     radix = top + 1
-    # Each nonempty run as (tail items, a, s_tail, lo, hi, upper end).
-    runs: list[tuple[tuple, int, int, int, int, IncidenceProfile]] = []
+    # Each nonempty run as (tail items, a, s_tail, t_2 = lo..hi, upper end).
+    runs: list[tuple[tuple, int, int, range, IncidenceProfile]] = []
     has_empty = False
 
     # Acyclic from here on (see above): no cyclic collection can free anything.
@@ -367,41 +382,48 @@ def extremal_profile_search(
                 continue
             a = (2 - n) * d - sum(k * c for k, c in tail)
             s_tail = sum(c for _, c in tail)
-            if harbourne_linear(end._with_t2(lo)) != Fraction(a - 2 * lo, s_tail + lo):
+            # Equal as rationals, by cross-multiplying: no second Fraction to reduce.
+            h = harbourne_linear(end._with_t2(lo))
+            if h.numerator * (s_tail + lo) != (a - 2 * lo) * h.denominator:
                 raise AssertionError(f"closed-form H_L disagrees at t_2 = {lo} for tail {tail}")
-            runs.append((tail, a, s_tail, lo, hi, end))
-        # A run's rank is its place in the order of tail items.  Tails are
-        # distinct, so the sort compares nothing after them.
+            runs.append((tail, a, s_tail, range(lo, hi + 1), end))
+        # Rows are built in the order of tail items, which the stable sort
+        # below keeps among equal keys.  Tails are distinct, so this sort
+        # compares nothing after them.
         runs.sort()
-        ranks = len(runs)
-        # One int per row: (floor(S^2 H_L) * radix + (t_2 or top)) * ranks + rank.
-        # H_L rises strictly along a run, since dH_L/dt_2 has the sign of
-        # (n-2)d + sum_{k>=3} (k-2) t_k > 0, so only a run's first `limit`
-        # rows can be among the `limit` most negative.
-        keys: list[int] = []
-        for rank, (_, a, s_tail, lo, hi, _) in enumerate(runs):
-            if limit is not None:
-                hi = min(hi, lo + limit - 1)
-            keys.extend(
-                ((a - 2 * t2) * scale // (s_tail + t2) * radix + (t2 or top)) * ranks + rank
-                for t2 in range(lo, hi + 1)
-            )
-        keys.sort()
+
+        def keyed(a, s_tail, t2s):
+            """floor(S^2 H_L) and the key of each row t_2 in ``t2s`` of a run."""
+            floors = [(a - 2 * t2) * scale // (s_tail + t2) for t2 in t2s]
+            return floors, [f * radix + (t2 or top) for f, t2 in zip(floors, t2s)]
+
+        # Keys rise along a run: under `limit` only its first `limit` rows
+        # are keyed, and only those keyed at or below the cut are built.
+        keyed_runs = (keyed(a, s_tail, t2s[:limit]) for _, a, s_tail, t2s, _ in runs)
         if limit is not None:
-            del keys[limit:]
-        # Each key is replaced in place by its row, so the two lists never coexist.
-        # Equal floors mean equal H_L, so one Fraction serves each value.
-        rows: list = keys
-        last = value = None
-        for i, key in enumerate(keys):
-            key, rank = divmod(key, ranks)
-            floor_h, t2 = divmod(key, radix)
-            if t2 == top:
-                t2 = 0
-            _, a, s_tail, _, _, end = runs[rank]
-            if floor_h != last:
-                last, value = floor_h, Fraction(a - 2 * t2, s_tail + t2)
-            rows[i] = (end._with_t2(t2), value)
+            keyed_runs = list(keyed_runs)
+            cut = max(nsmallest(limit, chain.from_iterable(k for _, k in keyed_runs)), default=None)
+        keys: list[int] = []
+        rows: list = []
+        values: dict[int, Fraction] = {}  # by floor: one Fraction per value of H_L
+        for (_, a, s_tail, t2s, end), (floors, run_keys) in zip(runs, keyed_runs):
+            if limit is not None:
+                kept = bisect_right(run_keys, cut)
+                if not kept:
+                    continue
+                t2s, run_keys = t2s[:kept], run_keys[:kept]
+            keys += run_keys
+            rows += zip(end._lowered(t2s), [
+                values[f] if f in values else values.setdefault(f, Fraction(a - 2 * t2, s_tail + t2))
+                for f, t2 in zip(floors, t2s)
+            ])
+        # list.sort computes each row's key once, in list order, before it
+        # compares any: the keys are read in the order they were made.  Each
+        # row reaches ``next`` only as its unused default.
+        rows.sort(key=partial(next, iter(keys)))
+        del keys
+        if limit is not None:
+            del rows[limit:]
         if has_empty and (limit is None or len(rows) < limit):
             rows.append((IncidenceProfile(n=n, d=d), None))
     finally:

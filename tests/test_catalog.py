@@ -14,6 +14,7 @@ from linesurf.catalog import (
     Arrangement,
     IncidenceProfile,
     ProfileError,
+    TVector,
     check_line_count,
     cubic_profile,
     fermat_lines,
@@ -254,6 +255,17 @@ class TestWithT2:
             slot = getattr(IncidenceProfile, name)
             assert getattr(q, name) == slot.__get__(q, IncidenceProfile)
         assert (q.n, q.d, q.t) == (5, 20, {2: 3, 3: 4, 5: 1})
+
+    def test_lowered_builds_with_t2_over_a_range(self):
+        # One check for the whole range: its ends lie in 0..t_2, in order.
+        p = IncidenceProfile(4, 10, {2: 5, 3: 2})
+        lowered = p._lowered(range(p.t2 + 1))
+        assert lowered == [p._with_t2(t2) for t2 in range(p.t2 + 1)]
+        assert all(type(q.t) is TVector and q.t._tail is p.t._tail for q in lowered)
+        assert p._lowered(range(3, 3)) == []
+        for bad in (range(p.t2 + 2), range(-1, 2), range(3, 0, -1)):
+            with pytest.raises(ProfileError, match=r"^t_2 = range\(.*\) does not increase within 0\.\.5$"):
+                p._lowered(bad)
 
     def test_error_names_the_range_without_key_2(self):
         with pytest.raises(ProfileError, match=r"^t_2 = 1 is not an integer in 0\.\.0$"):

@@ -1,15 +1,18 @@
 import gc
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from linesurf.catalog import NAMED, Arrangement, fermat_lines
-from linesurf.cli import build_parser, main
+from linesurf.cli import EXTREMAL_NOTE, build_parser, main
 from linesurf.harbourne import extremal_profile_search
 from linesurf.projgeom import ProjLine, ProjPoint
 from linesurf.serialize import (
@@ -226,6 +229,25 @@ class TestVerify:
         code, out, _ = run(capsys, *argv, "--valency", "1")
         assert code == 0
         assert out.splitlines() == ["check,lhs,rhs,result", "valency_1,2,2,PASS"]
+
+    @pytest.mark.parametrize("exists", (True, False), ids=("file", "missing-file"))
+    def test_nothing_to_verify_reads_no_file(self, capsys, monkeypatch, tmp_path, exists):
+        # Without --valency there is no check on custom lines, which is known
+        # before the file is read: a missing file is the same usage error.
+        import linesurf.cli
+
+        calls = []
+        monkeypatch.setattr(linesurf.cli, "load_custom_lines", calls.append)
+        path = tmp_path / "pair.json"
+        if exists:
+            pair = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]]]
+            path.write_text(json.dumps({"n": 4, "lines": pair}))
+        assert run(capsys, "verify", "--surface", "custom", "--lines", str(path)) == (
+            1,
+            "",
+            "linesurf verify: error: --surface custom has nothing to verify without --valency\n",
+        )
+        assert calls == []
 
     def test_unequal_valencies_fail(self, capsys, tmp_path):
         # The lines meet 1, 2, 1 and 0 others: 4 incidences fit d * V = 4, yet
@@ -911,6 +933,31 @@ class TestOutputBehavior:
         target = tmp_path / "report"
         assert run(capsys, *argv, "--output", str(target)) == (0, "", err)
         assert target.read_bytes() == printed.encode("utf-8")
+
+    def test_closed_stdout_ends_quietly(self):
+        # A reader that stops early (`| head -n 1`) closes the pipe while the
+        # CSV is being written: the run ends with exit 2 and no traceback.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "linesurf", "search-extremal", "--degree", "4",
+                "--num-lines", "16", "--k-max", "4", "--format", "csv"]
+        proc = subprocess.Popen(
+            argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        try:
+            # About 600 kB of CSV, far more than a pipe buffers.
+            assert proc.stdout.readline() == b"t,s,h_exact,h_decimal,miyaoka_lhs,miyaoka_rhs\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        finally:
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        assert "Traceback" not in err
+        assert err == f"note: {EXTREMAL_NOTE}\n"
+        assert code == 2
 
     def test_csv_holds_little_more_than_the_search(self, tmp_path):
         # CSV rows are written as they are made, so the report's peak is the
